@@ -34,15 +34,14 @@ recorded outputs still verify, so a killed sweep continues where it
 stopped and ends byte-identical to an uninterrupted run (see
 docs/RUNTIME.md).
 
-``--fleet-metrics`` (implied by ``--slo``) turns on the fleet
-telemetry plane: supervised workers stream metric deltas live over a
-dedicated pipe (progress lines + ``fleet_snapshots.jsonl`` as the run
-happens), and after the batch the canonical merged view is rebuilt
-deterministically from the per-task ``<name>.metrics.json`` files —
-``fleet_metrics.json`` plus, with ``--slo <spec.json>``, an evaluated
-``slo_report.json`` with burn-rate alerts (docs/OBSERVABILITY.md,
-"Fleet telemetry & SLOs").  Canonical artifacts are byte-identical
-between serial and ``--jobs`` runs of the same seed.
+``--fleet-metrics`` (implied by ``--slo``) builds the fleet view once,
+after the batch, from the per-task ``<name>.metrics.json`` files of the
+experiments that completed (or were verified-resumed) in this
+invocation: ``fleet_metrics.json``, ``fleet_snapshots.jsonl`` plus,
+with ``--slo <spec.json>``, an evaluated ``slo_report.json`` with
+burn-rate alerts (docs/OBSERVABILITY.md, "Fleet metrics & SLOs").  The
+fleet artifacts are byte-identical between serial, ``--jobs`` and
+``--resume`` runs of the same seed.
 """
 
 from __future__ import annotations
@@ -59,12 +58,7 @@ from repro.experiments.runner import (  # noqa: F401  (REGISTRY/FULL_SCALE re-ex
     _invoke,
     run_task,
 )
-from repro.obs.fleet import (
-    FleetAggregator,
-    SloSpecError,
-    load_spec,
-    write_fleet_artifacts,
-)
+from repro.obs.fleet import SloSpecError, load_spec, write_fleet_artifacts
 from repro.runtime import (
     ManifestConfigMismatch,
     RetryPolicy,
@@ -173,18 +167,12 @@ def _outcome_of(result: TaskResult) -> TaskOutcome:
 
 def _run_supervised(names: list[str], args, manifest: RunManifest,
                     failures: dict[str, str],
-                    skipped: list[str], spec=None) -> None:
+                    skipped: list[str]) -> None:
     """The worker-process path: the supervised runtime with heartbeat
     liveness, deadlines, supervisor-level deterministic retry, and the
     circuit breaker.  Workers fall back to the module REGISTRY (a
     monkeypatched registry of local functions would not survive
-    pickling — same constraint the old pool had).
-
-    With ``--fleet-metrics`` a live :class:`FleetAggregator` rides the
-    supervisor's telemetry pipes: streaming ``fleet_snapshots.jsonl``,
-    stderr progress lines, and immediate burn-rate alerts when ``spec``
-    is given.  The canonical artifacts are rewritten deterministically
-    afterwards by :func:`_finalize_fleet`."""
+    pickling — same constraint the old pool had)."""
     specs = [
         TaskSpec(name=name, fn=run_task,
                  args=(name, args.seed, args.smoke, args.full, 0, args.out),
@@ -224,34 +212,22 @@ def _run_supervised(names: list[str], args, manifest: RunManifest,
             _report(buffered.pop(next_slot), args.out, failures)
             next_slot += 1
 
-    aggregator = None
-    telemetry = None
-    if args.fleet_metrics:
-        live_path = pathlib.Path(args.out) / "fleet_snapshots.jsonl"
-        aggregator = FleetAggregator(
-            tasks=names, live_path=live_path, spec=spec,
-            progress=lambda line: print(line, file=sys.stderr))
-        telemetry = aggregator.sink
-    try:
-        supervisor.run(specs,
-                       result_failure=lambda outcome: outcome.failure,
-                       on_complete=on_complete,
-                       telemetry=telemetry)
-    finally:
-        if aggregator is not None:
-            aggregator.close()
+    supervisor.run(specs,
+                   result_failure=lambda outcome: outcome.failure,
+                   on_complete=on_complete)
     # flush any outcomes stranded behind circuit-breaker skips
     for slot in sorted(buffered):
         _report(buffered.pop(slot), args.out, failures)
 
 
-def _finalize_fleet(out: str, all_names: list[str], spec) -> None:
-    """The canonical post-batch fleet pass: rebuild the merged fleet
-    artifacts deterministically from the committed per-task
-    ``<name>.metrics.json`` files (sorted task order), overwriting any
-    timing-shaped live stream — so serial, ``--jobs``, and ``--resume``
-    runs of one seed end byte-identical."""
-    result = write_fleet_artifacts(out, all_names, spec=spec)
+def _finalize_fleet(out: str, names: list[str], spec) -> None:
+    """The post-batch fleet pass: build the fleet artifacts
+    deterministically from the committed ``<name>.metrics.json`` files
+    of ``names`` (sorted task order) — so serial, ``--jobs``, and
+    ``--resume`` runs of one seed end byte-identical.  ``names`` must
+    hold only tasks that completed or were verified-resumed in this
+    invocation: a failed task's metrics file is a stale earlier run's."""
+    result = write_fleet_artifacts(out, names, spec=spec)
     if result is None:
         print("[fleet: no per-task metrics found; nothing to merge]",
               file=sys.stderr)
@@ -336,12 +312,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="collect the repro.obs metrics registry and "
                              "write <name>.metrics.json")
     parser.add_argument("--fleet-metrics", action="store_true",
-                        help="merge every experiment's metrics into a "
+                        help="after the batch, merge the metrics of "
+                             "every experiment that completed into a "
                              "deterministic fleet_metrics.json + "
-                             "fleet_snapshots.jsonl (implies --metrics); "
-                             "supervised runs additionally stream the "
-                             "fleet view live over worker telemetry "
-                             "pipes")
+                             "fleet_snapshots.jsonl (implies --metrics)")
     parser.add_argument("--slo", type=pathlib.Path, default=None,
                         metavar="SPEC",
                         help="evaluate an SLO spec (JSON, see "
@@ -432,11 +406,12 @@ def main(argv: list[str] | None = None) -> int:
     if names and not supervised:
         _run_serial(names, args, manifest, failures, skipped)
     elif names:
-        _run_supervised(names, args, manifest, failures, skipped,
-                        spec=spec)
+        _run_supervised(names, args, manifest, failures, skipped)
 
     if args.fleet_metrics:
-        _finalize_fleet(args.out, all_names, spec)
+        merged = [name for name in all_names
+                  if name not in failures and name not in skipped]
+        _finalize_fleet(args.out, merged, spec)
 
     if failures or skipped:
         completed = total - len(failures) - len(skipped)

@@ -12,10 +12,10 @@ Three pieces, assembled by :mod:`repro.obs.runtime`:
   artifacts: :class:`TraceFrame` indexing, streaming change-point /
   periodicity detectors, ``python -m repro.obs report`` and
   ``python -m repro.obs diff``.
-* :mod:`repro.obs.fleet` — the cross-process telemetry plane: live
-  metric-delta streaming from supervised workers, deterministic fleet
-  snapshot merging, and the declarative SLO engine with burn-rate
-  alerting behind ``--slo`` / ``python -m repro.obs slo``.
+* :mod:`repro.obs.fleet` — the post-batch fleet pass: deterministic
+  merging of per-task metric snapshots into fleet artifacts, and the
+  declarative SLO engine with burn-rate alerting behind ``--slo`` /
+  ``python -m repro.obs slo``.
 
 Everything is disabled by default; ``install(trace=..., metrics=...)``
 turns it on for the current process (the experiments CLI does this for
@@ -35,14 +35,12 @@ from .exporters import (
     write_metrics_json,
 )
 from .fleet import (
-    FleetAggregator,
     SloEngine,
     SloSpec,
     SloSpecError,
     evaluate_snapshots,
     load_spec,
     merge_snapshots,
-    snapshot_delta,
     write_fleet_artifacts,
 )
 from .insight import (
@@ -77,7 +75,6 @@ __all__ = [
     "DetectorBank",
     "DiffResult",
     "EwmaDetector",
-    "FleetAggregator",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -100,7 +97,6 @@ __all__ = [
     "register_rnic",
     "registry",
     "session",
-    "snapshot_delta",
     "tracer_for",
     "uninstall",
     "validate_chrome_trace",

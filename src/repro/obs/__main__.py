@@ -85,7 +85,7 @@ def _cmd_slo(args) -> int:
         collect_task_snapshots,
         evaluate_snapshots,
         load_spec,
-        merge_snapshots,
+        prefix_merges,
     )
     try:
         spec = load_spec(args.spec)
@@ -97,18 +97,14 @@ def _cmd_slo(args) -> int:
         print(f"repro.obs: {args.run_dir}: no per-task metrics "
               f"(*.metrics.json) to evaluate", file=sys.stderr)
         return 2
-    tasks = sorted(per_task)
-    snapshots = [merge_snapshots([per_task[name]
-                                  for name in tasks[:index + 1]])
-                 for index in range(len(tasks))]
-    report = evaluate_snapshots(spec, snapshots)
+    report = evaluate_snapshots(spec, prefix_merges(per_task))
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"repro.obs: wrote {args.out}")
     verdict = "compliant" if report["compliant"] else "VIOLATED"
-    print(f"repro.obs: spec {report['spec']} over {len(tasks)} task(s): "
+    print(f"repro.obs: spec {report['spec']} over {len(per_task)} task(s): "
           f"{verdict}, {len(report['alerts'])} alert(s)")
     for objective in report["objectives"]:
         status = "ok" if objective["compliant"] else "VIOLATED"

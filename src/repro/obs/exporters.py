@@ -204,7 +204,7 @@ def _check_metrics_payload(payload: object, prefix: str,
     """Per-row check of one metrics snapshot object; shared by
     :func:`validate_metrics_json` (whole files) and
     :func:`validate_fleet_jsonl` (the ``metrics`` field of every
-    streamed fleet line)."""
+    fleet snapshot line)."""
     if not isinstance(payload, dict):
         errors.append(f"{prefix}: top level must be an object")
         return
@@ -257,11 +257,12 @@ def validate_metrics_json(path) -> list:
 
 
 def validate_fleet_jsonl(path) -> list:
-    """Check a ``fleet_snapshots.jsonl`` stream: every line a fleet
-    snapshot record with a strictly increasing ``rev``, a known
-    ``kind``, a ``task`` name, a sane ``tasks_done``, and a ``metrics``
-    payload that passes the full metrics-snapshot check.  Errors name
-    the offending line and the flattened record index inside it."""
+    """Check a ``fleet_snapshots.jsonl`` file: every line a fleet
+    snapshot record with a strictly increasing ``rev``, ``kind``
+    ``"final"`` (the only record the fleet pass writes), a ``task``
+    name, a sane ``tasks_done``, and a ``metrics`` payload that passes
+    the full metrics-snapshot check.  Errors name the offending line
+    and the flattened record index inside it."""
     path = pathlib.Path(path)
     errors: list = []
     last_rev = 0
@@ -287,9 +288,9 @@ def validate_fleet_jsonl(path) -> list:
                           f"previous {last_rev}")
         else:
             last_rev = rev
-        if record.get("kind") not in ("delta", "final"):
-            errors.append(f"{prefix}: 'kind' must be 'delta' or "
-                          f"'final', got {record.get('kind')!r}")
+        if record.get("kind") != "final":
+            errors.append(f"{prefix}: 'kind' must be 'final', "
+                          f"got {record.get('kind')!r}")
         task = record.get("task")
         if not isinstance(task, str) or not task:
             errors.append(f"{prefix}: 'task' must be a non-empty string")

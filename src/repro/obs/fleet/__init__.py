@@ -1,39 +1,32 @@
-"""repro.obs.fleet — the cross-process telemetry plane.
+"""repro.obs.fleet — the post-batch fleet metrics pass.
 
-Workers ship incremental :class:`~repro.obs.metrics.MetricsRegistry`
-deltas (and the supervisor forwards its lifecycle events) over a
-dedicated telemetry pipe per worker, multiplexed through the existing
-``multiprocessing.connection.wait`` loop in
-:class:`repro.runtime.Supervisor`.  This package is the receiving side
-and everything on top of it:
+After an experiments batch, the per-task ``<name>.metrics.json`` files
+are folded once, in sorted task-name order, into the fleet artifacts.
+This package holds that pass and everything on top of it:
 
-* :mod:`repro.obs.fleet.merge` — exact, byte-stable snapshot
-  delta/merge arithmetic (counters/gauges sum, histograms merge
-  bucket-by-bucket; no t-digest approximation);
-* :mod:`repro.obs.fleet.aggregator` — the live
-  :class:`FleetAggregator` (streaming ``fleet_snapshots.jsonl``,
-  progress lines, live alerts) and the canonical
-  :func:`write_fleet_artifacts` pass (``fleet_metrics.json`` +
+* :mod:`repro.obs.fleet.merge` — exact, byte-stable snapshot merge
+  arithmetic (counters/gauges sum, histograms merge bucket-by-bucket;
+  no t-digest approximation);
+* :mod:`repro.obs.fleet.aggregator` — :func:`write_fleet_artifacts`
+  (``fleet_metrics.json``, ``fleet_snapshots.jsonl`` and
   ``slo_report.json``, byte-identical serial vs ``--jobs``);
 * :mod:`repro.obs.fleet.slo` — declarative :class:`SloSpec` objectives
   (latency percentiles, error budgets) with multi-window burn-rate
   alerting via :class:`SloEngine`.
 
-See docs/OBSERVABILITY.md ("Fleet telemetry & SLOs") for the wire
-protocol and the determinism contract.
+See docs/OBSERVABILITY.md ("Fleet metrics & SLOs") for the artifact
+shapes and the determinism contract.
 """
 
 from .aggregator import (
-    FleetAggregator,
     collect_task_snapshots,
+    prefix_merges,
     write_fleet_artifacts,
 )
 from .merge import (
     FleetMergeError,
-    apply_delta,
     merge_rows,
     merge_snapshots,
-    snapshot_delta,
 )
 from .slo import (
     BurnWindow,
@@ -48,19 +41,17 @@ from .slo import (
 
 __all__ = [
     "BurnWindow",
-    "FleetAggregator",
     "FleetMergeError",
     "SloEngine",
     "SloObjective",
     "SloSpec",
     "SloSpecError",
-    "apply_delta",
     "collect_task_snapshots",
     "evaluate_snapshots",
     "histogram_quantile",
     "load_spec",
     "merge_rows",
     "merge_snapshots",
-    "snapshot_delta",
+    "prefix_merges",
     "write_fleet_artifacts",
 ]

@@ -1,160 +1,28 @@
-"""The fleet-side aggregator: live streaming view + canonical artifacts.
+"""The canonical fleet pass: per-task metrics -> fleet artifacts.
 
-Two layers with different determinism contracts:
-
-* :class:`FleetAggregator` — the **live** view.  Plugged into
-  ``Supervisor.run(..., telemetry=aggregator.sink)``, it folds each
-  worker's shipped metric deltas into a per-task cumulative state,
-  appends merged fleet snapshots to ``fleet_snapshots.jsonl`` as they
-  arrive, feeds a live :class:`~repro.obs.fleet.slo.SloEngine` for
-  immediate burn-rate alerting, and emits periodic one-line progress
-  updates.  Live output is *timing-shaped* (revision count and
-  interleaving depend on scheduling) and therefore advisory.
-* :func:`write_fleet_artifacts` — the **canonical** pass.  After the
-  batch it rebuilds everything from the per-task ``<name>.metrics.json``
-  files in sorted task-name order: ``fleet_metrics.json`` (the merged
-  whole-run snapshot), a rewritten ``fleet_snapshots.jsonl`` (one final
-  line per task, prefix merges), and ``slo_report.json`` when a spec is
-  given.  Serial and ``--jobs N`` runs of the same seed produce
-  byte-identical canonical artifacts — the same discipline as every
-  other run artifact (tests/experiments/test_fleet_parallel.py).
+After a batch, :func:`write_fleet_artifacts` builds the fleet view once,
+from the per-task ``<name>.metrics.json`` files in sorted task-name
+order: ``fleet_metrics.json`` (the merged whole-run snapshot),
+``fleet_snapshots.jsonl`` (one ``"final"`` line per task, prefix
+merges), and ``slo_report.json`` when a spec is given.  Serial,
+``--jobs N``, rerun and ``--resume`` runs of the same seed produce
+byte-identical fleet artifacts — the same discipline as every other run
+artifact (tests/experiments/test_fleet_parallel.py).
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from .merge import apply_delta, merge_snapshots
-from .slo import SloEngine, SloSpec, evaluate_snapshots
+from .merge import merge_snapshots
+from .slo import SloSpec, evaluate_snapshots
 
-#: Live progress cadence: one line per this many aggregator revisions
-#: (plus one on every task completion).
-PROGRESS_EVERY = 10
+#: Every file the fleet pass writes into a run directory.
+FLEET_ARTIFACTS = ("fleet_snapshots.jsonl", "fleet_metrics.json",
+                   "slo_report.json")
 
-
-def _count_rows(snapshot: dict) -> int:
-    total = 0
-    for metrics in snapshot.values():
-        if isinstance(metrics, dict):
-            total += len(metrics)
-    return total
-
-
-class FleetAggregator:
-    """Merge live worker telemetry into a streaming fleet view; see the
-    module docstring for the live-vs-canonical split."""
-
-    def __init__(self, tasks: Iterable[str],
-                 live_path=None,
-                 spec: Optional[SloSpec] = None,
-                 progress: Optional[Callable[[str], None]] = None,
-                 progress_every: int = PROGRESS_EVERY) -> None:
-        self._tasks = sorted(tasks)
-        self._state: dict = {}       # task -> cumulative snapshot
-        self._done: set = set()
-        #: Supervisor/runtime lifecycle events, in arrival order.
-        self.events: list = []
-        self.revision = 0
-        self._live_path = None if live_path is None \
-            else pathlib.Path(live_path)
-        self._live_handle = None
-        self.engine = None if spec is None else SloEngine(spec)
-        #: Alerts fired by the live engine (advisory; the canonical
-        #: alert list lives in slo_report.json).
-        self.live_alerts: list = []
-        self._progress = progress
-        self._progress_every = max(1, progress_every)
-
-    # ------------------------------------------------------------------
-    # The supervisor-facing sink
-    # ------------------------------------------------------------------
-    def sink(self, task: str, record: dict) -> None:
-        """The ``Supervisor.run(telemetry=...)`` callback: one shipped
-        record from one worker (or a forwarded runtime event)."""
-        if not isinstance(record, dict):
-            return
-        kind = record.get("kind")
-        if kind == "event":
-            event = record.get("event")
-            if isinstance(event, dict):
-                self.events.append({"task": task, **event})
-            return
-        if kind == "delta":
-            self._state[task] = apply_delta(
-                self._state.get(task, {}), record.get("delta") or {})
-        elif kind == "final":
-            snapshot = record.get("snapshot")
-            if isinstance(snapshot, dict) and snapshot:
-                self._state[task] = snapshot
-            else:
-                self._state[task] = apply_delta(
-                    self._state.get(task, {}), record.get("delta") or {})
-            self._done.add(task)
-        else:
-            return
-        self.revision += 1
-        fleet = self.fleet_snapshot()
-        self._write_live(task, kind, fleet)
-        if self.engine is not None:
-            for alert in self.engine.observe(fleet):
-                self.live_alerts.append(alert)
-                self._say(f"[fleet: SLO alert {alert['objective']} "
-                          f"burning {alert['burn_rate']:g}x budget over "
-                          f"{alert['window_ticks']}-tick window "
-                          f"({alert['severity']})]")
-        if kind == "final" or self.revision % self._progress_every == 0:
-            self._say(self._progress_line(fleet))
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    def fleet_snapshot(self) -> dict:
-        """The current merged fleet snapshot, folded in sorted
-        task-name order."""
-        return merge_snapshots(self._state[task]
-                               for task in sorted(self._state))
-
-    def tasks_done(self) -> int:
-        return len(self._done)
-
-    # ------------------------------------------------------------------
-    # Live output
-    # ------------------------------------------------------------------
-    def _say(self, line: str) -> None:
-        if self._progress is not None:
-            self._progress(line)
-
-    def _progress_line(self, fleet: dict) -> str:
-        alerts = f", {len(self.live_alerts)} alert(s)" \
-            if self.live_alerts else ""
-        return (f"[fleet: rev {self.revision}, "
-                f"{len(self._done)}/{len(self._tasks)} tasks done, "
-                f"{_count_rows(fleet)} metrics, "
-                f"{len(self.events)} events{alerts}]")
-
-    def _write_live(self, task: str, kind: str, fleet: dict) -> None:
-        if self._live_path is None:
-            return
-        if self._live_handle is None:
-            self._live_path.parent.mkdir(parents=True, exist_ok=True)
-            self._live_handle = self._live_path.open("w")
-        self._live_handle.write(json.dumps(
-            {"rev": self.revision, "kind": kind, "task": task,
-             "tasks_done": len(self._done), "metrics": fleet},
-            sort_keys=True) + "\n")
-        self._live_handle.flush()
-
-    def close(self) -> None:
-        if self._live_handle is not None:
-            self._live_handle.close()
-            self._live_handle = None
-
-
-# ----------------------------------------------------------------------
-# The canonical post-batch pass
-# ----------------------------------------------------------------------
 def collect_task_snapshots(run_dir, names: Optional[Iterable[str]] = None
                            ) -> dict:
     """Per-task metrics snapshots from a run directory, keyed by task
@@ -179,36 +47,44 @@ def collect_task_snapshots(run_dir, names: Optional[Iterable[str]] = None
     return snapshots
 
 
+def prefix_merges(per_task: dict) -> list:
+    """The cumulative fleet snapshots of a run, one per task in sorted
+    name order: entry ``i`` merges the first ``i + 1`` tasks.  These
+    are the ticks the SLO engine evaluates."""
+    tasks = sorted(per_task)
+    return [merge_snapshots([per_task[name] for name in tasks[:index + 1]])
+            for index in range(len(tasks))]
+
+
 def write_fleet_artifacts(run_dir,
                           names: Optional[Iterable[str]] = None,
                           spec: Optional[SloSpec] = None
                           ) -> Optional[dict]:
     """Write the canonical fleet artifacts for a finished run; returns
     ``{"tasks", "paths", "snapshot", "report"}`` or ``None`` when the
-    run directory holds no per-task metrics.
+    run directory holds no per-task metrics for ``names``.
 
-    Deterministic by construction: tasks are folded in sorted name
-    order from their committed ``<name>.metrics.json`` bytes, so serial
-    and ``--jobs`` runs (and reruns) of one seed agree byte-for-byte on
-    ``fleet_metrics.json``, ``fleet_snapshots.jsonl``, and
-    ``slo_report.json``.
+    Fleet artifacts already in ``run_dir`` are removed first, so an
+    earlier run's files never outlive a rerun that merges nothing (or
+    runs without a spec).  Deterministic by construction: tasks are
+    folded in sorted name order from their committed
+    ``<name>.metrics.json`` bytes, so serial and ``--jobs`` runs (and
+    reruns) of one seed agree byte-for-byte on ``fleet_metrics.json``,
+    ``fleet_snapshots.jsonl``, and ``slo_report.json``.
     """
     run_dir = pathlib.Path(run_dir)
+    for artifact in FLEET_ARTIFACTS:
+        (run_dir / artifact).unlink(missing_ok=True)
     per_task = collect_task_snapshots(run_dir, names)
     if not per_task:
         return None
     tasks = sorted(per_task)
-    lines = []
-    prefix_merges = []
-    merged: dict = {}
-    for index, task in enumerate(tasks):
-        merged = merge_snapshots([per_task[name]
-                                  for name in tasks[:index + 1]])
-        prefix_merges.append(merged)
-        lines.append(json.dumps(
-            {"rev": index + 1, "kind": "final", "task": task,
-             "tasks_done": index + 1, "metrics": merged},
-            sort_keys=True))
+    snapshots = prefix_merges(per_task)
+    lines = [json.dumps({"rev": index + 1, "kind": "final", "task": task,
+                         "tasks_done": index + 1, "metrics": snapshot},
+                        sort_keys=True)
+             for index, (task, snapshot) in enumerate(zip(tasks, snapshots))]
+    merged = snapshots[-1]
     snapshots_path = run_dir / "fleet_snapshots.jsonl"
     snapshots_path.write_text("\n".join(lines) + "\n")
     metrics_path = run_dir / "fleet_metrics.json"
@@ -217,7 +93,7 @@ def write_fleet_artifacts(run_dir,
     paths = [snapshots_path, metrics_path]
     report = None
     if spec is not None:
-        report = evaluate_snapshots(spec, prefix_merges)
+        report = evaluate_snapshots(spec, snapshots)
         report_path = run_dir / "slo_report.json"
         report_path.write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")

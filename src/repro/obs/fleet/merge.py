@@ -1,18 +1,12 @@
-"""Deterministic merge arithmetic for cross-worker metric snapshots.
+"""Deterministic merge arithmetic for per-task metric snapshots.
 
-The fleet telemetry plane moves :class:`~repro.obs.metrics.MetricsRegistry`
-snapshots between processes and folds many per-worker snapshots into one
-fleet view.  Three operations, all pure functions over the JSON snapshot
-shape (``{component: {name: row}}``):
+The fleet pass folds the per-task
+:class:`~repro.obs.metrics.MetricsRegistry` snapshots of a finished run
+into one fleet view.  Both operations are pure functions over the JSON
+snapshot shape (``{component: {name: row}}``):
 
-* :func:`snapshot_delta` — the *changed-row subset* of a snapshot
-  relative to a previous one.  Rows carry **absolute** values, not
-  numeric differences, so ``apply_delta(prev, delta)`` reconstructs the
-  current snapshot exactly (float-exact — no ``a + (b - a) != b``
-  round-trip surprises), while an idle worker's periodic ship costs a
-  handful of rows instead of the whole registry.
-* :func:`apply_delta` — overlay a delta onto a cumulative snapshot.
-* :func:`merge_snapshots` — fold per-worker snapshots into one fleet
+* :func:`merge_rows` — merge two rows of one ``(component, name)``;
+* :func:`merge_snapshots` — fold per-task snapshots into one fleet
   snapshot: counters and gauges sum (this repo's collector gauges are
   cumulative NIC counters — see docs/OBSERVABILITY.md), histograms merge
   *exactly* bucket-by-bucket (no t-digest approximation; mismatched
@@ -55,33 +49,7 @@ def _sorted_copy(rows: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Delta shipping (worker -> fleet)
-# ----------------------------------------------------------------------
-def snapshot_delta(previous: dict, current: dict) -> dict:
-    """Rows of ``current`` that differ from (or are absent in)
-    ``previous``.  Registries never drop instruments, so removal is not
-    represented; an unchanged snapshot yields ``{}``."""
-    delta: dict = {}
-    for component, name, row in _rows(current):
-        before = previous.get(component, {}).get(name)
-        if before != row:
-            delta.setdefault(component, {})[name] = row
-    return delta
-
-
-def apply_delta(snapshot: dict, delta: dict) -> dict:
-    """A new snapshot with ``delta``'s rows overlaid onto ``snapshot``.
-    Inverse of :func:`snapshot_delta`:
-    ``apply_delta(prev, snapshot_delta(prev, cur)) == cur``."""
-    rows: dict = {(component, name): row
-                  for component, name, row in _rows(snapshot)}
-    for component, name, row in _rows(delta):
-        rows[(component, name)] = row
-    return _sorted_copy(rows)
-
-
-# ----------------------------------------------------------------------
-# Fleet merge (many workers -> one view)
+# Fleet merge (many tasks -> one view)
 # ----------------------------------------------------------------------
 def merge_rows(a: dict, b: dict, key: str = "?") -> dict:
     """Merge two metric rows of the same ``(component, name)``.
@@ -156,11 +124,11 @@ def _normalized(row: dict) -> dict:
 
 
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Fold per-worker snapshots into one fleet snapshot.
+    """Fold per-task snapshots into one fleet snapshot.
 
     Order-independent for ints and structurally, and deterministic for
     float sums as long as the caller folds in a fixed order — the fleet
-    plane always merges in sorted task-name order (see
+    pass always merges in sorted task-name order (see
     :func:`repro.obs.fleet.aggregator.write_fleet_artifacts`).
     """
     rows: dict = {}

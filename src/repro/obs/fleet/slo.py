@@ -2,7 +2,7 @@
 
 An :class:`SloSpec` (loaded from JSON by :func:`load_spec`) declares
 objectives of two kinds, both evaluated against the deterministic fleet
-snapshots the aggregator produces:
+snapshots the post-batch fleet pass produces:
 
 * ``latency`` — a percentile target over a histogram metric
   (``metric`` selects by flattened ``component.name``, ``fnmatch``
@@ -22,10 +22,10 @@ objectives the implied budget is ``1 - percentile`` (p99 under target
 
 :class:`SloEngine` consumes a sequence of *cumulative* fleet snapshots
 (one tick per snapshot) via :meth:`~SloEngine.observe` and emits alerts
-as structured records the moment a window crosses its threshold; the
-same engine powers live alerting during a supervised run and the
-canonical post-batch ``slo_report.json`` (fresh engine, deterministic
-tick order — same seed, same bytes).
+as structured records the moment a window crosses its threshold; it
+backs :func:`evaluate_snapshots`, which builds ``slo_report.json`` from
+the per-task prefix merges (fresh engine, deterministic tick order —
+same seed, same bytes).
 """
 
 from __future__ import annotations
@@ -293,10 +293,8 @@ def _good_bad(objective: SloObjective, snapshot: dict) -> tuple[float,
 class SloEngine:
     """Feed cumulative fleet snapshots in tick order; collect alerts.
 
-    One instance per evaluation sequence — the live path hands it every
-    aggregator revision (advisory, timing-shaped tick count), the
-    canonical path a fresh engine over the deterministic per-task
-    prefix merges.
+    One instance per evaluation sequence: :func:`evaluate_snapshots`
+    feeds a fresh engine the deterministic per-task prefix merges.
     """
 
     def __init__(self, spec: SloSpec) -> None:

@@ -20,9 +20,10 @@ What is compared (by matching file name in both directories):
   comparison as per-task metrics;
 * ``slo_report.json`` — a *newly violated* objective regresses;
   recovered objectives and alert-count drift are notes;
-* ``fleet_snapshots.jsonl`` — advisory: stream line-count drift only
-  (the live stream is timing-shaped under ``--jobs``; the canonical
-  rewrite makes counts comparable between finished runs).
+* ``fleet_snapshots.jsonl`` — advisory: line-count drift only.  The
+  file holds one prefix-merge line per merged task, so its count moves
+  only with the set of tasks merged, and its last line is
+  ``fleet_metrics.json``, whose numbers are already compared above.
 """
 
 from __future__ import annotations

@@ -11,12 +11,6 @@ Run as a module so spawn children re-import *this* light module as
 ``__mp_main__`` instead of the heavyweight bench_gate script::
 
     python -m repro.runtime.bench --tasks 4 --jobs 2 --repeats 2
-
-``--fleet`` instead prices the fleet telemetry plane: the same
-supervised batch of metric-ticking workers with the telemetry pipes
-armed (deltas shipped to a live :class:`FleetAggregator`) versus
-telemetry off, strictly interleaved — the streaming overhead
-``tools/bench_gate.py`` budgets at a few percent.
 """
 
 from __future__ import annotations
@@ -65,72 +59,6 @@ def run_supervised(tasks: int, jobs: int) -> None:
     assert all(result.ok for result in results.values())
 
 
-def fleet_spin_task(iterations: int = SPIN_ITERATIONS,
-                    beats: int = 64) -> int:
-    """The spin task with a live metrics registry: counters tick as the
-    work progresses, so an armed telemetry pipe has real deltas to ship
-    (module-level, spawn-picklable)."""
-    from repro import obs
-    obs.install(metrics=True)
-    try:
-        registry = obs.registry()
-        counter = registry.counter("bench.fleet", "iterations")
-        gauge = registry.gauge("bench.fleet", "progress")
-        total = 0
-        chunk = max(1, iterations // beats)
-        done = 0
-        while done < iterations:
-            upper = min(done + chunk, iterations)
-            for i in range(done, upper):
-                total += i * i
-            counter.inc(upper - done)
-            gauge.set(upper / iterations)
-            done = upper
-        return total
-    finally:
-        obs.uninstall()
-
-
-def run_fleet(tasks: int, jobs: int, telemetry: bool) -> None:
-    """The supervised batch of metric-ticking workers, with the
-    telemetry pipes armed (live aggregator, no disk) or off.  A short
-    shipping interval makes the streaming cost visible on ~30 ms
-    tasks."""
-    supervisor = Supervisor(SupervisorConfig(max_workers=jobs,
-                                             telemetry_interval=0.005))
-    specs = [TaskSpec(name=f"fleet{i}", fn=fleet_spin_task,
-                      args=(SPIN_ITERATIONS,)) for i in range(tasks)]
-    sink = None
-    if telemetry:
-        from repro.obs.fleet import FleetAggregator
-        sink = FleetAggregator(tasks=[spec.name for spec in specs]).sink
-    results = supervisor.run(specs, telemetry=sink)
-    assert all(result.ok for result in results.values())
-
-
-def measure_fleet(tasks: int = 4, jobs: int = 2, repeats: int = 2) -> dict:
-    """Interleaved min-of-N wall times for the telemetry-off and
-    telemetry-on supervised batches plus the relative streaming
-    overhead (clamped at 0)."""
-    run_fleet(tasks, jobs, telemetry=False)   # warm both paths
-    run_fleet(tasks, jobs, telemetry=True)
-    best_off = best_on = float("inf")
-    for _ in range(repeats):
-        started = wallclock()
-        run_fleet(tasks, jobs, telemetry=False)
-        best_off = min(best_off, wallclock() - started)
-        started = wallclock()
-        run_fleet(tasks, jobs, telemetry=True)
-        best_on = min(best_on, wallclock() - started)
-    return {
-        "tasks": tasks,
-        "jobs": jobs,
-        "telemetry_off_s": round(best_off, 6),
-        "telemetry_on_s": round(best_on, 6),
-        "overhead": round(max(0.0, best_on / best_off - 1.0), 4),
-    }
-
-
 def measure(tasks: int = 4, jobs: int = 2, repeats: int = 2) -> dict:
     """Interleaved min-of-N wall times for both sides plus the relative
     supervisor overhead (clamped at 0 — the supervisor is occasionally
@@ -159,18 +87,10 @@ def main(argv=None) -> int:
     parser.add_argument("--tasks", type=int, default=4)
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument("--fleet", action="store_true",
-                        help="price the fleet telemetry plane "
-                             "(telemetry-on vs telemetry-off supervised "
-                             "batches) instead of supervisor-vs-pool")
     args = parser.parse_args(argv)
     if args.tasks < 1 or args.jobs < 1 or args.repeats < 1:
         parser.error("--tasks/--jobs/--repeats must be positive")
-    if args.fleet:
-        print(json.dumps(measure_fleet(args.tasks, args.jobs,
-                                       args.repeats)))
-    else:
-        print(json.dumps(measure(args.tasks, args.jobs, args.repeats)))
+    print(json.dumps(measure(args.tasks, args.jobs, args.repeats)))
     return 0
 
 

@@ -28,15 +28,6 @@ not a polling interval — and enforces:
 Supervisor events feed the installed :mod:`repro.obs` metrics registry
 (component ``runtime``) when one is present, and always accumulate in
 ``Supervisor.metrics`` plus the structured ``Supervisor.events`` list.
-
-``run(..., telemetry=sink)`` additionally opens a **dedicated telemetry
-pipe** per worker, multiplexed through the same ``connection.wait``
-loop: workers ship incremental metrics-registry deltas from a daemon
-thread (:class:`repro.runtime.worker._TelemetryShipper`) and the
-supervisor forwards each record — plus its own lifecycle events — to
-the sink as ``(task_name, record)``.  That is the transport under the
-fleet telemetry plane (:mod:`repro.obs.fleet`); the result/heartbeat
-pipe protocol is unchanged and telemetry loss never affects outcomes.
 """
 
 from __future__ import annotations
@@ -104,7 +95,6 @@ class SupervisorConfig:
     max_failures: Optional[int] = None      # circuit-breaker threshold
     start_method: str = "spawn"
     wait_slice: float = 0.5                 # max blocking wait per loop
-    telemetry_interval: float = 0.5         # worker metric-ship period
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -112,8 +102,6 @@ class SupervisorConfig:
                              f"{self.max_workers}")
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
-        if self.telemetry_interval <= 0:
-            raise ValueError("telemetry_interval must be positive")
         for label, value in (("deadline", self.deadline),
                              ("heartbeat_timeout", self.heartbeat_timeout)):
             if value is not None and value <= 0:
@@ -127,12 +115,10 @@ class _Worker:
     """Bookkeeping for one live worker process."""
 
     __slots__ = ("spec", "attempt", "process", "conn", "started",
-                 "last_beat", "deadline_at", "outcome", "eof",
-                 "tconn", "teof")
+                 "last_beat", "deadline_at", "outcome", "eof")
 
     def __init__(self, spec: TaskSpec, attempt: int, process, conn,
-                 started: float, deadline: Optional[float],
-                 tconn=None) -> None:
+                 started: float, deadline: Optional[float]) -> None:
         self.spec = spec
         self.attempt = attempt
         self.process = process
@@ -142,10 +128,6 @@ class _Worker:
         self.deadline_at = None if deadline is None else started + deadline
         self.outcome = None   # ("ok", value) | ("error", exc_type, tb)
         self.eof = False
-        #: Receive end of the dedicated telemetry pipe (None when the
-        #: batch runs without a telemetry sink).
-        self.tconn = tconn
-        self.teof = tconn is None
 
 
 class Supervisor:
@@ -165,10 +147,6 @@ class Supervisor:
         self.metrics = MetricsRegistry()
         #: Structured, timestamp-free event log (launch/ok/retry/...).
         self.events: list = []
-        #: The telemetry sink for the currently running batch (set by
-        #: :meth:`run`); lifecycle events are forwarded here alongside
-        #: worker metric deltas.
-        self._telemetry_sink = None
 
     # ------------------------------------------------------------------
     # Event + metrics plumbing
@@ -177,9 +155,6 @@ class Supervisor:
         record = {"event": event, "task": task, "attempt": attempt}
         record.update(extra)
         self.events.append(record)
-        if self._telemetry_sink is not None:
-            self._telemetry_sink(task, {"kind": "event",
-                                        "event": dict(record)})
 
     def _count(self, name: str) -> None:
         self.metrics.counter("runtime", name).inc()
@@ -202,7 +177,6 @@ class Supervisor:
             result_failure: Optional[Callable[[Any],
                                               Optional[TaskFailure]]] = None,
             on_complete: Optional[Callable[[TaskResult], None]] = None,
-            telemetry: Optional[Callable[[str, dict], None]] = None,
             ) -> dict:
         specs = list(tasks)
         names = [spec.name for spec in specs]
@@ -210,12 +184,6 @@ class Supervisor:
             raise ValueError(f"duplicate task names in batch: {names}")
         config = self.config
         ctx = multiprocessing.get_context(config.start_method)
-        #: ``telemetry(task_name, record)`` receives worker metric
-        #: deltas (a second pipe per worker, multiplexed through the
-        #: same wait loop) plus forwarded lifecycle events — the
-        #: FleetAggregator's sink.  Records are timing-shaped; callers
-        #: needing determinism rebuild from committed artifacts.
-        self._telemetry_sink = telemetry
 
         results = {spec.name: TaskResult(name=spec.name) for spec in specs}
         pending = collections.deque((spec, 1) for spec in specs)
@@ -288,40 +256,19 @@ class Supervisor:
 
         def launch(spec: TaskSpec, attempt: int) -> None:
             recv_conn, send_conn = ctx.Pipe(duplex=False)
-            telemetry_recv = telemetry_send = None
-            if telemetry is not None:
-                telemetry_recv, telemetry_send = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=child_main,
                 args=(send_conn, spec.fn, spec.args, spec.kwargs,
-                      config.heartbeat_interval, telemetry_send,
-                      config.telemetry_interval),
+                      config.heartbeat_interval),
                 name=f"supervised-{spec.name}-a{attempt}")
             process.start()
             send_conn.close()
-            if telemetry_send is not None:
-                telemetry_send.close()
             now = wallclock()
             first_started.setdefault(spec.name, now)
             running[spec.name] = _Worker(spec, attempt, process, recv_conn,
-                                         now, config.deadline,
-                                         tconn=telemetry_recv)
+                                         now, config.deadline)
             self._event("launch", spec.name, attempt)
             self._count("tasks_launched")
-
-        def drain_telemetry(worker: _Worker) -> None:
-            """Forward every queued telemetry record to the sink; the
-            result-pipe protocol never flows here."""
-            while not worker.teof:
-                try:
-                    if not worker.tconn.poll():
-                        return
-                    record = worker.tconn.recv()
-                except (EOFError, OSError):
-                    worker.teof = True
-                    return
-                if isinstance(record, dict):
-                    telemetry(worker.spec.name, record)
 
         def reap(worker: _Worker, kill: bool = False) -> None:
             if kill:
@@ -330,10 +277,6 @@ class Supervisor:
             if worker.process.is_alive():   # pragma: no cover - defensive
                 worker.process.kill()
                 worker.process.join(timeout=10.0)
-            if worker.tconn is not None:
-                drain_telemetry(worker)   # the final flush may be queued
-                worker.tconn.close()
-                worker.teof = True
             worker.conn.close()
             del running[worker.spec.name]
 
@@ -395,15 +338,11 @@ class Supervisor:
                     by_handle[worker.conn] = worker
                     handles.append(worker.process.sentinel)
                     by_handle[worker.process.sentinel] = worker
-                    if worker.tconn is not None and not worker.teof:
-                        handles.append(worker.tconn)
-                        by_handle[worker.tconn] = worker
                 ready = mp_connection.wait(handles, next_timeout(now))
                 now = wallclock()
                 touched = {id(by_handle[h]) for h in ready}
                 for worker in list(running.values()):
                     if id(worker) in touched:
-                        drain_telemetry(worker)
                         drain(worker, now)
                 for worker in list(running.values()):
                     if worker.outcome is not None:
@@ -450,5 +389,4 @@ class Supervisor:
         finally:
             for worker in list(running.values()):
                 reap(worker, kill=True)
-            self._telemetry_sink = None
         return results

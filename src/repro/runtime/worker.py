@@ -13,17 +13,6 @@ startup stays cheap.  The protocol over the pipe is tiny tuples:
 The pipe is written from two threads (the beat thread and the task
 thread's final report), so every send holds a lock — ``Connection``
 objects are not thread-safe.
-
-When the supervisor asks for fleet telemetry it passes a **second,
-dedicated pipe** (``telemetry_conn``): a separate daemon thread
-periodically snapshots the task's installed :mod:`repro.obs` metrics
-registry and ships the *changed rows* (see
-:func:`repro.obs.fleet.merge.snapshot_delta`) as
-``{"kind": "delta", "seq": n, "delta": {...}}`` records, with a final
-``{"kind": "final", ...}`` flush when the task ends.  The result pipe's
-tuple protocol is untouched — telemetry loss degrades the live fleet
-view, never the task outcome.  The obs/fleet imports happen lazily
-inside the shipper so telemetry-off workers stay as light as before.
 """
 
 from __future__ import annotations
@@ -32,75 +21,7 @@ import threading
 import traceback as traceback_module
 
 
-class _TelemetryShipper:
-    """Periodic metric-delta shipping over the dedicated telemetry
-    pipe; see the module docstring for the record shapes."""
-
-    def __init__(self, conn, stop: threading.Event,
-                 interval: float) -> None:
-        self._conn = conn
-        self._stop = stop
-        self._interval = interval
-        self._lock = threading.Lock()
-        self._last: dict = {}
-        self._seq = 0
-        self._dead = False
-
-    def _snapshot(self):
-        from repro.obs.runtime import registry
-        metrics = registry()
-        if metrics is None:
-            return None
-        try:
-            return metrics.snapshot()
-        except RuntimeError:
-            # raced the task thread registering a new instrument
-            # mid-iteration; the next tick sees a settled registry
-            return None
-
-    def _ship(self, kind: str, snapshot: dict) -> None:
-        from repro.obs.fleet.merge import snapshot_delta
-        delta = snapshot_delta(self._last, snapshot)
-        if not delta and kind == "delta":
-            return
-        self._seq += 1
-        record = {"kind": kind, "seq": self._seq, "delta": delta}
-        if kind == "final":
-            record["snapshot"] = snapshot
-        try:
-            self._conn.send(record)
-        except (OSError, ValueError):
-            self._dead = True   # supervisor went away; stop shipping
-            return
-        self._last = snapshot
-
-    def run(self) -> None:
-        while not self._stop.wait(self._interval):
-            if self._dead:
-                return
-            with self._lock:
-                snapshot = self._snapshot()
-                if snapshot is not None:
-                    self._ship("delta", snapshot)
-
-    def close(self, final: bool) -> None:
-        """Final flush (the task may already have uninstalled its obs
-        session — then the last shipped cumulative state stands) and
-        pipe close."""
-        with self._lock:
-            if final and not self._dead:
-                snapshot = self._snapshot()
-                self._ship("final", snapshot if snapshot is not None
-                           else self._last)
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-
-
-def child_main(conn, fn, args, kwargs, heartbeat_interval: float,
-               telemetry_conn=None,
-               telemetry_interval: float = 0.5) -> None:
+def child_main(conn, fn, args, kwargs, heartbeat_interval: float) -> None:
     """Run one task attempt in a worker process, beating the pipe.
 
     Spawn-picklable by qualified name; ``fn`` itself must also be an
@@ -120,18 +41,10 @@ def child_main(conn, fn, args, kwargs, heartbeat_interval: float,
 
     thread = threading.Thread(target=beat, daemon=True, name="heartbeat")
     thread.start()
-    shipper = None
-    if telemetry_conn is not None:
-        shipper = _TelemetryShipper(telemetry_conn, stop,
-                                    telemetry_interval)
-        threading.Thread(target=shipper.run, daemon=True,
-                         name="telemetry").start()
     try:
         value = fn(*args, **kwargs)
     except BaseException as error:  # ragnar-lint: disable=RAG004 — worker boundary: the exception is serialized over the pipe and re-classified by the supervisor; swallowing it here is the only way to report it at all
         stop.set()
-        if shipper is not None:
-            shipper.close(final=False)
         with lock:
             try:
                 conn.send(("error", type(error).__name__,
@@ -143,8 +56,6 @@ def child_main(conn, fn, args, kwargs, heartbeat_interval: float,
         # pipe message is lost
         raise SystemExit(1)
     stop.set()
-    if shipper is not None:
-        shipper.close(final=True)
     with lock:
         conn.send(("ok", value))
     conn.close()

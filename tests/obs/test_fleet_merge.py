@@ -1,10 +1,8 @@
-"""The fleet snapshot delta/merge arithmetic.
+"""The fleet snapshot merge arithmetic.
 
-The determinism contract rests on two exact properties: a delta is a
-changed-row subset with *absolute* values (so ``apply_delta`` is a
-float-exact reconstruction, no ``a + (b - a)`` IEEE drift), and a
-histogram merge of shards equals the single-process histogram over the
-union of observations, bucket count by bucket count.
+The determinism contract rests on one exact property: a histogram merge
+of shards equals the single-process histogram over the union of
+observations, bucket count by bucket count.
 """
 
 import json
@@ -12,13 +10,7 @@ import json
 import pytest
 
 from repro.obs.exporters import validate_metrics_json
-from repro.obs.fleet import (
-    FleetMergeError,
-    apply_delta,
-    merge_rows,
-    merge_snapshots,
-    snapshot_delta,
-)
+from repro.obs.fleet import FleetMergeError, merge_rows, merge_snapshots
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -32,27 +24,6 @@ def _registry_snapshot(samples) -> dict:
         gauge.set(value)
         histogram.observe(value)
     return registry.snapshot()
-
-
-class TestDelta:
-    def test_round_trip_is_exact(self):
-        previous = _registry_snapshot([0.1, 0.2, 0.3])
-        current = _registry_snapshot([0.1, 0.2, 0.3, 1e6 + 0.7])
-        delta = snapshot_delta(previous, current)
-        assert apply_delta(previous, delta) == current
-
-    def test_unchanged_rows_are_omitted(self):
-        snapshot = _registry_snapshot([5.0, 50.0])
-        assert snapshot_delta(snapshot, snapshot) == {}
-        grown = _registry_snapshot([5.0, 50.0, 500.0])
-        delta = snapshot_delta(snapshot, grown)
-        # every row moved here (count/gauge/histogram all changed), but
-        # an untouched extra component must not appear
-        assert set(delta) == {"fleet"}
-
-    def test_delta_from_empty_is_the_snapshot(self):
-        snapshot = _registry_snapshot([1.0])
-        assert apply_delta({}, snapshot_delta({}, snapshot)) == snapshot
 
 
 class TestMergeRows:

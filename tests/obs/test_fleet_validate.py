@@ -44,9 +44,18 @@ GOOD_REPORT = {
 class TestFleetJsonl:
     def test_clean_stream(self, tmp_path):
         path = _write(tmp_path, "fleet_snapshots.jsonl",
-                      _fleet_line(1, kind="delta", done=0) + "\n"
-                      + _fleet_line(2) + "\n")
+                      _fleet_line(1) + "\n"
+                      + _fleet_line(2, task="beta", done=2) + "\n")
         assert validate_fleet_jsonl(path) == []
+
+    def test_delta_record_is_rejected(self, tmp_path):
+        # only the post-batch pass writes fleet_snapshots.jsonl, and it
+        # writes one "final" line per task; a streamed "delta" is stale
+        path = _write(tmp_path, "fleet_snapshots.jsonl",
+                      _fleet_line(1) + "\n"
+                      + _fleet_line(2, kind="delta", done=1) + "\n")
+        assert validate_fleet_jsonl(path) == \
+            [f"{path}:2: 'kind' must be 'final', got 'delta'"]
 
     def test_errors_name_the_line(self, tmp_path):
         path = _write(
@@ -58,8 +67,7 @@ class TestFleetJsonl:
         line2 = [e for e in errors if f"{path}:2:" in e]
         assert any("'rev' 1 not greater than previous 1" in e
                    for e in line2)
-        assert any("'kind' must be 'delta' or 'final'" in e
-                   for e in line2)
+        assert any("'kind' must be 'final'" in e for e in line2)
         assert any("'task' must be a non-empty string" in e
                    for e in line2)
         assert any("'tasks_done'" in e for e in line2)

@@ -77,23 +77,3 @@ def write_task(target: str, payload: str) -> str:
     path.write_text(payload)
     return str(path)
 
-
-def metered_task(ticks: int = 5) -> int:
-    """Maintain a live metrics registry while working, so an armed
-    telemetry pipe has real deltas to ship; sleeps between ticks give
-    the shipper thread a chance to flush mid-flight."""
-    from repro import obs
-    obs.install(metrics=True)
-    try:
-        registry = obs.registry()
-        counter = registry.counter("chaos.metered", "ticks")
-        histogram = registry.histogram("chaos.metered", "tick_ns")
-        total = 0
-        for i in range(ticks):
-            counter.inc()
-            histogram.observe(float(100 * (i + 1)))
-            total += i
-            time.sleep(0.02)
-        return total
-    finally:
-        obs.uninstall()

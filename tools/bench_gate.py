@@ -30,10 +30,7 @@ context (tracing is expected to cost real time; only the *off* switch
 must be free).  A third baseline-free gate budgets the supervised
 experiment runtime (:mod:`repro.runtime`) at ``--runtime-tolerance``
 (default 2 %) over the bare spawn pool it replaced on the
-``--jobs`` path, and a sibling gate budgets live fleet-telemetry
-streaming (``--fleet-tolerance``, default 2 %) against the same
-supervised batch with telemetry off.  A fourth gate drives the
-vectorized defense service
+``--jobs`` path.  A fourth gate drives the vectorized defense service
 (:mod:`repro.defense.service`) at 100K concurrent counter streams and
 FAILS when fleet ingest throughput drops more than ``--tolerance``
 below the committed ``defense`` floor (its batched-vs-scalar speedup
@@ -443,31 +440,23 @@ def defense_gate(report: dict, baseline_path: pathlib.Path,
 # ----------------------------------------------------------------------
 # Supervised-runtime overhead (baseline-free, paired on this machine)
 # ----------------------------------------------------------------------
-def _runtime_bench_subprocess(*extra_args: str) -> dict:
-    """Run :mod:`repro.runtime.bench` as a subprocess so the spawn
+def bench_runtime_overhead() -> dict:
+    """Time the supervised runtime against the bare spawn pool it
+    replaced on the experiments ``--jobs`` path.
+
+    Runs :mod:`repro.runtime.bench` as a subprocess so the spawn
     children re-import that light module rather than this script (which
     would drag numpy and the whole simulator into every worker and
-    swamp the measurement with import time)."""
+    swamp the measurement with import time).
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     output = subprocess.run(
-        [sys.executable, "-m", "repro.runtime.bench", *extra_args],
+        [sys.executable, "-m", "repro.runtime.bench"],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     ).stdout
     return json.loads(output)
-
-
-def bench_runtime_overhead() -> dict:
-    """Time the supervised runtime against the bare spawn pool it
-    replaced on the experiments ``--jobs`` path."""
-    return _runtime_bench_subprocess()
-
-
-def bench_fleet_overhead() -> dict:
-    """Time the fleet telemetry plane: the same supervised batch of
-    metric-ticking workers with telemetry pipes armed vs off."""
-    return _runtime_bench_subprocess("--fleet")
 
 
 def runtime_gate(report: dict, tolerance: float) -> int:
@@ -489,26 +478,6 @@ def runtime_gate(report: dict, tolerance: float) -> int:
     return 0
 
 
-def fleet_gate(report: dict, tolerance: float) -> int:
-    """Fail when live fleet-telemetry streaming costs more than the
-    budget over the same supervised batch with telemetry off.
-    Baseline-free: both sides ran interleaved in the same
-    subprocess."""
-    section = report["fleet"]
-    overhead = section["overhead"]
-    verdict = "ok" if overhead <= tolerance else "FAIL"
-    print(f"  fleet-telemetry streaming overhead: {overhead:.2%} "
-          f"({section['telemetry_on_s'] * 1e3:,.0f} ms vs telemetry-off "
-          f"{section['telemetry_off_s'] * 1e3:,.0f} ms, "
-          f"{section['tasks']} tasks / {section['jobs']} jobs) "
-          f"[budget {tolerance:.0%}: {verdict}]")
-    if verdict == "FAIL":
-        print(f"bench_gate: fleet telemetry streaming costs more than "
-              f"{tolerance:.0%} over a telemetry-off supervised batch")
-        return 1
-    return 0
-
-
 def run_benches() -> dict:
     report = {"engine": KERNEL_ENGINE, "benches": {}}
     for name, bench in BENCHES.items():
@@ -525,7 +494,6 @@ def run_benches() -> dict:
               f"pre-rework)")
     report["obs"] = bench_obs_overhead()
     report["runtime"] = bench_runtime_overhead()
-    report["fleet"] = bench_fleet_overhead()
     report["defense"] = bench_defense_scale()
     return report
 
@@ -579,10 +547,6 @@ def main(argv=None) -> int:
                         help="allowed supervised-runtime overhead over "
                              "the bare process pool on the --jobs path "
                              "(default: 0.02)")
-    parser.add_argument("--fleet-tolerance", type=float, default=0.02,
-                        help="allowed fleet-telemetry streaming overhead "
-                             "over a telemetry-off supervised batch "
-                             "(default: 0.02)")
     parser.add_argument("--no-gate", action="store_true",
                         help="emit the report without comparing")
     parser.add_argument("--update-baseline", action="store_true",
@@ -609,8 +573,6 @@ def main(argv=None) -> int:
         parser.error("--obs-tolerance must be in (0, 1)")
     if not 0.0 < args.runtime_tolerance < 1.0:
         parser.error("--runtime-tolerance must be in (0, 1)")
-    if not 0.0 < args.fleet_tolerance < 1.0:
-        parser.error("--fleet-tolerance must be in (0, 1)")
 
     print(f"bench_gate: engine={KERNEL_ENGINE}")
     report = run_benches()
@@ -631,7 +593,6 @@ def main(argv=None) -> int:
     status = gate(report, args.baseline, args.tolerance)
     return (status | obs_gate(report, args.obs_tolerance)
             | runtime_gate(report, args.runtime_tolerance)
-            | fleet_gate(report, args.fleet_tolerance)
             | defense_gate(report, args.baseline, args.tolerance))
 
 

@@ -48,20 +48,20 @@
 #                      (docs/DEFENSE.md): the scalar/batched verdict-
 #                      parity and edge-case suites, then a REPRO_QUICK
 #                      run of benchmarks/bench_defense_throughput.py
-#  12. slo smoke     — BLOCKING: the fleet telemetry plane end to end
-#                      (docs/OBSERVABILITY.md "Fleet telemetry &
-#                      SLOs"): a two-experiment --jobs 2 run with
-#                      --slo examples/slo_spec.json, fleet artifacts
-#                      schema-validated, the injected-fault burn-rate
-#                      alert asserted to fire, and the SLO section
-#                      rendered into the run report
+#  12. slo smoke     — BLOCKING: canonical fleet artifacts + SLO
+#                      (docs/OBSERVABILITY.md "Fleet metrics & SLOs"):
+#                      a two-experiment --jobs 2 run with
+#                      --slo examples/slo_spec.json, the fleet
+#                      artifacts built after the batch schema-validated,
+#                      the injected-fault burn-rate alert asserted to
+#                      fire, and the SLO section rendered into the run
+#                      report
 #  13. bench gate    — BLOCKING: simulator throughput vs the committed
 #                      baseline (docs/PERF.md); fails on a >20 %
 #                      event-dispatch regression (skips on engine
 #                      mismatch), a >2 % tracing-disabled
 #                      observability overhead, a >2 % supervised-
-#                      runtime overhead over the bare pool, a >2 %
-#                      fleet-telemetry streaming overhead, or a >20 %
+#                      runtime overhead over the bare pool, or a >20 %
 #                      defense-service fleet-ingest regression; each
 #                      run is archived to benchmarks/history/ for
 #                      report trend lines
