@@ -117,7 +117,8 @@ class Conv1d(Layer):
             )
         cols = self._cols = _im2col(x, self.kernel, self.stride, self.pad,
                                     out=self._cols)
-        out = np.einsum("fk,nkl->nfl", self.params["w"], cols)
+        # (F, CK) @ (N, CK, L_out): one BLAS GEMM per sample
+        out = self.params["w"] @ cols
         out += self.params["b"][None, :, None]
         self._cache = (x.shape, cols)
         return out
@@ -125,8 +126,10 @@ class Conv1d(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x_shape, cols = self._cache
         self.grads["b"] = grad.sum(axis=(0, 2))
-        self.grads["w"] = np.einsum("nfl,nkl->fk", grad, cols)
-        grad_cols = np.einsum("fk,nfl->nkl", self.params["w"], grad)
+        # per-sample GEMMs over L_out summed over N: measured faster than
+        # one (N*L_out) GEMM, whose operands need transposing copies
+        self.grads["w"] = (grad @ cols.transpose(0, 2, 1)).sum(axis=0)
+        grad_cols = self.params["w"].T @ grad
         n, c, length = x_shape
         if (self._grad_x is None
                 or self._grad_x.shape != (n, c, length + 2 * self.pad)):

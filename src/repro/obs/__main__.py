@@ -16,10 +16,11 @@ run report (same seed ⇒ same bytes; the check.sh insight stage diffs
 it against a committed golden).  ``diff`` compares two run directories
 with configurable tolerances and exits nonzero on regression, so CI
 can gate on run-to-run drift.  ``slo`` (re-)evaluates an SLO spec
-against a run directory's per-task metrics — exit 0 when compliant,
-1 on violations or burn-rate alerts, 2 on spec/data errors — so an
-operator can try a candidate spec against an existing run without
-re-running anything.
+against a run directory's per-task metrics (the tasks its
+``fleet_snapshots.jsonl`` names, else every ``*.metrics.json``) — exit
+0 when compliant, 1 on violations or burn-rate alerts, 2 on spec/data
+errors — so an operator can try a candidate spec against an existing
+run without re-running anything.
 """
 
 from __future__ import annotations
@@ -92,7 +93,19 @@ def _cmd_slo(args) -> int:
     except (OSError, json.JSONDecodeError, SloSpecError) as error:
         print(f"repro.obs: {args.spec}: {error}", file=sys.stderr)
         return 2
-    per_task = collect_task_snapshots(args.run_dir)
+    # the run's own task set: a rerun in which a task failed leaves that
+    # task's stale <name>.metrics.json behind, which must not count
+    ledger = args.run_dir / "fleet_snapshots.jsonl"
+    names = None
+    if ledger.exists():
+        try:
+            names = [json.loads(line)["task"]
+                     for line in ledger.read_text().splitlines() if line]
+        except (json.JSONDecodeError, KeyError, TypeError) as error:
+            print(f"repro.obs: {ledger}: unreadable task list: {error!r}",
+                  file=sys.stderr)
+            return 2
+    per_task = collect_task_snapshots(args.run_dir, names)
     if not per_task:
         print(f"repro.obs: {args.run_dir}: no per-task metrics "
               f"(*.metrics.json) to evaluate", file=sys.stderr)

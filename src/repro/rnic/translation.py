@@ -207,33 +207,6 @@ class TranslationUnit:
         return range(first, last + 1)
 
     # ------------------------------------------------------------------
-    # Latency components
-    # ------------------------------------------------------------------
-    def _alignment_penalty(self, offset: int) -> float:
-        if offset % 8:
-            self.stats.unaligned8 += 1
-            return self.spec.tpu_sub8_penalty_ns
-        if offset % self.spec.tpu_line_bytes:
-            self.stats.unaligned64 += 1
-            return self.spec.tpu_sub64_penalty_ns
-        return 0.0
-
-    def _wave(self, offset: int) -> float:
-        """Deterministic in-segment component with 2048 B period.
-
-        A raised-cosine bump: descriptor lookups near the middle of a
-        segment walk further from the segment base."""
-        pos = (offset % self.spec.tpu_segment_bytes) / self.spec.tpu_segment_bytes
-        return self.spec.tpu_segment_wave_ns * 0.5 * (1.0 - math.cos(2.0 * math.pi * pos))
-
-    def _jitter(self) -> float:
-        spec = self.spec
-        jitter = float(self.rng.normal(0.0, spec.jitter_frac * spec.tpu_base_ns))
-        if self.rng.random() < spec.spike_prob:
-            jitter += float(self.rng.exponential(spec.spike_ns))
-        return max(jitter, -0.5 * spec.tpu_base_ns)
-
-    # ------------------------------------------------------------------
     # The unit itself
     # ------------------------------------------------------------------
     def admit(
@@ -364,6 +337,17 @@ class TranslationUnit:
             )
         return finish, None
 
+    def _mr_id(self, mr_key: Hashable) -> int:
+        """``mr_key`` normalized for the caches (see :func:`mr_cache_id`),
+        memoized per unit."""
+        if type(mr_key) is int:
+            return mr_key
+        mr_ids = self._mr_ids
+        mr_id = mr_ids.get(mr_key)
+        if mr_id is None:
+            mr_id = mr_ids[mr_key] = mr_cache_id(mr_key)
+        return mr_id
+
     def admit_batch(
         self,
         arrivals,
@@ -373,141 +357,29 @@ class TranslationUnit:
     ):
         """Process one descriptor cohort (same MR, admission order).
 
-        Returns the per-request finish times (a float64 array on the
-        vectorized path, a list from the small-cohort loop) —
-        bit-identical to ``[admit(t, mr_key, o, s)[0] for ...]`` but
-        split into a vectorized prepass and a minimal sequential tail.
-        The split works because, within a single-MR cohort, most of
-        :meth:`admit` is a pure function of the offset vector:
-
-        * alignment, wave, and segment geometry vectorize directly
-          (``np.cos`` and ``math.cos`` both evaluate libm's double
-          ``cos``, so the wave term is bit-equal elementwise);
-        * the history penalties (MR switch, segment switch, same-line
-          lock) compare consecutive elements — a shifted comparison;
-        * the MPT lookup repeats one key, so only the first access can
-          change cache state: the rest are guaranteed MRU hits whose
-          ``move_to_end`` is a no-op, folded into the hit counter;
-        * the MTT walk depends only on the segment sequence, not on
-          timing or randomness, so it replays up front in a tight loop
-          (consecutive duplicate keys are MRU-hit no-ops too).
-
-        Only the genuinely serial parts stay in the per-request tail:
-        the interleaved jitter draws (``normal``/``random``/
-        ``exponential`` from one stream), the pipeline-busy recurrence,
-        and the bank occupancy array.  When the C extension exports
-        ``tpu_admit_batch`` (and ``REPRO_SIM_ENGINE`` does not force
-        Python), that tail runs in C without re-entering Python per
-        descriptor; the loop below is its bit-identical fallback.
-        ``arrivals`` must already be in admission (event) order.
+        Returns the per-request finish times — bit-identical to
+        ``[admit(t, mr_key, o, s)[0] for ...]``.  Cohorts of at least
+        :data:`VECTOR_MIN` run the shared vectorized prepass
+        (:meth:`_prepass`) and then the serial tail: in C when the
+        extension exports ``tpu_admit_batch`` (and ``REPRO_SIM_ENGINE``
+        does not force Python), without re-entering Python per
+        descriptor; otherwise :meth:`_drain`, its bit-identical
+        fallback.  ``arrivals`` must already be in admission (event)
+        order.
         """
+        mr_id = self._mr_id(mr_key)
         n = len(arrivals)
         if n < VECTOR_MIN:
             # small cohorts: the NumPy prepass does not amortize
-            if type(mr_key) is int:
-                mr_id: Hashable = mr_key
-            else:
-                mr_ids = self._mr_ids
-                mr_id = mr_ids.get(mr_key)
-                if mr_id is None:
-                    mr_id = mr_ids[mr_key] = mr_cache_id(mr_key)
             admit = self.admit
             return [
                 admit(now, mr_id, offset, size)[0]
                 for now, offset, size in zip(arrivals, offsets, sizes)
             ]
-        if type(mr_key) is int:
-            mr_id = mr_key
-        else:
-            mr_ids = self._mr_ids
-            mr_id = mr_ids.get(mr_key)
-            if mr_id is None:
-                mr_id = mr_ids[mr_key] = mr_cache_id(mr_key)
-        stats = self.stats
-        stats.requests += n
-        line_bytes = self._line_bytes
-        seg_bytes = self._seg_bytes
-        nbanks = self._nbanks
-
-        off = np.asarray(offsets, dtype=np.int64)
-        sz = np.asarray(sizes, dtype=np.int64)
-        first_line = off // line_bytes
-        last_line = np.where(sz > 1, (off + sz - 1) // line_bytes, first_line)
-        segment = off // seg_bytes
-
-        # alignment penalties (mutually exclusive, like the scalar
-        # if/elif) and their stats counts
-        sub8 = (off % 8) != 0
-        sub64 = ~sub8 & ((off % line_bytes) != 0)
-        stats.unaligned8 += int(np.count_nonzero(sub8))
-        stats.unaligned64 += int(np.count_nonzero(sub64))
-
-        # deterministic service components, accumulated left-to-right
-        # in the scalar path's exact order: base + alignment + segment
-        # + wave + mr_switch + line_lock + cache_miss (jitter joins in
-        # the loop below); elementwise adds in the same order are the
-        # same IEEE-754 operations
-        det = self._base_ns + np.where(
-            sub8, self._sub8_ns, np.where(sub64, self._sub64_ns, 0.0)
-        )
-
-        seg_switch = np.empty(n, dtype=bool)
-        seg_switch[0] = self._last_seg_mr is not None and (
-            mr_id != self._last_seg_mr or int(segment[0]) != self._last_seg_idx
-        )
-        np.not_equal(segment[1:], segment[:-1], out=seg_switch[1:])
-        stats.segment_misses += int(np.count_nonzero(seg_switch))
-        det = det + np.where(seg_switch, self._seg_miss_ns, 0.0)
-
-        pos = (off % seg_bytes) / seg_bytes
-        det = det + self._wave_half * (1.0 - np.cos(self._two_pi * pos))
-
-        mr_switch = np.zeros(n, dtype=np.float64)
-        if self._last_mr is not None and mr_id != self._last_mr:
-            mr_switch[0] = self._mr_switch_ns
-            stats.mr_switches += 1
-        self._last_mr = mr_id
-        det = det + mr_switch
-
-        line_lock = np.empty(n, dtype=bool)
-        line_lock[0] = (
-            mr_id == self._last_line_mr
-            and int(first_line[0]) == self._last_line_idx
-        )
-        np.equal(first_line[1:], first_line[:-1], out=line_lock[1:])
-        det = det + np.where(line_lock, self._line_lock_ns, 0.0)
-
-        # MPT: one key for the whole cohort — the first access is real,
-        # the rest are MRU hits with no LRU motion
-        mpt_cache = self.mpt_cache
-        cache_miss = np.zeros(n, dtype=np.float64)
-        if not mpt_cache.access(mr_id):
-            cache_miss[0] += self._mpt_miss_ns
-        mpt_cache.hits += n - 1
-
-        # MTT: the access sequence depends only on the segments, so it
-        # replays up front; consecutive duplicates are MRU no-ops
-        mtt_cache = self.mtt_cache
-        mtt_access = mtt_cache.access
-        seg_list = segment.tolist()
-        mtt_miss_ns = self._mtt_miss_ns
-        prev_seg: Optional[int] = None
-        dup_hits = 0
-        for i, seg in enumerate(seg_list):
-            if seg == prev_seg:
-                dup_hits += 1
-            elif not mtt_access((mr_id, seg)):
-                cache_miss[i] += mtt_miss_ns
-            prev_seg = seg
-        mtt_cache.hits += dup_hits
-        det = det + cache_miss
-
-        self._last_seg_mr = mr_id
-        self._last_seg_idx = int(segment[-1])
-        self._last_line_mr = mr_id
-        self._last_line_idx = int(first_line[-1])
-
+        det, first_line, last_line = self._prepass(
+            np.full(n, mr_id, dtype=np.int64), offsets, sizes)
         if _C_TPU_TAIL is not None:
+            stats = self.stats
             arr_in = np.ascontiguousarray(arrivals, dtype=np.float64)
             finishes_out = np.empty(n, dtype=np.float64)
             pipe, bank_wait, busy = _C_TPU_TAIL(
@@ -521,15 +393,153 @@ class TranslationUnit:
             stats.bank_wait_ns = bank_wait
             stats.busy_ns = busy
             return finishes_out
+        return self._drain(det, first_line, last_line, arrivals=arrivals)
 
-        # sequential remainder: interleaved jitter draws, the pipeline
-        # recurrence, and bank occupancy.  Arrivals may be a float64
-        # array (the batched planner passes one); plain floats keep the
-        # accumulators and bank horizons free of numpy scalar types.
-        if isinstance(arrivals, np.ndarray):
-            arrivals = arrivals.tolist()
+    def admit_closed_loop(self, mr_ids, offsets, sizes, gaps) -> np.ndarray:
+        """Process requests from one closed-loop client: request ``i``
+        arrives ``gaps[i]`` ns after request ``i - 1`` finishes (request
+        0: after the unit's pipeline horizon).  ``mr_ids`` holds one
+        :func:`mr_cache_id` per request, so the MR may change between
+        requests.
+
+        Returns the finish times as a float64 array, bit-identical to
+        the scalar loop ``now = admit(now + gap, mr_id, offset, size)[0]``
+        started from the pipeline horizon.  Like :meth:`admit_batch`, it
+        is the shared prepass followed by :meth:`_drain`.
+        """
+        if len(gaps) == 0:
+            return np.empty(0)
+        det, first_line, last_line = self._prepass(
+            np.asarray(mr_ids, dtype=np.int64), offsets, sizes)
+        return np.asarray(self._drain(det, first_line, last_line, gaps=gaps))
+
+    def _prepass(self, mr_ids: np.ndarray, offsets, sizes):
+        """The timing-free part of ``len(mr_ids)`` consecutive admissions.
+
+        Returns ``(det, first_line, last_line)``: each request's
+        deterministic service time and its first/last touched line.
+        Stats, caches and history registers advance exactly as the
+        scalar :meth:`admit` loop would leave them.  The split works
+        because most of :meth:`admit` does not depend on timing:
+
+        * alignment, wave, and segment geometry vectorize directly
+          (``np.cos`` and ``math.cos`` both evaluate libm's double
+          ``cos``, so the wave term is bit-equal elementwise);
+        * the history penalties (MR switch, segment switch, same-line
+          lock) compare each request with its predecessor (request 0
+          with the history registers) — a shifted comparison;
+        * the MPT and MTT access sequences depend only on the MR ids
+          and segments, so they replay up front; an access repeating
+          the previous key is a guaranteed MRU hit whose
+          ``move_to_end`` is a no-op, folded into the hit counter, so
+          only the key changes touch the caches.  A single-MR cohort
+          is the case with one MPT access.
+
+        The deterministic service components are accumulated
+        left-to-right in the scalar path's order: base + alignment +
+        segment + wave + mr_switch + line_lock + cache_miss (jitter
+        joins in :meth:`_drain`); elementwise adds in the same order are
+        the same IEEE-754 operations.
+        """
+        stats = self.stats
+        n = len(mr_ids)
+        stats.requests += n
+        line_bytes = self._line_bytes
+        seg_bytes = self._seg_bytes
+
+        off = np.asarray(offsets, dtype=np.int64)
+        sz = np.asarray(sizes, dtype=np.int64)
+        first_line = off // line_bytes
+        last_line = np.where(sz > 1, (off + sz - 1) // line_bytes, first_line)
+        segment = off // seg_bytes
+        mr_list = mr_ids.tolist()
+        seg_list = segment.tolist()
+
+        # alignment penalties (mutually exclusive, like the scalar
+        # if/elif) and their stats counts
+        sub8 = (off % 8) != 0
+        sub64 = ~sub8 & ((off % line_bytes) != 0)
+        stats.unaligned8 += int(np.count_nonzero(sub8))
+        stats.unaligned64 += int(np.count_nonzero(sub64))
+        det = self._base_ns + np.where(
+            sub8, self._sub8_ns, np.where(sub64, self._sub64_ns, 0.0)
+        )
+
+        # new_mr[i]: request i's MR differs from the previous request's
+        mr0 = mr_list[0]
+        new_mr = np.empty(n, dtype=bool)
+        new_mr[0] = self._last_mr is not None and mr0 != self._last_mr
+        np.not_equal(mr_ids[1:], mr_ids[:-1], out=new_mr[1:])
+
+        seg_switch = np.empty(n, dtype=bool)
+        seg_switch[0] = self._last_seg_mr is not None and (
+            mr0 != self._last_seg_mr or seg_list[0] != self._last_seg_idx
+        )
+        np.not_equal(segment[1:], segment[:-1], out=seg_switch[1:])
+        seg_switch[1:] |= new_mr[1:]
+        stats.segment_misses += int(np.count_nonzero(seg_switch))
+        det = det + np.where(seg_switch, self._seg_miss_ns, 0.0)
+
+        pos = (off % seg_bytes) / seg_bytes
+        det = det + self._wave_half * (1.0 - np.cos(self._two_pi * pos))
+
+        stats.mr_switches += int(np.count_nonzero(new_mr))
+        det = det + np.where(new_mr, self._mr_switch_ns, 0.0)
+
+        line_lock = np.empty(n, dtype=bool)
+        line_lock[0] = (mr0 == self._last_line_mr
+                        and int(first_line[0]) == self._last_line_idx)
+        np.equal(first_line[1:], first_line[:-1], out=line_lock[1:])
+        line_lock[1:] &= ~new_mr[1:]
+        det = det + np.where(line_lock, self._line_lock_ns, 0.0)
+
+        # cache replays: request 0 and every key change are real
+        # accesses, the repeats MRU hits; MPT before MTT per request
+        cache_miss = np.zeros(n, dtype=np.float64)
+        mpt_cache = self.mpt_cache
+        mpt_access = mpt_cache.access
+        mpt_runs = [0, *(new_mr[1:].nonzero()[0] + 1).tolist()]
+        for i in mpt_runs:
+            if not mpt_access(mr_list[i]):
+                cache_miss[i] = self._mpt_miss_ns
+        mpt_cache.hits += n - len(mpt_runs)
+        mtt_cache = self.mtt_cache
+        mtt_access = mtt_cache.access
+        mtt_runs = [0, *(seg_switch[1:].nonzero()[0] + 1).tolist()]
+        for i in mtt_runs:
+            if not mtt_access((mr_list[i], seg_list[i])):
+                cache_miss[i] += self._mtt_miss_ns
+        mtt_cache.hits += n - len(mtt_runs)
+        det = det + cache_miss
+
+        self._last_mr = self._last_seg_mr = self._last_line_mr = mr_list[-1]
+        self._last_seg_idx = seg_list[-1]
+        self._last_line_idx = int(first_line[-1])
+        return det, first_line, last_line
+
+    def _drain(self, det: np.ndarray, first_line: np.ndarray,
+               last_line: np.ndarray, arrivals=None, gaps=None) -> list:
+        """The serial tail of a prepassed batch: the interleaved jitter
+        draws (``normal``/``random``/``exponential`` from one stream),
+        the pipeline-busy recurrence and bank occupancy.  Returns the
+        finish times.
+
+        Requests arrive at the explicit ``arrivals`` (a cohort), or —
+        given ``gaps`` instead — each ``gaps[i]`` ns after the previous
+        request finished (a closed-loop client).  The jitter is drawn
+        as ``sigma * standard_normal()``: numpy computes :meth:`admit`'s
+        ``normal(0.0, sigma)`` as ``0.0 + sigma * z`` from the same
+        draw, so the service times are bit-equal, without the argument
+        parsing.
+        """
+        closed = arrivals is None
+        lead = gaps if closed else arrivals
+        # plain floats keep the accumulators and bank horizons free of
+        # numpy scalar types
+        if isinstance(lead, np.ndarray):
+            lead = lead.tolist()
         rng = self.rng
-        normal = rng.normal
+        standard_normal = rng.standard_normal
         random = rng.random
         exponential = rng.exponential
         sigma = self._jitter_sigma
@@ -537,44 +547,42 @@ class TranslationUnit:
         spike_prob = self._spike_prob
         spike_ns = self._spike_ns
         hold = self._bank_hold_ns
+        nbanks = self._nbanks
         bank_busy = self._bank_busy
         pipe_busy = self._pipe_busy
+        stats = self.stats
         bank_wait_acc = stats.bank_wait_ns
         busy_acc = stats.busy_ns
-        det_list = det.tolist()
-        first_l = first_line.tolist()
-        last_l = last_line.tolist()
         finishes = []
         append = finishes.append
-        for i, arrival in enumerate(arrivals):
-            fl = first_l[i]
-            ll = last_l[i]
-            if fl == ll:
-                first_bank = fl % nbanks
-                banks = None
-                bank_ready = bank_busy[first_bank]
-            else:
+        for d, fl, ll, t in zip(det.tolist(), first_line.tolist(),
+                                last_line.tolist(), lead):
+            arrival = pipe_busy + t if closed else t
+            bank = fl % nbanks
+            bank_ready = bank_busy[bank]
+            if fl != ll:
                 banks = [line % nbanks for line in range(fl, ll + 1)]
-                first_bank = banks[0]
-                bank_ready = max(bank_busy[b] for b in banks)
+                for other in banks:
+                    if bank_busy[other] > bank_ready:
+                        bank_ready = bank_busy[other]
             issue_ready = arrival if arrival > pipe_busy else pipe_busy
             start = bank_ready if bank_ready > issue_ready else issue_ready
             bank_wait_acc += start - issue_ready
 
-            jitter = float(normal(0.0, sigma))
+            jitter = sigma * standard_normal()
             if random() < spike_prob:
-                jitter += float(exponential(spike_ns))
+                jitter += exponential(spike_ns)
             if jitter < floor:
                 jitter = floor
 
-            service = det_list[i] + jitter
+            service = d + jitter
             finish = start + service
             busy_acc += service
             pipe_busy = finish
             busy_until = finish + hold
-            if banks is None:
-                if bank_busy[first_bank] < busy_until:
-                    bank_busy[first_bank] = busy_until
+            if fl == ll:
+                if bank_busy[bank] < busy_until:
+                    bank_busy[bank] = busy_until
             else:
                 for bank in banks:
                     if bank_busy[bank] < busy_until:

@@ -120,3 +120,32 @@ class TestFleetParallel:
                          "--out", str(out)]) == 1
         capsys.readouterr()
         assert out.read_bytes() == (run / "slo_report.json").read_bytes()
+
+    def test_obs_slo_after_failed_rerun_matches_run_report(self, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+        assert main([*EXPERIMENTS, "--slo", SPEC,
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+        def boom(seed=0, **kwargs):
+            raise RuntimeError("injected crash")
+
+        monkeypatch.setattr("repro.experiments.__main__.REGISTRY",
+                            {**REGISTRY, "faults": boom})
+        assert main([*EXPERIMENTS, "--slo", SPEC,
+                     "--out", str(tmp_path)]) == 1
+        capsys.readouterr()
+        # faults.metrics.json is stale from the first run: the
+        # re-evaluation must take the rerun's task set, not the glob
+        assert (tmp_path / "faults.metrics.json").exists()
+        out = tmp_path / "reevaluated.json"
+        obs_main(["slo", str(tmp_path), "--spec", SPEC, "--out", str(out)])
+        capsys.readouterr()
+        assert out.read_bytes() == (tmp_path / "slo_report.json").read_bytes()
+
+    def test_obs_slo_rejects_an_unreadable_task_list(self, tmp_path, capsys):
+        (tmp_path / "table5.metrics.json").write_text("{}\n")
+        (tmp_path / "fleet_snapshots.jsonl").write_text("not json\n")
+        assert obs_main(["slo", str(tmp_path), "--spec", SPEC]) == 2
+        assert "fleet_snapshots.jsonl" in capsys.readouterr().err

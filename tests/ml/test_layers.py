@@ -1,8 +1,13 @@
 """Layer unit tests, including numerical gradient checks."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.ml import (
     BatchNorm1d,
     Conv1d,
@@ -12,6 +17,7 @@ from repro.ml import (
     ReLU,
     Sequential,
 )
+from repro.ml.layers import _col2im, _im2col
 from repro.ml.train import cross_entropy
 
 
@@ -85,6 +91,64 @@ class TestConv1d:
         conv.params["b"][:] = 0.0
         x = np.arange(6, dtype=float).reshape(1, 1, 6)
         np.testing.assert_allclose(conv.forward(x), x)
+
+
+def einsum_conv(conv, x, grad):
+    """The einsum formulation of Conv1d (the pre-BLAS code): output,
+    dL/dw and dL/dcols, from the layer's own im2col."""
+    cols = _im2col(x, conv.kernel, conv.stride, conv.pad)
+    w = conv.params["w"]
+    out = np.einsum("fk,nkl->nfl", w, cols) + conv.params["b"][None, :, None]
+    return (out, np.einsum("nfl,nkl->fk", grad, cols),
+            np.einsum("fk,nfl->nkl", w, grad))
+
+
+def assert_relative(actual, expected, rtol=1e-12):
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    assert float(np.abs(actual - expected).max()) <= rtol * scale
+
+
+class TestConv1dFloatContract:
+    """BLAS ``Conv1d`` reorders float sums against the einsum it
+    replaced; the contract is agreement within 1e-12 relative (and
+    byte-identical training at a fixed BLAS thread count, below)."""
+
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_einsum_reference(self, kernel, stride):
+        rng = np.random.default_rng(kernel * 10 + stride)
+        conv = Conv1d(3, 5, kernel=kernel, stride=stride, rng=rng)
+        # a full batch, then a partial last batch reusing the layer's
+        # scratch buffers at a new shape; odd lengths throughout
+        for batch, length in ((8, 33), (3, 33), (8, 257)):
+            x = rng.normal(size=(batch, 3, length))
+            out = conv.forward(x)
+            grad = rng.normal(size=out.shape)
+            grad_x = conv.backward(grad)
+            want_out, want_w, want_cols = einsum_conv(conv, x, grad)
+            assert_relative(out, want_out)
+            assert_relative(conv.grads["w"], want_w)
+            assert_relative(conv.grads["b"], grad.sum(axis=(0, 2)))
+            assert_relative(grad_x, _col2im(want_cols, x.shape, kernel,
+                                            stride, conv.pad))
+
+    def test_training_is_byte_deterministic_at_one_thread(self):
+        script = (
+            "import pickle, sys\n"
+            "from repro.side import SnoopDataset, evaluate_classifier\n"
+            "data = SnoopDataset.generate(per_class=4, seed=1)\n"
+            "runs = [pickle.dumps(evaluate_classifier(data, epochs=2, "
+            "seed=1)) for _ in range(2)]\n"
+            "sys.exit(0 if runs[0] == runs[1] else 1)\n"
+        )
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS"):
+            env[name] = "1"
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
 
 class TestBatchNorm1d:

@@ -1,8 +1,11 @@
 """Tests for the disaggregated-memory snooping attack (Figure 13)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.side.snoop as snoop
 from repro.analysis import normalized_cross_correlation
 from repro.side import (
     CANDIDATE_OFFSETS,
@@ -85,6 +88,68 @@ class TestSynthesizer:
         a = TraceSynthesizer(seed=5).trace(128)
         b = TraceSynthesizer(seed=5).trace(128)
         np.testing.assert_allclose(a, b)
+
+
+class TestDecisionDraws:
+    """The per-slot victim/ambient draws: replayed from PCG64's raw
+    words when the self-check passes, public calls otherwise."""
+
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_raw_replay_equals_public_calls(self, carry):
+        replayed = np.random.default_rng(11)
+        by_call = np.random.default_rng(11)
+        if carry:  # leave half a raw word buffered for the first stray
+            replayed.integers(0, snoop.STRAY_LINES)
+            by_call.integers(0, snoop.STRAY_LINES)
+        got = snoop._decisions_from_raw(replayed, 777, 0.3, 0.6)
+        want = snoop._decisions_by_call(by_call, 777, 0.3, 0.6)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert replayed.bit_generator.state == by_call.bit_generator.state
+        assert replayed.random() == by_call.random()
+
+    def test_forced_fallback_gives_identical_traces(self):
+        fast = TraceSynthesizer(seed=4)
+        expected = [fast.trace(256),
+                    fast.trace(512, rng=fast._trace_rng(3, 1)),
+                    fast.trace(0)]
+        slow = TraceSynthesizer(seed=4)
+        with mock.patch.object(snoop, "raw_replay_exact",
+                               lambda rng: False), \
+                mock.patch.object(snoop, "_decisions_from_raw",
+                                  side_effect=AssertionError("replayed")):
+            got = [slow.trace(256),
+                   slow.trace(512, rng=slow._trace_rng(3, 1)),
+                   slow.trace(0)]
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        assert slow.rng.bit_generator.state == fast.rng.bit_generator.state
+
+    def test_other_bit_generators_take_public_calls(self):
+        stream = np.random.Generator(np.random.Philox(5))
+        twin = np.random.Generator(np.random.Philox(5))
+        with mock.patch.object(snoop, "_decisions_from_raw",
+                               side_effect=AssertionError("not PCG64")):
+            got = snoop.draw_decisions(stream, 300, 0.4, 0.25, replay=True)
+        want = snoop._decisions_by_call(twin, 300, 0.4, 0.25)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert stream.integers(0, 2**32, 4).tolist() == \
+            twin.integers(0, 2**32, 4).tolist()
+
+    def test_self_check_passes_on_this_numpy(self):
+        # not a correctness requirement (the fallback is exact), but a
+        # failing self-check silently costs fig13 its fast draws
+        assert snoop.raw_replay_exact(np.random.default_rng(0))
+
+    def test_self_check_rejects_a_wrong_replay(self):
+        def off_by_one(rng, slots, duty, rate):
+            victim, stray = snoop._decisions_by_call(rng, slots, duty, rate)
+            rng.random()  # consumes one word too many
+            return victim, stray
+
+        with mock.patch.object(snoop, "_decisions_from_raw", off_by_one):
+            assert not snoop.raw_replay_exact(np.random.default_rng(0))
 
 
 class TestParallelSynthesis:

@@ -2,9 +2,10 @@
 """Simulator throughput benchmarks with a machine-readable report and a
 regression gate.
 
-Times the five substrate hot paths (event-kernel dispatch, end-to-end
-message throughput, the million-message batched drain, translation-unit
-admission, snoop-trace synthesis) with min-of-N wall-clock loops,
+Times six hot paths (event-kernel dispatch, end-to-end message
+throughput, the million-message batched drain, translation-unit
+admission, snoop-trace synthesis, and one Figure 13 minibatch through
+the classifier's convolutions) with min-of-N wall-clock loops,
 writes ``BENCH_simulator.json`` and compares against the committed
 baseline::
 
@@ -13,7 +14,8 @@ baseline::
     python tools/bench_gate.py --update-baseline  # refresh the baseline
 
 The gate FAILS when any bench in ``GATED_BENCHES`` (kernel dispatch,
-both end-to-end scenarios, translation admission) drops more than
+both end-to-end scenarios, translation admission, trace synthesis)
+drops more than
 ``--tolerance`` (default 20 %) below the baseline's ops/s; the rest
 are advisory (printed, never fatal).  The baseline records
 which kernel engine produced it — when the current engine differs
@@ -64,6 +66,7 @@ import numpy as np  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.host import Cluster  # noqa: E402
+from repro.ml import Conv1d, ResNet1d  # noqa: E402
 from repro.rnic import TranslationUnit, cx5  # noqa: E402
 from repro.side.snoop import SnoopConfig, TraceSynthesizer  # noqa: E402
 from repro.sim import KERNEL_ENGINE, Simulator  # noqa: E402
@@ -78,6 +81,7 @@ GATED_BENCHES = frozenset({
     "end_to_end_messages",
     "end_to_end_batched",
     "translation_admission",
+    "trace_synthesis_points",
 })
 
 #: Rates (ops/s) measured at the commit before the fast-path rework, on
@@ -92,6 +96,7 @@ PRE_PR_OPS_PER_S = {
     "end_to_end_batched": 9_570,         # scalar pipelined msgs/s anchor
     "translation_admission": 146_200,    # 5000 admits in 34.2 ms
     "trace_synthesis_points": 14_700,    # one 257-point trace in 17.5 ms
+    "conv1d_train_step": 830,            # einsum Conv1d: 64 traces in 77.0 ms
 }
 
 
@@ -223,12 +228,35 @@ def bench_trace_synthesis() -> tuple[int, float]:
     return points, _min_seconds(run, repeats=5)
 
 
+def bench_conv1d_train_step() -> tuple[int, float]:
+    """Forward and backward through every ``Conv1d`` of the Figure 13
+    ResNet (``evaluate_classifier``'s configuration) at its training
+    minibatch shape: 64 traces of 257 points."""
+    model = ResNet1d(in_channels=1, num_classes=17, input_length=257,
+                     stage_channels=(16, 32), blocks_per_stage=1, seed=0)
+    rng = np.random.default_rng(0)
+    model.forward(rng.normal(size=(64, 1, 257)))  # records input shapes
+    convs = list(dict.fromkeys(owner for owner, _ in model.parameters()
+                               if isinstance(owner, Conv1d)))
+    inputs = [rng.normal(size=conv._cache[0]) for conv in convs]
+    grads = [rng.normal(size=conv.forward(x).shape)
+             for conv, x in zip(convs, inputs)]
+
+    def run():
+        for conv, x, grad in zip(convs, inputs, grads):
+            conv.forward(x)
+            conv.backward(grad)
+
+    return 64, _min_seconds(run, repeats=10)
+
+
 BENCHES = {
     "kernel_dispatch": bench_kernel_dispatch,
     "end_to_end_messages": bench_end_to_end,
     "end_to_end_batched": bench_end_to_end_batched,
     "translation_admission": bench_translation_admission,
     "trace_synthesis_points": bench_trace_synthesis,
+    "conv1d_train_step": bench_conv1d_train_step,
 }
 
 
