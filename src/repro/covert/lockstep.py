@@ -42,7 +42,6 @@ class PipelinedReader:
         next_target: Callable[[], ProbeTarget],
         depth: Optional[int] = None,
         halt_on_error: bool = False,
-        batch_prime: bool = False,
     ) -> None:
         self.conn = conn
         self.next_target = next_target
@@ -50,12 +49,6 @@ class PipelinedReader:
         self.depth = depth if depth is not None else max_wr
         if not 1 <= self.depth <= max_wr:
             raise ValueError(f"depth {self.depth} outside 1..{max_wr}")
-        #: Prime/resume the pipeline with one doorbell-batched post
-        #: instead of per-WQE posts.  One doorbell for the cohort is
-        #: how a real driver rings a linked-list ``ibv_post_send``, and
-        #: it routes the prime through the batched descriptor fast
-        #: path; steady state still re-posts one read per completion.
-        self.batch_prime = batch_prime
         self.samples: list[tuple[float, float]] = []
         self.completed = 0
         #: With ``halt_on_error`` the reader absorbs failed completions
@@ -87,19 +80,6 @@ class PipelinedReader:
         self._prime()
 
     def _prime(self) -> None:
-        missing = self.depth - self.conn.qp.outstanding_send
-        if self.batch_prime and missing >= 2:
-            targets = [self.next_target() for _ in range(missing)]
-            mr, size = targets[0].mr, targets[0].size
-            if all(t.mr is mr and t.size == size for t in targets):
-                self.conn.post_read_batch(
-                    mr, [t.offset for t in targets], length=size)
-                return
-            # heterogeneous targets (mixed MRs/sizes) post per WQE; the
-            # consumed targets are already drawn, so post exactly those
-            for target in targets:
-                self.conn.post_read(target.mr, target.offset, target.size)
-            return
         while self.conn.qp.outstanding_send < self.depth:
             self._post_one()
 

@@ -94,12 +94,6 @@ class ULIChannelConfig:
     #: receiver's completion rate mid-frame; re-locking tracks the
     #: resulting symbol-clock drift.
     relock_interval_bits: int = 0
-    #: Prime every pipelined reader with one doorbell-batched cohort
-    #: (``--batch`` on the experiment CLI) instead of per-WQE posts.
-    #: Exercises the batched descriptor ingress; simulated timings
-    #: shift by the saved doorbells, so results are comparable only
-    #: within one setting of this flag.
-    batch_prime: bool = False
 
     def __post_init__(self) -> None:
         if self.samples_per_bit < 2:
@@ -132,8 +126,7 @@ class AmbientClient:
         self.rng = cluster.sim.random.stream("ambient")
         self.active = False
         self._reader = PipelinedReader(self.conn, self._next_target,
-                                       depth=config.ambient_depth,
-                                       batch_prime=config.batch_prime)
+                                       depth=config.ambient_depth)
         self._obs = _obs.tracer_for(cluster.sim)
         # handle of the pending toggle, kept so stop() can cancel it —
         # dropping it would leave a zombie on/off chain after restart
@@ -217,13 +210,11 @@ class _Session:
         # CQE); a clean session keeps the loud fail-fast behaviour.
         survive = cfg.fault_plan is not None
         self.receiver = PipelinedReader(rx_conn, next_rx_target,
-                                        halt_on_error=survive,
-                                        batch_prime=cfg.batch_prime)
+                                        halt_on_error=survive)
         self.sender = PipelinedReader(
             tx_conn, next_tx_target,
             depth=min(cfg.sender_depth, cfg.max_send_queue),
             halt_on_error=survive,
-            batch_prime=cfg.batch_prime,
         )
         self.receiver.start()
         self.sender.start()

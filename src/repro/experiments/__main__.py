@@ -34,14 +34,12 @@ recorded outputs still verify, so a killed sweep continues where it
 stopped and ends byte-identical to an uninterrupted run (see
 docs/RUNTIME.md).
 
-``--fleet-metrics`` (implied by ``--slo``) builds the fleet view once,
-after the batch, from the per-task ``<name>.metrics.json`` files of the
-experiments that completed (or were verified-resumed) in this
-invocation: ``fleet_metrics.json``, ``fleet_snapshots.jsonl`` plus,
-with ``--slo <spec.json>``, an evaluated ``slo_report.json`` with
-burn-rate alerts (docs/OBSERVABILITY.md, "Fleet metrics & SLOs").  The
-fleet artifacts are byte-identical between serial, ``--jobs`` and
-``--resume`` runs of the same seed.
+``--fleet-metrics`` builds the fleet view once, after the batch, from
+the per-task ``<name>.metrics.json`` files of the experiments that
+completed (or were verified-resumed) in this invocation: one merged
+``fleet_metrics.json`` (docs/OBSERVABILITY.md, "Fleet metrics").  It
+is byte-identical between serial, ``--jobs`` and ``--resume`` runs of
+the same seed.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from repro.experiments.runner import (  # noqa: F401  (REGISTRY/FULL_SCALE re-ex
     _invoke,
     run_task,
 )
-from repro.obs.fleet import SloSpecError, load_spec, write_fleet_artifacts
+from repro.obs.fleet import write_fleet_artifacts
 from repro.runtime import (
     ManifestConfigMismatch,
     RetryPolicy,
@@ -141,7 +139,7 @@ def _run_serial(names: list[str], args, manifest: RunManifest,
                            trace=args.trace, metrics=args.metrics,
                            profile=args.profile,
                            trace_sample=args.trace_sample,
-                           report=args.report, batch=args.batch)
+                           report=args.report)
         _record(outcome, manifest)
         _report(outcome, args.out, failures)
 
@@ -179,7 +177,7 @@ def _run_supervised(names: list[str], args, manifest: RunManifest,
                  kwargs=dict(registry=None, trace=args.trace,
                              metrics=args.metrics, profile=args.profile,
                              trace_sample=args.trace_sample,
-                             report=args.report, batch=args.batch))
+                             report=args.report))
         for name in names
     ]
     config = SupervisorConfig(
@@ -220,14 +218,14 @@ def _run_supervised(names: list[str], args, manifest: RunManifest,
         _report(buffered.pop(slot), args.out, failures)
 
 
-def _finalize_fleet(out: str, names: list[str], spec) -> None:
-    """The post-batch fleet pass: build the fleet artifacts
+def _finalize_fleet(out: str, names: list[str]) -> None:
+    """The post-batch fleet pass: build ``fleet_metrics.json``
     deterministically from the committed ``<name>.metrics.json`` files
     of ``names`` (sorted task order) — so serial, ``--jobs``, and
     ``--resume`` runs of one seed end byte-identical.  ``names`` must
     hold only tasks that completed or were verified-resumed in this
     invocation: a failed task's metrics file is a stale earlier run's."""
-    result = write_fleet_artifacts(out, names, spec=spec)
+    result = write_fleet_artifacts(out, names)
     if result is None:
         print("[fleet: no per-task metrics found; nothing to merge]",
               file=sys.stderr)
@@ -235,18 +233,6 @@ def _finalize_fleet(out: str, names: list[str], spec) -> None:
     wrote = ", ".join(path.name for path in result["paths"])
     print(f"[fleet: merged {len(result['tasks'])} task(s) -> {wrote}]",
           file=sys.stderr)
-    report = result["report"]
-    if report is None:
-        return
-    verdict = "compliant" if report["compliant"] else "VIOLATED"
-    print(f"[slo: spec {report['spec']} {verdict}, "
-          f"{len(report['alerts'])} alert(s)]", file=sys.stderr)
-    for alert in report["alerts"]:
-        print(f"[slo: alert {alert['objective']} burned "
-              f"{alert['burn_rate']:g}x budget over "
-              f"{alert['window_ticks']}-tick window "
-              f"({alert['severity']}) at tick {alert['tick']}]",
-              file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -314,25 +300,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fleet-metrics", action="store_true",
                         help="after the batch, merge the metrics of "
                              "every experiment that completed into a "
-                             "deterministic fleet_metrics.json + "
-                             "fleet_snapshots.jsonl (implies --metrics)")
-    parser.add_argument("--slo", type=pathlib.Path, default=None,
-                        metavar="SPEC",
-                        help="evaluate an SLO spec (JSON, see "
-                             "docs/OBSERVABILITY.md) against the fleet "
-                             "snapshots and write slo_report.json with "
-                             "burn-rate alerts (implies --fleet-metrics)")
+                             "deterministic fleet_metrics.json "
+                             "(implies --metrics)")
     parser.add_argument("--report", action="store_true",
                         help="render each experiment's artifacts to a "
                              "deterministic <name>.report.md "
                              "(python -m repro.obs report)")
-    parser.add_argument("--batch", action="store_true",
-                        help="prime pipelined readers with "
-                             "doorbell-batched cohorts so experiments "
-                             "that support it (table1, table5) exercise "
-                             "the batched descriptor fast path; rates "
-                             "shift slightly with the saved doorbells, "
-                             "so compare runs only within one setting")
     parser.add_argument("--profile", action="store_true",
                         help="wrap each experiment in cProfile and write "
                              "<name>.prof.txt (wall-clock profiling; "
@@ -352,17 +325,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-failures must be >= 1")
     if args.trace_sample > 1:
         args.trace = True
-    if args.slo is not None:
-        args.fleet_metrics = True
     if args.fleet_metrics:
         args.metrics = True
-    spec = None
-    if args.slo is not None:
-        try:
-            spec = load_spec(args.slo)
-        except (OSError, json.JSONDecodeError, SloSpecError) as error:
-            print(f"error: --slo {args.slo}: {error}", file=sys.stderr)
-            return 2
 
     if args.list:
         for name in REGISTRY:
@@ -379,9 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed, "smoke": args.smoke, "full": args.full,
         "trace": args.trace, "trace_sample": args.trace_sample,
         "metrics": args.metrics, "profile": args.profile,
-        "report": args.report, "batch": args.batch,
-        "fleet_metrics": args.fleet_metrics,
-        "slo": spec.name if spec is not None else None,
+        "report": args.report, "fleet_metrics": args.fleet_metrics,
     }
     try:
         manifest = RunManifest.open(args.out, run_config,
@@ -411,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.fleet_metrics:
         merged = [name for name in all_names
                   if name not in failures and name not in skipped]
-        _finalize_fleet(args.out, merged, spec)
+        _finalize_fleet(args.out, merged)
 
     if failures or skipped:
         completed = total - len(failures) - len(skipped)

@@ -70,12 +70,11 @@ REGISTRY: dict[str, Callable] = {
 }
 
 
-def _invoke(runner: Callable, seed: int, smoke: bool, kwargs: dict,
-            batch: bool = False):
+def _invoke(runner: Callable, seed: int, smoke: bool, kwargs: dict):
     """Call a runner with only the keyword arguments it accepts.
 
     Runners are plain functions with heterogeneous signatures (a few
-    take no ``seed``; only some support ``smoke`` or ``batch``), so the
+    take no ``seed``; only some support ``smoke``), so the
     dispatch inspects the signature instead of guessing via TypeError.
     """
     params = inspect.signature(runner).parameters
@@ -87,8 +86,6 @@ def _invoke(runner: Callable, seed: int, smoke: bool, kwargs: dict,
         call_kwargs["seed"] = seed
     if smoke and (accepts_var_kw or "smoke" in params):
         call_kwargs["smoke"] = True
-    if batch and (accepts_var_kw or "batch" in params):
-        call_kwargs["batch"] = True
     return runner(**call_kwargs)
 
 
@@ -150,7 +147,6 @@ def run_task(
     profile: bool = False,
     trace_sample: int = 1,
     report: bool = False,
-    batch: bool = False,
 ) -> TaskOutcome:
     """Run one registered experiment end to end: invoke (with retries),
     render, save.  Printing is left to the caller so that parallel runs
@@ -168,10 +164,7 @@ def run_task(
     accounted — see :attr:`repro.obs.Tracer.sampled_out`) to keep
     long traced runs cheap; ``profile`` wraps the run in cProfile and
     writes ``<name>.prof.txt``; ``report`` renders the run's artifacts
-    to ``<name>.report.md`` via :func:`repro.obs.render_report`;
-    ``batch`` asks runners that support it to prime their pipelined
-    readers through the doorbell-batched ingress (the descriptor fast
-    path) — runners without a ``batch`` parameter ignore it.
+    to ``<name>.report.md`` via :func:`repro.obs.render_report`.
     """
     runner = (REGISTRY if registry is None else registry)[name]
     kwargs = dict(FULL_SCALE.get(name, {})) if full else {}
@@ -193,7 +186,7 @@ def run_task(
         try:
             if profiler is not None:
                 profiler.enable()
-            result = _invoke(runner, seed, smoke, kwargs, batch=batch)
+            result = _invoke(runner, seed, smoke, kwargs)
             if profiler is not None:
                 profiler.disable()
             if session is not None:

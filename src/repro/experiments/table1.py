@@ -165,27 +165,19 @@ def _priority_tx_profile() -> tuple[TenantProfile, CounterTrace]:
     return profile, trace
 
 
-def _uli_sender_profile(channel_name: str, seed: int, batch: bool = False
+def _uli_sender_profile(channel_name: str, seed: int
                         ) -> tuple[TenantProfile, CounterTrace]:
     """Measured from a live inter-/intra-MR transmission: the sender
     QP's exact per-QP telemetry plus the server's cache counters."""
-    import dataclasses
-
     from repro.covert.uli_channel import _Session
 
     bits = random_bits(96, seed=seed)
     if channel_name == "inter-mr":
-        cfg = InterMRConfig.best_for("CX-5")
+        channel = InterMRChannel(cx5(), InterMRConfig.best_for("CX-5"))
         mr_count = 2
     else:
-        cfg = IntraMRConfig.best_for("CX-5")
+        channel = IntraMRChannel(cx5(), IntraMRConfig.best_for("CX-5"))
         mr_count = 1
-    if batch:
-        cfg = dataclasses.replace(cfg, batch_prime=True)
-    if channel_name == "inter-mr":
-        channel = InterMRChannel(cx5(), cfg)
-    else:
-        channel = IntraMRChannel(cx5(), cfg)
     session = _Session(channel, seed)
     inter_completion = session.warm_up(channel.config.warmup_completions)
     period = channel.config.samples_per_bit * inter_completion
@@ -230,12 +222,8 @@ def dataclasses_replace_cache(profile: TenantProfile, **cache_fields
     return dataclasses.replace(profile, **cache_fields)
 
 
-def run(seed: int = 0, batch: bool = False) -> ExperimentResult:
+def run(seed: int = 0) -> ExperimentResult:
     """Regenerate the Table I attack-vs-defense matrix.
-
-    ``batch`` primes the live ULI sessions through the doorbell-batched
-    ingress (``--batch`` on the CLI), exercising the descriptor fast
-    path; rates shift slightly with the saved doorbells.
 
     The three deployed-defense columns (and the ``undetected`` roll-up
     over exactly those three) reproduce the paper's matrix; ``online``
@@ -261,9 +249,9 @@ def run(seed: int = 0, batch: bool = False) -> ExperimentResult:
         ("pythia", "C+S", "IV", *_pythia_profile(seed)),
         ("ragnar-priority", "C", "I+II", *_priority_tx_profile()),
         ("ragnar-inter-mr", "C", "III",
-         *_uli_sender_profile("inter-mr", seed, batch)),
+         *_uli_sender_profile("inter-mr", seed)),
         ("ragnar-intra-mr", "C+S", "IV",
-         *_uli_sender_profile("intra-mr", seed, batch)),
+         *_uli_sender_profile("intra-mr", seed)),
     ]
     rows = []
     for name, attack_type, grain, profile, trace in attacks:

@@ -32,22 +32,13 @@ RNIC_NAMES = ("CX-4", "CX-5", "CX-6")
 
 
 def run(payload_bits: int = 192, seed: int = 0,
-        smoke: bool = False, batch: bool = False) -> ExperimentResult:
+        smoke: bool = False) -> ExperimentResult:
     """Regenerate Table V on the simulated testbed.  ``smoke`` shrinks
     the payload to 48 bits — enough for every channel/RNIC row to carry
     a non-degenerate error estimate while keeping a traced run (the
-    check.sh insight stage) fast.  ``batch`` primes the ULI channels'
-    pipelines through the doorbell-batched ingress (``--batch`` on the
-    CLI), exercising the descriptor fast path; rates shift slightly
-    with the saved doorbells."""
-    import dataclasses
-
+    check.sh insight stage) fast."""
     if smoke:
         payload_bits = min(payload_bits, 48)
-
-    def tuned(config):
-        return dataclasses.replace(config, batch_prime=True) if batch \
-            else config
 
     rows = []
     bits = random_bits(payload_bits, seed=seed + 100)
@@ -57,12 +48,12 @@ def run(payload_bits: int = 192, seed: int = 0,
         rows.append(_row(result, "I+II", "Priority"))
     for name in RNIC_NAMES:
         spec = SPEC_REGISTRY[name]()
-        channel = InterMRChannel(spec, tuned(InterMRConfig.best_for(name)))
+        channel = InterMRChannel(spec, InterMRConfig.best_for(name))
         rows.append(_row(channel.transmit(bits, seed=seed), "III",
                          "RDMA resources"))
     for name in RNIC_NAMES:
         spec = SPEC_REGISTRY[name]()
-        channel = IntraMRChannel(spec, tuned(IntraMRConfig.best_for(name)))
+        channel = IntraMRChannel(spec, IntraMRConfig.best_for(name))
         rows.append(_row(channel.transmit(bits, seed=seed), "IV",
                          "Offset effect"))
     return ExperimentResult(

@@ -13,9 +13,8 @@ Three pieces, assembled by :mod:`repro.obs.runtime`:
   periodicity detectors, ``python -m repro.obs report`` and
   ``python -m repro.obs diff``.
 * :mod:`repro.obs.fleet` — the post-batch fleet pass: deterministic
-  merging of per-task metric snapshots into fleet artifacts, and the
-  declarative SLO engine with burn-rate alerting behind ``--slo`` /
-  ``python -m repro.obs slo``.
+  merging of per-task metric snapshots into ``fleet_metrics.json``
+  (``--fleet-metrics``).
 
 Everything is disabled by default; ``install(trace=..., metrics=...)``
 turns it on for the current process (the experiments CLI does this for
@@ -24,22 +23,15 @@ turns it on for the current process (the experiments CLI does this for
 
 from .exporters import (
     validate_chrome_trace,
-    validate_fleet_jsonl,
     validate_metrics_json,
     validate_path,
     validate_paths,
-    validate_slo_report,
     validate_trace_jsonl,
     write_chrome_trace,
     write_jsonl,
     write_metrics_json,
 )
 from .fleet import (
-    SloEngine,
-    SloSpec,
-    SloSpecError,
-    evaluate_snapshots,
-    load_spec,
     merge_snapshots,
     write_fleet_artifacts,
 )
@@ -80,18 +72,13 @@ __all__ = [
     "MetricsRegistry",
     "ObsSession",
     "PeriodicityDetector",
-    "SloEngine",
-    "SloSpec",
-    "SloSpecError",
     "TraceEvent",
     "TraceFrame",
     "Tracer",
     "attach_simulator",
     "diff_runs",
     "engine_tracer",
-    "evaluate_snapshots",
     "install",
-    "load_spec",
     "merge_snapshots",
     "render_report",
     "register_rnic",
@@ -100,11 +87,9 @@ __all__ = [
     "tracer_for",
     "uninstall",
     "validate_chrome_trace",
-    "validate_fleet_jsonl",
     "validate_metrics_json",
     "validate_path",
     "validate_paths",
-    "validate_slo_report",
     "validate_trace_jsonl",
     "write_chrome_trace",
     "write_fleet_artifacts",

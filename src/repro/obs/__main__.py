@@ -6,27 +6,19 @@
         out/table5.trace.json out/table5.metrics.json
     python -m repro.obs report out/ --out out/run.report.md
     python -m repro.obs diff results_a/ results_b/ --tolerance 0.2
-    python -m repro.obs slo out/ --spec examples/slo_spec.json
 
 ``validate`` exits 1 and prints each problem when any file fails its
 schema (the ``tools/check.sh`` obs smoke stage); it understands the
-fleet artifacts (``fleet_snapshots.jsonl``, ``fleet_metrics.json``,
-``slo_report.json``) too.  ``report`` renders a deterministic markdown
-run report (same seed ⇒ same bytes; the check.sh insight stage diffs
-it against a committed golden).  ``diff`` compares two run directories
+fleet pass's ``fleet_metrics.json`` too.  ``report`` renders a
+deterministic markdown run report (same seed ⇒ same bytes; the check.sh
+insight stage diffs it against a committed golden).  ``diff`` compares two run directories
 with configurable tolerances and exits nonzero on regression, so CI
-can gate on run-to-run drift.  ``slo`` (re-)evaluates an SLO spec
-against a run directory's per-task metrics (the tasks its
-``fleet_snapshots.jsonl`` names, else every ``*.metrics.json``) — exit
-0 when compliant, 1 on violations or burn-rate alerts, 2 on spec/data
-errors — so an operator can try a candidate spec against an existing
-run without re-running anything.
+can gate on run-to-run drift.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -80,57 +72,6 @@ def _cmd_diff(args) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_slo(args) -> int:
-    from .fleet import (
-        SloSpecError,
-        collect_task_snapshots,
-        evaluate_snapshots,
-        load_spec,
-        prefix_merges,
-    )
-    try:
-        spec = load_spec(args.spec)
-    except (OSError, json.JSONDecodeError, SloSpecError) as error:
-        print(f"repro.obs: {args.spec}: {error}", file=sys.stderr)
-        return 2
-    # the run's own task set: a rerun in which a task failed leaves that
-    # task's stale <name>.metrics.json behind, which must not count
-    ledger = args.run_dir / "fleet_snapshots.jsonl"
-    names = None
-    if ledger.exists():
-        try:
-            names = [json.loads(line)["task"]
-                     for line in ledger.read_text().splitlines() if line]
-        except (json.JSONDecodeError, KeyError, TypeError) as error:
-            print(f"repro.obs: {ledger}: unreadable task list: {error!r}",
-                  file=sys.stderr)
-            return 2
-    per_task = collect_task_snapshots(args.run_dir, names)
-    if not per_task:
-        print(f"repro.obs: {args.run_dir}: no per-task metrics "
-              f"(*.metrics.json) to evaluate", file=sys.stderr)
-        return 2
-    report = evaluate_snapshots(spec, prefix_merges(per_task))
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"repro.obs: wrote {args.out}")
-    verdict = "compliant" if report["compliant"] else "VIOLATED"
-    print(f"repro.obs: spec {report['spec']} over {len(per_task)} task(s): "
-          f"{verdict}, {len(report['alerts'])} alert(s)")
-    for objective in report["objectives"]:
-        status = "ok" if objective["compliant"] else "VIOLATED"
-        print(f"repro.obs:   {objective['name']} ({objective['kind']}): "
-              f"{status}, {objective['alerts']} alert(s)")
-    for alert in report["alerts"]:
-        print(f"repro.obs:   alert {alert['objective']} burned "
-              f"{alert['burn_rate']:g}x budget over "
-              f"{alert['window_ticks']}-tick window "
-              f"({alert['severity']}) at tick {alert['tick']}")
-    return 0 if report["compliant"] else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs", description=__doc__.splitlines()[0]
@@ -166,16 +107,6 @@ def main(argv=None) -> int:
                       help="allowed fractional bench ops/s drop "
                            "(default 0.2)")
     diff.set_defaults(func=_cmd_diff)
-
-    slo = sub.add_parser(
-        "slo", help="evaluate an SLO spec against a run directory; "
-                    "nonzero on violations or alerts")
-    slo.add_argument("run_dir", type=pathlib.Path)
-    slo.add_argument("--spec", type=pathlib.Path, required=True,
-                     help="SLO spec JSON (docs/OBSERVABILITY.md)")
-    slo.add_argument("--out", type=pathlib.Path, default=None,
-                     help="also write the evaluated slo_report.json here")
-    slo.set_defaults(func=_cmd_slo)
 
     args = parser.parse_args(argv)
     if args.command == "report" and args.top < 1:

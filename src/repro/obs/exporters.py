@@ -199,25 +199,31 @@ def _check_histogram_row(row: dict, where: str, errors: list) -> None:
                       f"bucket counts {sum(counts)}")
 
 
-def _check_metrics_payload(payload: object, prefix: str,
-                           errors: list) -> None:
-    """Per-row check of one metrics snapshot object; shared by
-    :func:`validate_metrics_json` (whole files) and
-    :func:`validate_fleet_jsonl` (the ``metrics`` field of every
-    fleet snapshot line)."""
+def validate_metrics_json(path) -> list:
+    """Structural + per-row check of a metrics snapshot file (per-task
+    ``<name>.metrics.json`` or the merged ``fleet_metrics.json``, which
+    has the same shape).  Error messages carry the flattened record
+    index (sorted component, then sorted metric name — the snapshot's
+    own serialization order) so a failing record in a large snapshot is
+    findable by position, not just by name."""
+    path = pathlib.Path(path)
+    errors: list = []
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        return [f"{path}: invalid JSON ({exc})"]
     if not isinstance(payload, dict):
-        errors.append(f"{prefix}: top level must be an object")
-        return
+        return [f"{path}: top level must be an object"]
     index = 0
     for component in sorted(payload):
         metrics = payload[component]
         if not isinstance(metrics, dict):
-            errors.append(f"{prefix}: component {component!r} must map "
+            errors.append(f"{path}: component {component!r} must map "
                           f"to an object")
             continue
         for name in sorted(metrics):
             row = metrics[name]
-            where = f"{prefix}: record {index} ({component}.{name})"
+            where = f"{path}: record {index} ({component}.{name})"
             index += 1
             if not isinstance(row, dict) or "type" not in row:
                 errors.append(f"{where}: metric rows need a 'type'")
@@ -238,143 +244,14 @@ def _check_metrics_payload(payload: object, prefix: str,
                                   f"non-negative, got {value}")
             else:
                 _check_histogram_row(row, where, errors)
-
-
-def validate_metrics_json(path) -> list:
-    """Structural + per-row check of a metrics snapshot file.  Error
-    messages carry the flattened record index (sorted component, then
-    sorted metric name — the snapshot's own serialization order) so a
-    failing record in a large snapshot is findable by position, not
-    just by name."""
-    path = pathlib.Path(path)
-    errors: list = []
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        return [f"{path}: invalid JSON ({exc})"]
-    _check_metrics_payload(payload, str(path), errors)
-    return errors
-
-
-def validate_fleet_jsonl(path) -> list:
-    """Check a ``fleet_snapshots.jsonl`` file: every line a fleet
-    snapshot record with a strictly increasing ``rev``, ``kind``
-    ``"final"`` (the only record the fleet pass writes), a ``task``
-    name, a sane ``tasks_done``, and a ``metrics`` payload that passes
-    the full metrics-snapshot check.  Errors name the offending line
-    and the flattened record index inside it."""
-    path = pathlib.Path(path)
-    errors: list = []
-    last_rev = 0
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        prefix = f"{path}:{lineno}"
-        if not line.strip():
-            errors.append(f"{prefix}: blank line")
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(f"{prefix}: invalid JSON ({exc})")
-            continue
-        if not isinstance(record, dict):
-            errors.append(f"{prefix}: fleet records must be objects")
-            continue
-        rev = record.get("rev")
-        if not isinstance(rev, int) or isinstance(rev, bool) or rev < 1:
-            errors.append(f"{prefix}: 'rev' must be a positive integer, "
-                          f"got {rev!r}")
-        elif rev <= last_rev:
-            errors.append(f"{prefix}: 'rev' {rev} not greater than "
-                          f"previous {last_rev}")
-        else:
-            last_rev = rev
-        if record.get("kind") != "final":
-            errors.append(f"{prefix}: 'kind' must be 'final', "
-                          f"got {record.get('kind')!r}")
-        task = record.get("task")
-        if not isinstance(task, str) or not task:
-            errors.append(f"{prefix}: 'task' must be a non-empty string")
-        done = record.get("tasks_done")
-        if not isinstance(done, int) or isinstance(done, bool) or done < 0:
-            errors.append(f"{prefix}: 'tasks_done' must be a "
-                          f"non-negative integer, got {done!r}")
-        _check_metrics_payload(record.get("metrics"),
-                               f"{prefix}: metrics", errors)
-    if last_rev == 0 and not errors:
-        errors.append(f"{path}: empty fleet snapshot stream")
-    return errors
-
-
-def validate_slo_report(path) -> list:
-    """Check an ``slo_report.json``: top-level shape, each objective's
-    required fields (errors name ``objective N (name)``), and each
-    alert's required fields (``alert N``)."""
-    path = pathlib.Path(path)
-    errors: list = []
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        return [f"{path}: invalid JSON ({exc})"]
-    if not isinstance(payload, dict):
-        return [f"{path}: top level must be an object"]
-    if not isinstance(payload.get("spec"), str) or not payload.get("spec"):
-        errors.append(f"{path}: 'spec' must be a non-empty string")
-    ticks = payload.get("ticks")
-    if not isinstance(ticks, int) or isinstance(ticks, bool) or ticks < 0:
-        errors.append(f"{path}: 'ticks' must be a non-negative integer")
-    if not isinstance(payload.get("compliant"), bool):
-        errors.append(f"{path}: 'compliant' must be a boolean")
-    objectives = payload.get("objectives")
-    if not isinstance(objectives, list):
-        errors.append(f"{path}: 'objectives' must be an array")
-        objectives = []
-    for index, objective in enumerate(objectives):
-        label = (objective.get("name", "?")
-                 if isinstance(objective, dict) else "?")
-        where = f"{path}: objective {index} ({label})"
-        if not isinstance(objective, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        if objective.get("kind") not in ("latency", "error_rate"):
-            errors.append(f"{where}: 'kind' must be 'latency' or "
-                          f"'error_rate', got {objective.get('kind')!r}")
-        for field in ("name", "good", "bad", "alerts", "compliant",
-                      "windows"):
-            if field not in objective:
-                errors.append(f"{where}: missing field {field!r}")
-        windows = objective.get("windows")
-        if isinstance(windows, list):
-            for w_index, window in enumerate(windows):
-                if not isinstance(window, dict) or not isinstance(
-                        window.get("ticks"), int):
-                    errors.append(f"{where}: window {w_index} needs an "
-                                  f"integer 'ticks'")
-    alerts = payload.get("alerts")
-    if not isinstance(alerts, list):
-        errors.append(f"{path}: 'alerts' must be an array")
-        alerts = []
-    for index, alert in enumerate(alerts):
-        where = f"{path}: alert {index}"
-        if not isinstance(alert, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        for field in ("tick", "objective", "window_ticks", "burn_rate",
-                      "threshold", "severity"):
-            if field not in alert:
-                errors.append(f"{where}: missing field {field!r}")
     return errors
 
 
 def validate_path(path) -> list:
     """Dispatch on filename: ``*.trace.jsonl`` / ``*.trace.json`` /
-    ``*.metrics.json`` (the names :meth:`ObsSession.export` writes)
-    plus the fleet artifacts (``fleet_snapshots.jsonl`` /
-    ``fleet_metrics.json`` / ``slo_report.json``)."""
+    ``*.metrics.json`` (the names :meth:`ObsSession.export` writes) plus
+    the fleet pass's ``fleet_metrics.json``."""
     name = pathlib.Path(path).name
-    if name == "fleet_snapshots.jsonl" or name.endswith(".fleet.jsonl"):
-        return validate_fleet_jsonl(path)
-    if name == "slo_report.json" or name.endswith(".slo.json"):
-        return validate_slo_report(path)
     if name == "fleet_metrics.json":
         # the merged fleet snapshot has exactly the per-task shape
         return validate_metrics_json(path)
@@ -385,8 +262,7 @@ def validate_path(path) -> list:
     if name.endswith(".metrics.json"):
         return validate_metrics_json(path)
     return [f"{path}: unrecognized artifact name (expected *.trace.jsonl, "
-            f"*.trace.json, *.metrics.json, fleet_snapshots.jsonl, or "
-            f"slo_report.json)"]
+            f"*.trace.json, *.metrics.json or fleet_metrics.json)"]
 
 
 def validate_paths(paths: Sequence) -> list:

@@ -17,13 +17,10 @@ What is compared (by matching file name in both directories):
 * ``<name>.trace.jsonl`` — advisory only: event-count drift is noted
   but traces are timing-shaped, so they never fail the diff;
 * ``fleet_metrics.json`` — the merged fleet snapshot, same numeric
-  comparison as per-task metrics;
-* ``slo_report.json`` — a *newly violated* objective regresses;
-  recovered objectives and alert-count drift are notes;
-* ``fleet_snapshots.jsonl`` — advisory: line-count drift only.  The
-  file holds one prefix-merge line per merged task, so its count moves
-  only with the set of tasks merged, and its last line is
-  ``fleet_metrics.json``, whose numbers are already compared above.
+  comparison as per-task metrics.
+
+A JSON artifact that does not parse, or whose top level is not an
+object, is an ``unreadable`` regression.
 """
 
 from __future__ import annotations
@@ -73,6 +70,16 @@ def _metric_leaves(payload: dict) -> Iterator[tuple[str, float]]:
                     yield f"{component}.{name}.{field}", float(value)
 
 
+def _read_object(path: pathlib.Path) -> dict:
+    """A JSON artifact's top-level object; ``ValueError`` (which
+    ``json.JSONDecodeError`` subclasses) when it is anything else."""
+    payload = json.loads(path.read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"top level is a {type(payload).__name__}, "
+                         f"not an object")
+    return payload
+
+
 def _rel_delta(a: float, b: float) -> float:
     if a == b:
         return 0.0
@@ -83,9 +90,9 @@ def _rel_delta(a: float, b: float) -> float:
 def _diff_metrics(path_a: pathlib.Path, path_b: pathlib.Path,
                   tolerance: float, result: DiffResult) -> None:
     try:
-        leaves_a = dict(_metric_leaves(json.loads(path_a.read_text())))
-        leaves_b = dict(_metric_leaves(json.loads(path_b.read_text())))
-    except json.JSONDecodeError as exc:
+        leaves_a = dict(_metric_leaves(_read_object(path_a)))
+        leaves_b = dict(_metric_leaves(_read_object(path_b)))
+    except ValueError as exc:
         result.regressions.append(f"{path_a.name}: unreadable ({exc})")
         return
     for key in sorted(set(leaves_a) | set(leaves_b)):
@@ -108,9 +115,9 @@ def _diff_metrics(path_a: pathlib.Path, path_b: pathlib.Path,
 def _diff_bench(path_a: pathlib.Path, path_b: pathlib.Path,
                 bench_tolerance: float, result: DiffResult) -> None:
     try:
-        bench_a = json.loads(path_a.read_text()).get("benches", {})
-        bench_b = json.loads(path_b.read_text()).get("benches", {})
-    except json.JSONDecodeError as exc:
+        bench_a = _read_object(path_a).get("benches", {})
+        bench_b = _read_object(path_b).get("benches", {})
+    except ValueError as exc:
         result.regressions.append(f"{path_a.name}: unreadable ({exc})")
         return
     for name in sorted(set(bench_a) & set(bench_b)):
@@ -129,46 +136,6 @@ def _diff_bench(path_a: pathlib.Path, path_b: pathlib.Path,
         elif ratio > 1.0 + bench_tolerance:
             result.notes.append(
                 f"{path_a.name}: {name} improved to {ratio:.2f}x")
-
-
-def _diff_slo(path_a: pathlib.Path, path_b: pathlib.Path,
-              result: DiffResult) -> None:
-    """A newly violated objective (compliant in A, violated in B) is a
-    regression; recoveries and alert-count changes are notes."""
-    try:
-        report_a = json.loads(path_a.read_text())
-        report_b = json.loads(path_b.read_text())
-    except json.JSONDecodeError as exc:
-        result.regressions.append(f"{path_a.name}: unreadable ({exc})")
-        return
-    def by_name(report):
-        return {o["name"]: o for o in report.get("objectives", [])
-                if isinstance(o, dict) and "name" in o}
-    objectives_a = by_name(report_a)
-    objectives_b = by_name(report_b)
-    for name in sorted(set(objectives_a) | set(objectives_b)):
-        if name not in objectives_b:
-            result.notes.append(
-                f"{path_a.name}: objective {name} only in run A")
-            continue
-        if name not in objectives_a:
-            result.notes.append(
-                f"{path_a.name}: objective {name} only in run B")
-            continue
-        ok_a = bool(objectives_a[name].get("compliant"))
-        ok_b = bool(objectives_b[name].get("compliant"))
-        if ok_a and not ok_b:
-            result.regressions.append(
-                f"{path_a.name}: objective {name} newly violated "
-                f"(compliant in A, violated in B)")
-        elif not ok_a and ok_b:
-            result.notes.append(
-                f"{path_a.name}: objective {name} recovered")
-    alerts_a = len(report_a.get("alerts", []))
-    alerts_b = len(report_b.get("alerts", []))
-    if alerts_a != alerts_b:
-        result.notes.append(
-            f"{path_a.name}: burn-rate alerts {alerts_a} -> {alerts_b}")
 
 
 def _trace_event_count(path: pathlib.Path) -> int:
@@ -195,17 +162,6 @@ def diff_runs(run_a, run_b, tolerance: float = 0.2,
         if name.endswith(".metrics.json") or name == "fleet_metrics.json":
             compared += 1
             _diff_metrics(path_a, path_b, tolerance, result)
-        elif name == "slo_report.json":
-            compared += 1
-            _diff_slo(path_a, path_b, result)
-        elif name == "fleet_snapshots.jsonl":
-            compared += 1
-            count_a = _trace_event_count(path_a)
-            count_b = _trace_event_count(path_b)
-            if count_a != count_b:
-                result.notes.append(
-                    f"{name}: fleet snapshot lines {count_a} -> "
-                    f"{count_b} (advisory)")
         elif name.startswith("BENCH") and name.endswith(".json"):
             compared += 1
             _diff_bench(path_a, path_b, bench_tolerance, result)

@@ -187,78 +187,17 @@ def _metrics_section(path: pathlib.Path,
             *_table(["component", "metric", "type", "value"], rows)]
 
 
-def _fleet_sections(run_dir: pathlib.Path) -> list[str]:
-    """The whole-run fleet view: the merged snapshot (preferred over
-    repeating every per-experiment table) and the SLO compliance
-    section when a spec was evaluated."""
-    lines: list[str] = []
+def _fleet_section(run_dir: pathlib.Path) -> list[str]:
+    """The whole-run fleet view: the merged snapshot, preferred over
+    repeating every per-experiment table."""
     fleet = run_dir / "fleet_metrics.json"
-    if fleet.exists():
-        lines.append("")
-        lines.append("## Fleet metrics")
-        lines.append("")
-        lines.append("Merged across every experiment's metrics snapshot "
-                     "(`fleet_metrics.json`); per-experiment snapshot "
-                     "tables are omitted in its favor.")
-        lines.extend(_metrics_section(fleet,
-                                      heading="### Merged snapshot"))
-    slo = run_dir / "slo_report.json"
-    if slo.exists():
-        lines.extend(_slo_section(slo))
-    return lines
-
-
-def _slo_section(path: pathlib.Path) -> list[str]:
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+    if not fleet.exists():
         return []
-    if not isinstance(payload, dict):
-        return []
-    verdict = "**compliant**" if payload.get("compliant") \
-        else "**VIOLATED**"
-    lines = ["", "## SLO compliance", "",
-             f"Spec `{payload.get('spec', '?')}` over "
-             f"{payload.get('ticks', 0)} snapshot tick(s): {verdict}, "
-             f"{len(payload.get('alerts', []))} burn-rate alert(s)."]
-    rows = []
-    for objective in payload.get("objectives", []):
-        if not isinstance(objective, dict):
-            continue
-        value = objective.get("value")
-        budget = objective.get("budget", objective.get("target"))
-        rows.append([
-            f"`{objective.get('name', '?')}`",
-            str(objective.get("kind", "?")),
-            "ok" if objective.get("compliant") else "VIOLATED",
-            _num(float(value)) if value is not None else "no data",
-            _num(float(budget)) if budget is not None else "?",
-            _num(float(objective.get("budget_consumed", 0.0))),
-            str(objective.get("alerts", 0)),
-        ])
-    if rows:
-        lines.append("")
-        lines.extend(_table(
-            ["objective", "kind", "status", "value", "budget/target",
-             "budget burn", "alerts"], rows))
-    alert_rows = [
-        [str(alert.get("tick", "?")),
-         f"`{alert.get('objective', '?')}`",
-         str(alert.get("window_ticks", "?")),
-         _num(float(alert.get("burn_rate", 0.0))),
-         _num(float(alert.get("threshold", 0.0))),
-         str(alert.get("severity", "?"))]
-        for alert in payload.get("alerts", [])
-        if isinstance(alert, dict)
-    ]
-    if alert_rows:
-        lines.append("")
-        lines.append("### Burn-rate alerts")
-        lines.append("")
-        lines.extend(_table(
-            ["tick", "objective", "window", "burn rate", "threshold",
-             "severity"], alert_rows))
-    return lines
+    return ["", "## Fleet metrics", "",
+            "Merged across every experiment's metrics snapshot "
+            "(`fleet_metrics.json`); per-experiment snapshot "
+            "tables are omitted in its favor.",
+            *_metrics_section(fleet, heading="### Merged snapshot")]
 
 
 def _history_section(history_dir: pathlib.Path) -> list[str]:
@@ -327,7 +266,7 @@ def render_report(run_dir, names: Optional[Sequence[str]] = None,
         metrics = run_dir / f"{name}.metrics.json"
         if metrics.exists() and not (run_dir / "fleet_metrics.json").exists():
             lines.extend(_metrics_section(metrics))
-    lines.extend(_fleet_sections(run_dir))
+    lines.extend(_fleet_section(run_dir))
     if history_dir is not None:
         history_dir = pathlib.Path(history_dir)
         if history_dir.is_dir():

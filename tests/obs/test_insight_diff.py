@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from repro.obs.__main__ import main as obs_main
 from repro.obs.insight.diff import diff_runs
 
 
@@ -129,3 +130,21 @@ def test_cli_exit_codes(tmp_path):
     assert "REGRESSION" in regressed.stdout
     missing = run_diff(str(a), str(tmp_path / "nope"))
     assert missing.returncode == 2
+
+
+@pytest.mark.parametrize("name, text", [
+    ("exp.metrics.json", "[1]"),
+    ("fleet_metrics.json", "[1]"),
+    ("BENCH_simulator.json", "[]"),
+    ("exp.metrics.json", "not json"),
+])
+def test_non_object_json_artifact_is_an_unreadable_regression(
+        tmp_path, capsys, name, text):
+    a = _make_run(tmp_path / "a")
+    b = _make_run(tmp_path / "b")
+    (b / name).write_text(text)
+    (a / name).write_text((a / name).read_text() if (a / name).exists()
+                          else text)
+    assert obs_main(["diff", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert f"REGRESSION: {name}: unreadable (" in out
