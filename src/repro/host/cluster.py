@@ -108,8 +108,12 @@ class RDMAConnection:
 
         This is the batched-ingress twin of :meth:`post_read`: the QP
         validates the whole list up front and hands it to the engine's
-        ``post_send_batch``, where eligible cohorts take the vectorized
+        ``post_send_batch``, where eligible cohorts take the planned
         descriptor fast path.  Returns the posted WQEs in order.
+
+        Barrier contract: as with ``QueuePair.post_send_batch``, results
+        match the scalar pipeline byte for byte only if the cohort
+        drains before anything else is posted on the pair.
 
         ``signal_every=k`` requests a CQE on every k-th WQE plus the
         final one — the selective-signaling recipe message-rate

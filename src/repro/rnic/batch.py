@@ -7,33 +7,41 @@ workloads that dominate the end-to-end benchmarks (post a cohort, drain
 it, repeat), every one of those events is *predictable at post time*:
 with no loss, no faults and no competing traffic, each pipeline stage is
 a FIFO recurrence over the cohort, so the whole flight plan can be
-computed as nine vectorized sweeps over a structured descriptor array
-and the kernel only has to dispatch the final completion events.
+computed up front and the kernel only has to dispatch the final
+completion events.
 
 The planner below (:func:`try_fast_path`) does exactly that:
 
 1. prove eligibility without mutating anything (quiescent simulator, RC
    one-sided cohort, lossless/fault-free path, every WQE prechecked to
-   complete ``SUCCESS``);
-2. advance the descriptor array through the requester-side stages on
-   *shadow* station state via :func:`repro.sim.kernel.batch_advance_for`
-   (the C cohort-drain primitive on the C engine, its bit-identical
-   Python twin otherwise);
-3. commit: sequential TPU admits (the one history-coupled stage),
-   semantic data movement, the responder-side and completion sweeps,
-   station/counter bulk updates, and a self-rescheduling drainer that
-   delivers each CQE at its exact scalar-path timestamp.
+   complete ``SUCCESS``), building the per-WQE geometry lists on the
+   way;
+2. replay the requester-side stages on *shadow* station state as two
+   plain-float loops: the PCIe WQE fetch, then TxPU -> wire ->
+   responder RxPU fused into one pass;
+3. commit: sequential TPU admits (the one history-coupled stage), then
+   one loop for the responder's data stage (data movement, DDIO draws,
+   PCIe DMA) and one fused loop for the way back (responder TxPU ->
+   wire -> requester RxPU -> CQE write), station/counter bulk updates,
+   and a self-rescheduling drainer that delivers each CQE at its exact
+   scalar-path timestamp.
 
 Everything the scalar path would have computed — station horizons,
 ``busy_ns``/``wait_ns`` accumulators, translation history and caches,
-RNG streams, counters, CQE payloads and order — is bit-identical,
-because every sweep replays the scalar recurrences in the scalar
-event order (stable argsorts re-derive the event order after the two
-stages with per-message extras).  Anything the planner cannot prove —
-loss or fault processes, UD/UC transports, SENDs, observability hooks,
-a non-quiescent simulator, a WQE that would not complete ``SUCCESS`` —
-returns ``False`` before the commit point and the caller falls back to
-the scalar per-message pipeline, closures and all.
+RNG streams, counters, CQE payloads and order — is bit-identical.  Each
+loop replays :meth:`~repro.rnic.station.ServiceStation.admit`'s
+recurrence with its IEEE-754 operation order, and each station keeps
+its own left-fold accumulators.  Fusing stations into one loop is exact
+because the fused stations share one admission order: the per-message
+extras that can reorder messages (the fetch round trip, the data-stage
+round trip) sit between the loops, and stable sorts by arrival
+re-derive the scalar event order there.  Anything the planner cannot
+prove — loss or fault processes, UD/UC transports, SENDs,
+observability hooks, a non-quiescent simulator, a WQE that would not
+complete ``SUCCESS`` — declines before the commit point with a reason
+code (:data:`FALLBACK_REASONS`, counted on the requester's
+:class:`~repro.rnic.counters.NICCounters`), and the caller falls back
+to the scalar per-message pipeline, closures and all.
 
 Contract note: the plan commits future station occupancy at post time.
 Posting *more* work before the cohort drains is causally fine (later
@@ -45,12 +53,8 @@ suite pins: post cohort, run to drain, repeat.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from repro.rnic.translation import VECTOR_MIN as _VECTOR_MIN
-from repro.sim.kernel import batch_advance_for
 from repro.sim.units import SECONDS, bytes_to_bits
 from repro.verbs.engine import move_one_sided
 from repro.verbs.enums import REQUIRED_REMOTE_ACCESS, AccessFlags, WCStatus
@@ -61,10 +65,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.qp import QueuePair
     from repro.verbs.wr import SendWR
 
-__all__ = ["MIN_BATCH", "FAST_PATH_ENABLED", "try_fast_path"]
+__all__ = ["MIN_BATCH", "FAST_PATH_ENABLED", "FALLBACK_REASONS",
+           "try_fast_path"]
 
 #: Cohorts below this size take the scalar path: the planner's fixed
-#: overhead (eligibility proof + nine sweeps) only amortizes across a
+#: overhead (eligibility proof + stage loops) only amortizes across a
 #: real batch.
 MIN_BATCH = 2
 
@@ -76,53 +81,88 @@ FAST_PATH_ENABLED = os.environ.get(
     "REPRO_RNIC_BATCH", "1"
 ).strip().lower() not in ("0", "false", "off")
 
+#: Why a cohort took the scalar path, in the order the planner checks.
+FALLBACK_REASONS = (
+    "disabled",        # REPRO_RNIC_BATCH=0
+    "small",           # fewer than MIN_BATCH WQEs
+    "not_quiescent",   # events already pending in the simulator
+    "hooks",           # dispatch hooks or the determinism digest
+    "obs",             # an obs tracer on either NIC
+    "transport",       # not a reliable (acknowledged) transport
+    "unconnected",     # no remote QP
+    "responder",       # loopback, or a remote engine that is no RNIC
+    "lossy",           # link loss or fault processes on the path
+    "cq_destroyed",    # the send CQ is gone
+    "wqe_kind",        # a SEND, a UD address handle or a flushed WQE
+    "access",          # an MR lacks the access an opcode needs
+    "rkey",            # an unknown or deregistered rkey
+    "remote_bounds",   # a remote range outside its MR
+    "local_bounds",    # a local buffer outside host memory
+    "cq_space",        # more signaled WQEs than free CQ entries
+    "pcie_hazard",     # a CQE write could precede the last WQE fetch
+)
+
 
 def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
     """Plan and commit a descriptor cohort; ``False`` means "take the
-    scalar path" and guarantees nothing was mutated."""
+    scalar path" and guarantees nothing was mutated beyond the
+    requester's path counters."""
+    reason = _plan(rnic, qp, wrs)
+    counters = rnic.counters
+    if reason is None:
+        counters.batch_fast_cohorts += 1
+        return True
+    fallbacks = counters.batch_fallbacks
+    fallbacks[reason] = fallbacks.get(reason, 0) + 1
+    return False
+
+
+def _plan(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> Optional[str]:
+    """The planner: ``None`` once the cohort is committed, else the
+    :data:`FALLBACK_REASONS` entry that declined it (nothing mutated)."""
     if not FAST_PATH_ENABLED:
-        return False
+        return "disabled"
     n = len(wrs)
     if n < MIN_BATCH:
-        return False
+        return "small"
     sim = rnic.sim
     # Quiescence: in-flight events could interleave with the planned
     # admits, and the plan replays *global* per-station event order.
     if sim.pending != 0:
-        return False
+        return "not_quiescent"
     # Observability pins the scalar event stream (tracer spans, digest
     # hooks fire per dispatched event).
     if sim._dispatch_hooks or sim._digest_hook is not None:
-        return False
+        return "hooks"
     if rnic._obs is not None:
-        return False
+        return "obs"
     # RC only: unreliable transports complete at send time (different
     # CQE timing) and SENDs need responder RQ state.
     if not qp.qp_type.acks_requests:
-        return False
+        return "transport"
     remote_qp = qp.remote_qp
     if remote_qp is None:
-        return False
+        return "unconnected"
     from repro.rnic.rnic import RNIC as _RNIC  # rnic.py imports us
 
     responder = remote_qp.context.engine
     if responder is rnic or not isinstance(responder, _RNIC):
-        return False
+        return "responder"
     if responder._obs is not None:
-        return False
+        return "obs"
     # Lossless, fault-free path both ways: loss reroutes through the
     # retry machinery and fault processes make transit time-dependent.
     net = rnic.network
     if net is not None:
         if net.has_faults or net.loss_probability(rnic, responder) > 0.0 \
                 or net.loss_probability(responder, rnic) > 0.0:
-            return False
+            return "lossy"
     rnet = responder.network
     if rnet is not None and rnet is not net and rnet.has_faults:
-        return False
+        return "lossy"
     cq = qp.send_cq
     if cq.destroyed:
-        return False
+        return "cq_destroyed"
 
     spec = rnic.spec
     rspec = responder.spec
@@ -137,6 +177,15 @@ def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
     mr_by_rkey = remote_ctx.mr_by_rkey
     packets = rnic._packets
 
+    # Shadow station state: (busy_until, inflation, busy_ns, wait_ns).
+    # Inflations fold into the per-key effective service times below;
+    # the product is the one ServiceStation.admit computes per request.
+    p_busy, p_inf, p_bns, p_wns = rnic.pcie.batch_state()
+    w_inf = rnic.wire_tx.inflation
+    rw_inf = responder.wire_tx.inflation
+    rp_inf = responder.pcie.inflation
+    rt_req = pcie_spec.tlp_latency_ns * (1.0 + rnic.pcie.background_utilization)
+
     # ------------------------------------------------------------------
     # Per-WQE eligibility + geometry (memoized per (opcode, length))
     # ------------------------------------------------------------------
@@ -148,16 +197,17 @@ def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
     # scalar pipeline so error CQEs stay byte-identical.
     geo: dict = {}
     mr_bounds: dict = {}
-    keys = []
+    geos = []
     offsets = []
     sizes = []
-    keys_append = keys.append
+    fetch_extra = []
+    geos_append = geos.append
     offsets_append = offsets.append
     sizes_append = sizes.append
+    fetch_extra_append = fetch_extra.append
     rkey0 = wrs[0].rkey
     same_rkey = True
     signaled = 0
-    n_inline = 0
     req_total = 0
     resp_total = 0
     success = WCStatus.SUCCESS
@@ -168,7 +218,7 @@ def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
         for wr in wrs:
             op = wr.opcode
             if not op.is_one_sided or wr.ah is not None or wr.flushed:
-                return False
+                return "wqe_kind"
             length = wr.length
             key = (op, length)
             g = geo.get(key)
@@ -181,120 +231,114 @@ def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
                 # new opcode: check its flags against every MR seen
                 for _, _, access in mr_bounds.values():
                     if required and not (access & required):
-                        return False
+                        return "access"
+                # (fetch, wire out, wire back, data) effective service
+                # times, the byte counts, and whether the data stage
+                # waits out a host-read round trip
                 g = geo[key] = (
-                    pcie_spec.dma_occupancy_ns(64 + req_payload),
+                    pcie_spec.dma_occupancy_ns(64 + req_payload) * p_inf,
                     req_nbytes,
-                    bytes_to_bits(req_nbytes) * SECONDS / line_rate,
+                    bytes_to_bits(req_nbytes) * SECONDS / line_rate * w_inf,
                     resp_nbytes,
-                    bytes_to_bits(resp_nbytes) * SECONDS / rline_rate,
+                    bytes_to_bits(resp_nbytes) * SECONDS / rline_rate
+                    * rw_inf,
                     rpcie_spec.dma_occupancy_ns(
                         16 if op.is_atomic else length
-                    ),
+                    ) * rp_inf,
                     op.response_carries_payload or op.is_atomic,
                 )
             rkey = wr.rkey
             bounds = mr_bounds.get(rkey)
             if bounds is None:
                 mr = mr_by_rkey(rkey)
-                if mr._destroyed:
-                    return False
                 access = mr.access
                 # new MR: check its flags against every opcode seen
                 for gkey in geo:
                     required = REQUIRED_REMOTE_ACCESS.get(gkey[0], none_flags)
                     if required and not (access & required):
-                        return False
+                        return "access"
                 bounds = mr_bounds[rkey] = (mr.addr, mr.end, access)
             mr_addr = bounds[0]
             ra = wr.remote_addr
             if ra < mr_addr or ra + length > bounds[1]:
-                return False
+                return "remote_bounds"
             la = wr.local_addr
             # local-buffer fault would raise out of the data stage
             if la < lm_base or la + length > lm_end:
-                return False
-            keys_append(key)
+                return "local_bounds"
+            geos_append(g)
             offsets_append(ra - mr_addr)
             sizes_append(length)
+            fetch_extra_append(0.0 if wr.inline else rt_req)
             if rkey != rkey0:
                 same_rkey = False
             if wr.signaled:
                 signaled += 1
-            if wr.inline:
-                n_inline += 1
             req_total += g[1]
             resp_total += g[3]
     except RemoteAccessError:
-        return False
+        return "rkey"
     if signaled > cq.free_space:
-        return False
-
-    uniform = len(geo) == 1
-    g0 = geo[keys[0]]
-    if uniform:
-        fetch_svc = g0[0]
-        req_wire = g0[2]
-        resp_wire = g0[4]
-        data_svc = g0[5]
-    else:
-        fetch_svc = np.array([geo[k][0] for k in keys], dtype=np.float64)
-        req_wire = np.array([geo[k][2] for k in keys], dtype=np.float64)
-        resp_wire = np.array([geo[k][4] for k in keys], dtype=np.float64)
-        data_svc = np.array([geo[k][5] for k in keys], dtype=np.float64)
-
-    rt_req = pcie_spec.tlp_latency_ns * (1.0 + rnic.pcie.background_utilization)
-    if n_inline == n:
-        fetch_extra = 0.0
-    elif n_inline == 0:
-        fetch_extra = rt_req
-    else:
-        fetch_extra = np.fromiter(
-            (0.0 if wr.inline else rt_req for wr in wrs), np.float64, n
-        )
+        return "cq_space"
 
     # ------------------------------------------------------------------
-    # Requester-side sweeps on shadow station state
+    # Requester-side stages on shadow station state
     # ------------------------------------------------------------------
-    advance = batch_advance_for(sim)
+    # Every loop below is ServiceStation.admit inlined, per station:
+    #     start = a if a > busy else busy;  busy = start + effective
+    #     busy_ns += effective;  wait_ns += start - a
+    # and a message's next arrival is ``busy + extra`` where the scalar
+    # path adds an extra (stations it chains with no delay pass the
+    # finish on as is).
     now = sim.now
     doorbell = spec.doorbell_ns
-    arr = np.empty(n, dtype=np.float64)
-    arr[:] = now
+    arr = [now] * n
     arr[0] = now + doorbell
     if doorbell > 0.0:
         # WQE 0 rings the doorbell and fetches *last*: its event fires
         # doorbell_ns after the zero-delay fetches of WQEs 1..n-1.
-        order1 = np.empty(n, dtype=np.int64)
-        order1[: n - 1] = np.arange(1, n, dtype=np.int64)
-        order1[n - 1] = 0
+        order1 = list(range(1, n))
+        order1.append(0)
         last_fetch = now + doorbell
     else:
-        order1 = None
+        order1 = range(n)
         last_fetch = now
 
-    p_bu, p_inf, p_bns, p_wns = rnic.pcie.batch_state()
-    p_bu, p_bns, p_wns = advance(
-        arr, fetch_svc, fetch_extra, order1, p_bu, p_inf, p_bns, p_wns
-    )
-    if order1 is None:
-        order2 = np.argsort(arr, kind="stable")
-    else:
-        order2 = order1[np.argsort(arr[order1], kind="stable")]
+    # requester PCIe: WQE fetch (+ TLP round trip unless inline)
+    for i in order1:
+        a = arr[i]
+        e = geos[i][0]
+        s = a if a > p_busy else p_busy
+        p_busy = s + e
+        p_bns += e
+        p_wns += s - a
+        arr[i] = p_busy + fetch_extra[i]
+    order2 = sorted(order1, key=arr.__getitem__)
 
-    t_bu, t_inf, t_bns, t_wns = rnic.txpu.batch_state()
-    t_bu, t_bns, t_wns = advance(
-        arr, spec.txpu_ns, 0.0, order2, t_bu, t_inf, t_bns, t_wns
-    )
+    # requester TxPU -> wire -> responder RxPU
+    t_busy, t_inf, t_bns, t_wns = rnic.txpu.batch_state()
+    t_eff = spec.txpu_ns * t_inf
+    w_busy, _, w_bns, w_wns = rnic.wire_tx.batch_state()
     transit_req = rnic._transit_ns(responder)
-    w_bu, w_inf, w_bns, w_wns = rnic.wire_tx.batch_state()
-    w_bu, w_bns, w_wns = advance(
-        arr, req_wire, transit_req, order2, w_bu, w_inf, w_bns, w_wns
-    )
-    rr_bu, rr_inf, rr_bns, rr_wns = responder.rxpu.batch_state()
-    rr_bu, rr_bns, rr_wns = advance(
-        arr, rspec.rxpu_ns, 0.0, order2, rr_bu, rr_inf, rr_bns, rr_wns
-    )
+    rr_busy, rr_inf, rr_bns, rr_wns = responder.rxpu.batch_state()
+    rr_eff = rspec.rxpu_ns * rr_inf
+    for i in order2:
+        a = arr[i]
+        s = a if a > t_busy else t_busy
+        t_busy = s + t_eff
+        t_bns += t_eff
+        t_wns += s - a
+        e = geos[i][2]
+        s = t_busy if t_busy > w_busy else w_busy
+        w_busy = s + e
+        w_bns += e
+        w_wns += s - t_busy
+        a = w_busy + transit_req
+        s = a if a > rr_busy else rr_busy
+        rr_busy = s + rr_eff
+        rr_bns += rr_eff
+        rr_wns += s - a
+        arr[i] = rr_busy
 
     # Hazard gate: the requester PCIe engine serves both WQE fetches and
     # CQE writes.  The plan admits all fetches before all CQE writes,
@@ -302,8 +346,8 @@ def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
     # lands at or after the last fetch event (downstream times only
     # grow, so the translate arrivals are a safe lower bound).  Equal
     # times are fine: the fetch was scheduled first and fires first.
-    if float(arr.min()) < last_fetch:
-        return False
+    if min(arr) < last_fetch:
+        return "pcie_hazard"
 
     # ------------------------------------------------------------------
     # Commit point — mutations from here on, no fallback
@@ -311,101 +355,98 @@ def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
     wrs = list(wrs)
     for wr in wrs:
         wr.post_time = now
-    order2_list = order2.tolist()
     translation = responder.translation
     if same_rkey:
-        if n >= _VECTOR_MIN:
-            finishes = translation.admit_batch(
-                arr[order2],
-                rkey0,
-                np.asarray(offsets, dtype=np.int64)[order2],
-                np.asarray(sizes, dtype=np.int64)[order2],
-            )
-        else:
-            finishes = translation.admit_batch(
-                arr[order2].tolist(),
-                rkey0,
-                [offsets[i] for i in order2_list],
-                [sizes[i] for i in order2_list],
-            )
+        finishes = translation.admit_batch(
+            [arr[i] for i in order2], rkey0,
+            [offsets[i] for i in order2], [sizes[i] for i in order2],
+        )
     else:
         admit = translation.admit
         finishes = [
-            admit(float(arr[i]), wrs[i].rkey, offsets[i], sizes[i])[0]
-            for i in order2_list
+            admit(arr[i], wrs[i].rkey, offsets[i], sizes[i])[0]
+            for i in order2
         ]
-    arr[order2] = finishes
 
-    # semantic data movement, validated above (bounds, flags, liveness)
+    # responder data stage: the data movement (validated above: bounds,
+    # flags, liveness), the PCIe DMA, and for host reads the TLP round
+    # trip with its DDIO draw — sequential over order2, so the DDIO
+    # stream advances exactly as the scalar path's rng.random() calls
     remote_mem = remote_ctx.memory
-    for i in order2_list:
-        move_one_sided(local_mem, remote_mem, wrs[i])
-
     rt_resp = rpcie_spec.tlp_latency_ns * (
         1.0 + responder.pcie.background_utilization
     )
-    if not rspec.ddio_enabled:
-        if uniform:
-            data_extra = rt_resp if g0[6] else 0.0
-        else:
-            data_extra = np.fromiter(
-                (rt_resp if geo[k][6] else 0.0 for k in keys), np.float64, n
-            )
-    else:
-        # DDIO draws happen inside the data stage, in event order: draw
-        # sequentially over order2 so the stream advances exactly as the
-        # scalar path's per-message rng.random() calls would.
-        rng = responder._ddio_rng
+    ddio = rspec.ddio_enabled
+    if ddio:
+        ddio_random = responder._ddio_rng.random
         hit_rate = rspec.ddio_hit_rate
         saving = rspec.ddio_saving_ns
         penalty = rspec.ddio_miss_penalty_ns
-        data_extra = np.zeros(n, dtype=np.float64)
-        for i in order2_list:
-            if geo[keys[i]][6]:
-                extra = rt_resp
-                if rng.random() < hit_rate:
+    rp_busy, _, rp_bns, rp_wns = responder.pcie.batch_state()
+    for i, a in zip(order2, finishes):
+        move_one_sided(local_mem, remote_mem, wrs[i])
+        g = geos[i]
+        e = g[5]
+        s = a if a > rp_busy else rp_busy
+        rp_busy = s + e
+        rp_bns += e
+        rp_wns += s - a
+        if g[6]:
+            extra = rt_resp
+            if ddio:
+                if ddio_random() < hit_rate:
                     extra -= saving
                 else:
                     extra += penalty
-                data_extra[i] = extra
+            arr[i] = rp_busy + extra
+        else:
+            arr[i] = rp_busy
+    order3 = sorted(order2, key=arr.__getitem__)
 
-    rp_bu, rp_inf, rp_bns, rp_wns = responder.pcie.batch_state()
-    rp_bu, rp_bns, rp_wns = advance(
-        arr, data_svc, data_extra, order2, rp_bu, rp_inf, rp_bns, rp_wns
-    )
-    order3 = order2[np.argsort(arr[order2], kind="stable")]
-
-    rt_bu, rt_inf, rt_bns, rt_wns = responder.txpu.batch_state()
-    rt_bu, rt_bns, rt_wns = advance(
-        arr, rspec.txpu_ns, 0.0, order3, rt_bu, rt_inf, rt_bns, rt_wns
-    )
+    # responder TxPU -> wire -> requester RxPU -> requester PCIe CQE
+    # write (continuing the fetch loop's PCIe shadow: the hazard gate
+    # above proved this interleaving)
+    rt_busy, rt_inf, rt_bns, rt_wns = responder.txpu.batch_state()
+    rt_eff = rspec.txpu_ns * rt_inf
+    rw_busy, _, rw_bns, rw_wns = responder.wire_tx.batch_state()
     transit_resp = responder._transit_ns(rnic)
-    rw_bu, rw_inf, rw_bns, rw_wns = responder.wire_tx.batch_state()
-    rw_bu, rw_bns, rw_wns = advance(
-        arr, resp_wire, transit_resp, order3, rw_bu, rw_inf, rw_bns, rw_wns
-    )
-    x_bu, x_inf, x_bns, x_wns = rnic.rxpu.batch_state()
-    x_bu, x_bns, x_wns = advance(
-        arr, spec.rxpu_ns, 0.0, order3, x_bu, x_inf, x_bns, x_wns
-    )
-    # CQE writes continue the requester PCIe shadow carried from the
-    # fetch sweep (the hazard gate above proved this interleaving).
-    p_bu, p_bns, p_wns = advance(
-        arr, spec.cqe_write_ns, 0.0, order3, p_bu, p_inf, p_bns, p_wns
-    )
+    x_busy, x_inf, x_bns, x_wns = rnic.rxpu.batch_state()
+    x_eff = spec.rxpu_ns * x_inf
+    c_eff = spec.cqe_write_ns * p_inf
+    for i in order3:
+        a = arr[i]
+        s = a if a > rt_busy else rt_busy
+        rt_busy = s + rt_eff
+        rt_bns += rt_eff
+        rt_wns += s - a
+        e = geos[i][4]
+        s = rt_busy if rt_busy > rw_busy else rw_busy
+        rw_busy = s + e
+        rw_bns += e
+        rw_wns += s - rt_busy
+        a = rw_busy + transit_resp
+        s = a if a > x_busy else x_busy
+        x_busy = s + x_eff
+        x_bns += x_eff
+        x_wns += s - a
+        s = x_busy if x_busy > p_busy else p_busy
+        p_busy = s + c_eff
+        p_bns += c_eff
+        p_wns += s - x_busy
+        arr[i] = p_busy
 
-    rnic.pcie.batch_commit(p_bu, p_bns, p_wns, 2 * n)
-    rnic.txpu.batch_commit(t_bu, t_bns, t_wns, n)
-    rnic.wire_tx.batch_commit(w_bu, w_bns, w_wns, n)
-    rnic.rxpu.batch_commit(x_bu, x_bns, x_wns, n)
-    responder.rxpu.batch_commit(rr_bu, rr_bns, rr_wns, n)
-    responder.pcie.batch_commit(rp_bu, rp_bns, rp_wns, n)
-    responder.txpu.batch_commit(rt_bu, rt_bns, rt_wns, n)
-    responder.wire_tx.batch_commit(rw_bu, rw_bns, rw_wns, n)
+    rnic.pcie.batch_commit(p_busy, p_bns, p_wns, 2 * n)
+    rnic.txpu.batch_commit(t_busy, t_bns, t_wns, n)
+    rnic.wire_tx.batch_commit(w_busy, w_bns, w_wns, n)
+    rnic.rxpu.batch_commit(x_busy, x_bns, x_wns, n)
+    responder.rxpu.batch_commit(rr_busy, rr_bns, rr_wns, n)
+    responder.pcie.batch_commit(rp_busy, rp_bns, rp_wns, n)
+    responder.txpu.batch_commit(rt_busy, rt_bns, rt_wns, n)
+    responder.wire_tx.batch_commit(rw_busy, rw_bns, rw_wns, n)
 
     tc = qp.traffic_class
     rnic.counters.record_tx_bulk(
-        req_total, n, tc=tc, opcodes=[wrs[i].opcode for i in order2_list]
+        req_total, n, tc=tc, opcodes=[wrs[i].opcode for i in order2]
     )
     responder.counters.record_rx_bulk(req_total, n, tc=tc)
     responder.counters.record_tx_bulk(resp_total, n, tc=tc)
@@ -420,8 +461,7 @@ def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
     # event at the run's final timestamp so the cohort fully drains.
     # complete_send skips WQEs flushed while the cohort was in flight,
     # exactly like the scalar completion stage.
-    cqe_times = arr.tolist()
-    order3_list = order3.tolist()
+    cqe_times = arr
     schedule_at = sim.schedule_at
     complete = qp.complete_send
 
@@ -430,7 +470,7 @@ def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
             complete(wrs[k], success, cqe_times[k])
 
     run: list = []
-    for k in order3_list:
+    for k in order3:
         if wrs[k].signaled:
             t = cqe_times[k]
             if run:
@@ -443,4 +483,4 @@ def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
             run.append(k)
     if run:
         schedule_at(cqe_times[run[-1]], _deliver, run)
-    return True
+    return None

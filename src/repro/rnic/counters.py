@@ -51,6 +51,13 @@ class NICCounters:
         #: PFC pause windows honoured by the wire-Tx port (a pause
         #: storm shows up here long before throughput collapses).
         self.pause_events = 0
+        #: ``post_send_batch`` cohorts this NIC (as requester) planned
+        #: on the batched fast path, and the ones it sent down the
+        #: scalar pipeline, per :data:`repro.rnic.batch.FALLBACK_REASONS`
+        #: entry.  Simulator bookkeeping, not hardware counters: the
+        #: simulated outcome is the same either way.
+        self.batch_fast_cohorts = 0
+        self.batch_fallbacks: dict[str, int] = {}
 
     def _check_tc(self, tc: int) -> int:
         if not 0 <= tc < self.num_traffic_classes:
@@ -108,4 +115,10 @@ class NICCounters:
             snap[f"rx_prio{tc}_packets"] = self.rx_per_tc[tc].packets
         for opcode, count in self.per_opcode.items():
             snap[f"op_{opcode.value.lower()}"] = count
+        # path tallies only once a cohort was posted, so snapshots of
+        # runs that never batch keep their historical key set
+        if self.batch_fast_cohorts:
+            snap["batch_fast_cohorts"] = self.batch_fast_cohorts
+        for reason, count in self.batch_fallbacks.items():
+            snap[f"batch_fallback_{reason}"] = count
         return snap

@@ -119,10 +119,13 @@ class RNIC(Engine):
 
         Cohorts the planner can prove safe (quiescent simulator, RC
         one-sided WQEs, lossless fault-free path, all prechecked
-        ``SUCCESS``) are advanced through the pipeline as vectorized
-        descriptor-array sweeps — see :mod:`repro.rnic.batch` — with
-        bit-identical results.  Everything else falls back to the
-        per-message closure pipeline below."""
+        ``SUCCESS``) are planned whole at post time as per-stage FIFO
+        recurrences — see :mod:`repro.rnic.batch` — with bit-identical
+        results under the barrier contract of
+        ``QueuePair.post_send_batch`` (the cohort drains before the
+        next post).  Everything else falls back to the per-message
+        closure pipeline below; the requester's counters tally which
+        path each cohort took and why."""
         if try_fast_path(self, qp, wrs):
             return
         for index, wr in enumerate(wrs):

@@ -119,19 +119,18 @@ class ServiceStation:
         return finish
 
     def batch_state(self) -> tuple[float, float, float, float]:
-        """Snapshot ``(busy_until, inflation, busy_ns, wait_ns)`` for a
-        :func:`~repro.sim.kernel.batch_advance_for` sweep.  The sweep
-        runs on shadow copies; nothing is mutated until
-        :meth:`batch_commit`."""
+        """Snapshot ``(busy_until, inflation, busy_ns, wait_ns)`` for
+        the cohort planner (:mod:`repro.rnic.batch`), which replays
+        :meth:`admit`'s recurrence on shadow copies; nothing is
+        mutated until :meth:`batch_commit`."""
         return self._busy_until, self._inflation, self.busy_ns, self.wait_ns
 
     def batch_commit(self, busy_until: float, busy_ns: float,
                      wait_ns: float, served: int) -> None:
-        """Commit the scalars advanced by a batch sweep.  The values
-        must come from a ``batch_advance`` run seeded with this
-        station's :meth:`batch_state`; the left-fold accumulation in
-        the sweep keeps them bit-identical to ``served`` scalar
-        :meth:`admit` calls."""
+        """Commit the scalars a cohort plan advanced from this
+        station's :meth:`batch_state`.  The planner folds ``busy_ns``
+        and ``wait_ns`` left to right in admission order, which keeps
+        them bit-identical to ``served`` scalar :meth:`admit` calls."""
         self._busy_until = busy_until
         self.busy_ns = busy_ns
         self.wait_ns = wait_ns

@@ -235,15 +235,32 @@ class TranslationUnit:
         else:
             last_line = first_line
         bank_busy = self._bank_busy
-        if first_line == last_line:
-            banks = None
-            first_bank = first_line % nbanks
-            bank_ready = bank_busy[first_bank]
-        else:
-            banks = [line % nbanks
-                     for line in range(first_line, last_line + 1)]
-            first_bank = banks[0]
-            bank_ready = max(bank_busy[b] for b in banks)
+        first_bank = first_line % nbanks
+        bank_ready = bank_busy[first_bank]
+        span = last_line - first_line
+        if span == 1:
+            # two lines (most unaligned small reads): the next bank
+            next_bank = first_bank + 1
+            if next_bank == nbanks:
+                next_bank = 0
+            if bank_busy[next_bank] > bank_ready:
+                bank_ready = bank_busy[next_bank]
+        elif span:
+            # banks lo..hi-1, then 0..wrap-1 past the last bank
+            lo = first_bank
+            hi = lo + span + 1
+            wrap = 0
+            if hi > nbanks:
+                if span >= nbanks:
+                    lo, hi = 0, nbanks
+                else:
+                    wrap = hi - nbanks
+                    hi = nbanks
+            bank_ready = max(bank_busy[lo:hi])
+            if wrap:
+                wrapped = max(bank_busy[:wrap])
+                if wrapped > bank_ready:
+                    bank_ready = wrapped
         pipe_busy = self._pipe_busy
         issue_ready = now if now > pipe_busy else pipe_busy
         start = bank_ready if bank_ready > issue_ready else issue_ready
@@ -315,11 +332,16 @@ class TranslationUnit:
         # (descriptor writeback) extends past issue
         self._pipe_busy = finish
         busy_until = finish + self._bank_hold_ns
-        if banks is None:
-            if bank_busy[first_bank] < busy_until:
-                bank_busy[first_bank] = busy_until
-        else:
-            for bank in banks:
+        if bank_busy[first_bank] < busy_until:
+            bank_busy[first_bank] = busy_until
+        if span == 1:
+            if bank_busy[next_bank] < busy_until:
+                bank_busy[next_bank] = busy_until
+        elif span:
+            for bank in range(lo, hi):
+                if bank_busy[bank] < busy_until:
+                    bank_busy[bank] = busy_until
+            for bank in range(wrap):
                 if bank_busy[bank] < busy_until:
                     bank_busy[bank] = busy_until
 
@@ -357,8 +379,8 @@ class TranslationUnit:
     ):
         """Process one descriptor cohort (same MR, admission order).
 
-        Returns the per-request finish times — bit-identical to
-        ``[admit(t, mr_key, o, s)[0] for ...]``.  Cohorts of at least
+        Returns the per-request finish times as a list of floats —
+        bit-identical to ``[admit(t, mr_key, o, s)[0] for ...]``.  Cohorts of at least
         :data:`VECTOR_MIN` run the shared vectorized prepass
         (:meth:`_prepass`) and then the serial tail: in C when the
         extension exports ``tpu_admit_batch`` (and ``REPRO_SIM_ENGINE``
@@ -392,7 +414,7 @@ class TranslationUnit:
             self._pipe_busy = pipe
             stats.bank_wait_ns = bank_wait
             stats.busy_ns = busy
-            return finishes_out
+            return finishes_out.tolist()
         return self._drain(det, first_line, last_line, arrivals=arrivals)
 
     def admit_closed_loop(self, mr_ids, offsets, sizes, gaps) -> np.ndarray:
@@ -560,11 +582,29 @@ class TranslationUnit:
             arrival = pipe_busy + t if closed else t
             bank = fl % nbanks
             bank_ready = bank_busy[bank]
-            if fl != ll:
-                banks = [line % nbanks for line in range(fl, ll + 1)]
-                for other in banks:
-                    if bank_busy[other] > bank_ready:
-                        bank_ready = bank_busy[other]
+            span = ll - fl
+            if span == 1:
+                next_bank = bank + 1
+                if next_bank == nbanks:
+                    next_bank = 0
+                if bank_busy[next_bank] > bank_ready:
+                    bank_ready = bank_busy[next_bank]
+            elif span:
+                # banks lo..hi-1, then 0..wrap-1 (see admit)
+                lo = bank
+                hi = lo + span + 1
+                wrap = 0
+                if hi > nbanks:
+                    if span >= nbanks:
+                        lo, hi = 0, nbanks
+                    else:
+                        wrap = hi - nbanks
+                        hi = nbanks
+                bank_ready = max(bank_busy[lo:hi])
+                if wrap:
+                    wrapped = max(bank_busy[:wrap])
+                    if wrapped > bank_ready:
+                        bank_ready = wrapped
             issue_ready = arrival if arrival > pipe_busy else pipe_busy
             start = bank_ready if bank_ready > issue_ready else issue_ready
             bank_wait_acc += start - issue_ready
@@ -580,13 +620,18 @@ class TranslationUnit:
             busy_acc += service
             pipe_busy = finish
             busy_until = finish + hold
-            if fl == ll:
-                if bank_busy[bank] < busy_until:
-                    bank_busy[bank] = busy_until
-            else:
-                for bank in banks:
-                    if bank_busy[bank] < busy_until:
-                        bank_busy[bank] = busy_until
+            if bank_busy[bank] < busy_until:
+                bank_busy[bank] = busy_until
+            if span == 1:
+                if bank_busy[next_bank] < busy_until:
+                    bank_busy[next_bank] = busy_until
+            elif span:
+                for other in range(lo, hi):
+                    if bank_busy[other] < busy_until:
+                        bank_busy[other] = busy_until
+                for other in range(wrap):
+                    if bank_busy[other] < busy_until:
+                        bank_busy[other] = busy_until
             append(finish)
         self._pipe_busy = pipe_busy
         stats.bank_wait_ns = bank_wait_acc

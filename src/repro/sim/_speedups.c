@@ -24,7 +24,6 @@
 #include <structmember.h>
 
 #include <stdint.h>
-#include <string.h>
 
 /* tools/build_speedups.sh defines REPRO_HAVE_NPYRANDOM when NumPy's
  * C random API (distributions.h + libnpyrandom.a) is available; the
@@ -687,182 +686,6 @@ static PyTypeObject EventCoreType = {
     .tp_new = PyType_GenericNew,
 };
 
-/* ------------------------------------------------------------------ */
-/* batch_advance: drain one descriptor cohort through a FIFO station   */
-/* ------------------------------------------------------------------ */
-
-/* A stage operand that is either a scalar double (broadcast) or a
- * contiguous float64 buffer of per-descriptor values. */
-typedef struct {
-    Py_buffer view;
-    const double *data;     /* NULL when scalar */
-    double scalar;
-    int has_view;
-} StageVec;
-
-static int
-stagevec_init(StageVec *vec, PyObject *obj, const char *name)
-{
-    vec->data = NULL;
-    vec->has_view = 0;
-    if (PyFloat_Check(obj) || PyLong_Check(obj)) {
-        vec->scalar = PyFloat_AsDouble(obj);
-        if (vec->scalar == -1.0 && PyErr_Occurred())
-            return -1;
-        return 0;
-    }
-    if (PyObject_GetBuffer(obj, &vec->view, PyBUF_CONTIG_RO) < 0)
-        return -1;
-    vec->has_view = 1;
-    if (vec->view.itemsize != (Py_ssize_t)sizeof(double) ||
-            (vec->view.format != NULL &&
-             strcmp(vec->view.format, "d") != 0)) {
-        PyErr_Format(PyExc_TypeError,
-                     "%s must be a contiguous float64 buffer", name);
-        return -1;
-    }
-    vec->data = (const double *)vec->view.buf;
-    return 0;
-}
-
-static void
-stagevec_release(StageVec *vec)
-{
-    if (vec->has_view)
-        PyBuffer_Release(&vec->view);
-}
-
-/* batch_advance(arrivals, service, extra, order,
- *               busy_until, inflation, busy_ns, wait_ns)
- *     -> (busy_until', busy_ns', wait_ns')
- *
- * Advances one cohort of message descriptors through a single-server
- * FIFO station, replaying ServiceStation.admit()'s exact recurrence
- * (same IEEE-754 operation order, so results are bit-identical to the
- * scalar path):
- *
- *     start     = arrival if arrival > busy else busy
- *     effective = service * inflation
- *     finish    = start + effective
- *     busy      = finish
- *     busy_ns  += effective;  wait_ns += start - arrival
- *     arrival   = finish + extra        (downstream arrival, in place)
- *
- * `arrivals` is a writable contiguous float64 buffer updated in place
- * with each descriptor's downstream arrival time.  `service` and
- * `extra` are each either a float (broadcast) or a float64 buffer.
- * `order` is an int64 buffer giving the FIFO admission order (None for
- * index order).  The station's mutated scalars come back as a tuple so
- * the Python control plane can commit or discard them.
- */
-static PyObject *
-speedups_batch_advance(PyObject *module, PyObject *const *args,
-                       Py_ssize_t nargs)
-{
-    Py_buffer arr_view, order_view;
-    StageVec service, extra;
-    double busy, inflation, busy_ns, wait_ns;
-    double *arr;
-    const int64_t *order = NULL;
-    Py_ssize_t n, k;
-    PyObject *result = NULL;
-    int have_arr = 0, have_order = 0, have_service = 0, have_extra = 0;
-
-    (void)module;
-    if (nargs != 8) {
-        PyErr_SetString(PyExc_TypeError,
-                        "batch_advance expects exactly 8 arguments");
-        return NULL;
-    }
-    busy = PyFloat_AsDouble(args[4]);
-    inflation = PyFloat_AsDouble(args[5]);
-    busy_ns = PyFloat_AsDouble(args[6]);
-    wait_ns = PyFloat_AsDouble(args[7]);
-    if (PyErr_Occurred())
-        return NULL;
-
-    if (PyObject_GetBuffer(args[0], &arr_view, PyBUF_CONTIG) < 0)
-        return NULL;
-    have_arr = 1;
-    if (arr_view.itemsize != (Py_ssize_t)sizeof(double) ||
-            (arr_view.format != NULL &&
-             strcmp(arr_view.format, "d") != 0)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "arrivals must be a writable float64 buffer");
-        goto done;
-    }
-    arr = (double *)arr_view.buf;
-    n = arr_view.len / (Py_ssize_t)sizeof(double);
-
-    if (stagevec_init(&service, args[1], "service") < 0)
-        goto done;
-    have_service = 1;
-    if (stagevec_init(&extra, args[2], "extra") < 0)
-        goto done;
-    have_extra = 1;
-    if ((service.data != NULL &&
-         service.view.len != arr_view.len) ||
-        (extra.data != NULL && extra.view.len != arr_view.len)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "service/extra length mismatch with arrivals");
-        goto done;
-    }
-
-    if (args[3] != Py_None) {
-        if (PyObject_GetBuffer(args[3], &order_view, PyBUF_CONTIG_RO) < 0)
-            goto done;
-        have_order = 1;
-        if (order_view.itemsize != (Py_ssize_t)sizeof(int64_t) ||
-                (order_view.format != NULL &&
-                 strcmp(order_view.format, "l") != 0 &&
-                 strcmp(order_view.format, "q") != 0)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "order must be a contiguous int64 buffer");
-            goto done;
-        }
-        if (order_view.len / (Py_ssize_t)sizeof(int64_t) != n) {
-            PyErr_SetString(PyExc_ValueError,
-                            "order length mismatch with arrivals");
-            goto done;
-        }
-        order = (const int64_t *)order_view.buf;
-    }
-
-    for (k = 0; k < n; k++) {
-        Py_ssize_t i = order != NULL ? (Py_ssize_t)order[k] : k;
-        double arrival, svc, ext, start, effective, finish;
-
-        if (i < 0 || i >= n) {
-            PyErr_SetString(PyExc_IndexError,
-                            "order index out of range");
-            goto done;
-        }
-        arrival = arr[i];
-        svc = service.data != NULL ? service.data[i] : service.scalar;
-        ext = extra.data != NULL ? extra.data[i] : extra.scalar;
-        start = arrival > busy ? arrival : busy;
-        effective = svc * inflation;
-        finish = start + effective;
-        busy = finish;
-        busy_ns += effective;
-        wait_ns += start - arrival;
-        arr[i] = finish + ext;
-    }
-
-    result = Py_BuildValue("(ddd)", busy, busy_ns, wait_ns);
-
-done:
-    if (have_order)
-        PyBuffer_Release(&order_view);
-    if (have_extra)
-        stagevec_release(&extra);
-    if (have_service)
-        stagevec_release(&service);
-    if (have_arr)
-        PyBuffer_Release(&arr_view);
-    return result;
-}
-
 #ifdef REPRO_HAVE_NPYRANDOM
 /* ------------------------------------------------------------------ */
 /* tpu_admit_batch: the TranslationUnit's sequential remainder         */
@@ -1040,13 +863,6 @@ done:
 #endif  /* REPRO_HAVE_NPYRANDOM */
 
 static PyMethodDef speedups_functions[] = {
-    {"batch_advance",
-     (PyCFunction)(void (*)(void))speedups_batch_advance, METH_FASTCALL,
-     "batch_advance(arrivals, service, extra, order, busy_until, "
-     "inflation, busy_ns, wait_ns) -> (busy_until, busy_ns, wait_ns)\n"
-     "Drain one descriptor cohort through a FIFO station without "
-     "re-entering Python per message; arrivals is updated in place "
-     "with downstream arrival times."},
 #ifdef REPRO_HAVE_NPYRANDOM
     {"tpu_admit_batch",
      (PyCFunction)(void (*)(void))speedups_tpu_admit_batch, METH_FASTCALL,

@@ -41,47 +41,6 @@ _PRI_LIMIT = 2 ** 30
 _TIME, _KEY, _CALLBACK, _ARGS = 0, 1, 2, 3
 
 
-def py_batch_advance(arrivals, service, extra, order,
-                     busy_until: float, inflation: float,
-                     busy_ns: float, wait_ns: float):
-    """Pure-Python twin of ``_speedups.batch_advance``.
-
-    Drains one descriptor cohort through a single-server FIFO station,
-    replaying :meth:`repro.rnic.station.ServiceStation.admit`'s exact
-    recurrence in admission ``order`` (same IEEE-754 operation order,
-    so results are bit-identical to both the scalar path and the C
-    twin).  ``arrivals`` is updated in place with each descriptor's
-    downstream arrival time (``finish + extra``); ``service`` and
-    ``extra`` may each be a scalar (broadcast) or a per-descriptor
-    sequence.  Returns the station's advanced
-    ``(busy_until, busy_ns, wait_ns)`` scalars for the caller to
-    commit.
-    """
-    n = len(arrivals)
-    if order is None:
-        order = range(n)
-    svc_scalar = isinstance(service, (int, float))
-    ext_scalar = isinstance(extra, (int, float))
-    if svc_scalar:
-        service = float(service)
-    if ext_scalar:
-        extra = float(extra)
-    busy = busy_until
-    for k in order:
-        i = int(k)
-        arrival = float(arrivals[i])
-        svc = service if svc_scalar else float(service[i])
-        ext = extra if ext_scalar else float(extra[i])
-        start = arrival if arrival > busy else busy
-        effective = svc * inflation
-        finish = start + effective
-        busy = finish
-        busy_ns += effective
-        wait_ns += start - arrival
-        arrivals[i] = finish + ext
-    return busy, busy_ns, wait_ns
-
-
 class PyEventCore:
     """Binary heap of ``[time, key, callback, args]`` entries with lazy
     cancellation and a fused pop+dispatch run loop."""

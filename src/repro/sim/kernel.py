@@ -14,6 +14,11 @@ Set ``REPRO_SIM_ENGINE=python`` to force the fallback (the benchmarks
 and the engine-equivalence tests use this).  Both engines implement
 identical semantics — event order, counters, trace digests — so which
 one is active never changes simulation results, only wall-clock speed.
+
+The choice covers event dispatch only.  The batched verbs planner
+(:mod:`repro.rnic.batch`) replays its station recurrences in plain
+Python on either core, and the translation unit selects its own serial
+cohort tail (:mod:`repro.rnic.translation`).
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ from typing import Any, Optional
 
 from repro.obs import runtime as _obs
 from repro.sim.errors import SimulationError
-from repro.sim.event import PyEventCore, py_batch_advance
+from repro.sim.event import PyEventCore
 from repro.sim.random import RandomStreams
 
-__all__ = ["Simulator", "SimulationError", "KERNEL_ENGINE",
-           "batch_advance_for"]
+__all__ = ["Simulator", "SimulationError", "KERNEL_ENGINE"]
 
 
 def _select_core() -> tuple[type, str]:
@@ -43,29 +47,6 @@ def _select_core() -> tuple[type, str]:
 
 
 _CORE, KERNEL_ENGINE = _select_core()
-
-try:  # the C function rides the same optional extension as EventCore
-    from repro.sim import _speedups as _speedups_mod
-    _C_BATCH_ADVANCE = getattr(_speedups_mod, "batch_advance", None)
-    _C_CORE: Optional[type] = _speedups_mod.EventCore
-except ImportError:
-    _C_BATCH_ADVANCE = None
-    _C_CORE = None
-
-
-def batch_advance_for(sim: Any):
-    """The cohort-drain primitive matching ``sim``'s engine core.
-
-    Returns ``_speedups.batch_advance`` when ``sim`` runs on the C
-    core (and the extension exports it), else the pure-Python twin
-    :func:`repro.sim.event.py_batch_advance`.  The two are
-    bit-identical; the choice only affects wall-clock speed, mirroring
-    the scalar ``schedule``/``run`` split."""
-    if _C_BATCH_ADVANCE is not None and _C_CORE is not None and \
-            isinstance(sim, _C_CORE):
-        return _C_BATCH_ADVANCE
-    return py_batch_advance
-
 
 #: Slots added by :class:`_SimulatorMixin` on top of an engine core.
 _MIXIN_SLOTS = ("random", "_trace", "_dispatch_hooks", "_digest_hook")

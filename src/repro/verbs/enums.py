@@ -22,6 +22,13 @@ class Opcode(enum.Enum):
     ATOMIC_FETCH_ADD = "ATOMIC_FETCH_ADD"
     ATOMIC_CMP_SWP = "ATOMIC_CMP_SWP"
 
+    #: Identity hashing in C.  ``Enum.__hash__`` is a Python-level
+    #: ``hash(self._name_)``, salted per process anyway, and the batched
+    #: verbs path hashes members thousands of times per cohort (dict
+    #: keys, per-opcode tallies).  It must sit in the class body: dicts
+    #: keyed by members are built against the hash in force.
+    __hash__ = object.__hash__
+
     is_atomic: bool
     #: One-sided verbs bypass the remote CPU entirely.
     is_one_sided: bool
@@ -53,6 +60,8 @@ class QPType(enum.Enum):
     UC = "UC"  # unreliable connection
     UD = "UD"  # unreliable datagram
 
+    __hash__ = object.__hash__  # identity, in C (see Opcode)
+
     supports_rdma_read: bool
     supports_atomics: bool
     #: Reliable transports generate the ACK reverse flow (Figure 3).
@@ -74,6 +83,8 @@ class QPState(enum.Enum):
     RTR = "RTR"  # ready to receive
     RTS = "RTS"  # ready to send
     ERR = "ERR"
+
+    __hash__ = object.__hash__  # identity, in C (see Opcode)
 
 
 #: Legal QP state transitions (from -> allowed targets).
@@ -150,3 +161,5 @@ class WCStatus(enum.Enum):
     WR_FLUSH_ERR = "WR_FLUSH_ERR"
     RETRY_EXC_ERR = "RETRY_EXC_ERR"
     RNR_RETRY_EXC_ERR = "RNR_RETRY_EXC_ERR"
+
+    __hash__ = object.__hash__  # identity, in C (see Opcode)

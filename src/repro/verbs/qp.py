@@ -270,6 +270,17 @@ class QueuePair:
 
         Validation happens per WQE *before* anything is posted, so a
         bad entry rejects the whole batch atomically.
+
+        Barrier contract: an RNIC engine may plan an eligible cohort
+        whole at post time (:mod:`repro.rnic.batch`), committing its
+        future station occupancy.  The outcome is byte-identical to the
+        per-message pipeline for the barrier shape — post a cohort, run
+        the simulator until it drains, repeat.  A post made before the
+        cohort drains queues behind the committed horizons and may
+        complete later than on the per-message pipeline (a known
+        divergence, pinned as an expected failure in
+        ``tests/rnic/test_batch_equivalence.py``); ``REPRO_RNIC_BATCH=0``
+        keeps the per-message timing.
         """
         if not wrs:
             raise ValueError("empty batch")

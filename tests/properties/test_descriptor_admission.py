@@ -207,3 +207,52 @@ def test_trace_matches_scalar_loop(config, seed, victims, file_base,
     assert fast.rng.bit_generator.state == oracle.rng.bit_generator.state
     assert [unit_state(unit) for unit in built] == \
         [unit_state(unit) for unit in expected_units]
+
+
+# ----------------------------------------------------------------------
+# Bank occupancy over multi-line requests (wrapping and full spans)
+# ----------------------------------------------------------------------
+#: Four banks, so requests of a few lines wrap and long ones cover
+#: every bank.
+FEW_BANKS = dataclasses.replace(SMALL_CACHES, tpu_banks=4)
+
+
+@pytest.mark.parametrize("tail", ENGINES)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       requests=st.lists(st.tuples(st.floats(min_value=0.0,
+                                             max_value=400.0),
+                                   st.integers(min_value=0, max_value=4096),
+                                   st.integers(min_value=1, max_value=640)),
+                         min_size=1, max_size=2 * translation.VECTOR_MIN))
+def test_bank_spans_match_per_line_reference(tail, seed, requests):
+    """Each request waits for the busiest bank among its lines and
+    then holds every one of them: the per-line list reference."""
+    unit, batched = (TranslationUnit(FEW_BANKS,
+                                     rng=np.random.default_rng(seed))
+                     for _ in range(2))
+    nbanks = FEW_BANKS.tpu_banks
+    line = FEW_BANKS.tpu_line_bytes
+    hold = FEW_BANKS.tpu_bank_busy_ns
+    arrivals = sorted(arrival for arrival, _, _ in requests)
+    finishes = []
+    for arrival, (_, offset, size) in zip(arrivals, requests):
+        banks = [index % nbanks for index in
+                 range(offset // line, (offset + size - 1) // line + 1)]
+        before = list(unit._bank_busy)
+        issue = max(arrival, unit._pipe_busy)
+        finish, parts = unit.admit(arrival, "mr", offset, size,
+                                   want_breakdown=True)
+        assert parts.bank_wait == max(max(before[b] for b in banks),
+                                      issue) - issue
+        assert unit._bank_busy == [
+            max(old, finish + hold) if bank in banks else old
+            for bank, old in enumerate(before)]
+        finishes.append(finish)
+    with mock.patch.object(translation, "_C_TPU_TAIL", tail):
+        got = batched.admit_batch(
+            np.array(arrivals), "mr",
+            np.array([offset for _, offset, _ in requests]),
+            np.array([size for _, _, size in requests]))
+    assert [float(finish) for finish in got] == finishes
+    assert unit_state(batched) == unit_state(unit)

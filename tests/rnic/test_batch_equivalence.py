@@ -76,6 +76,14 @@ def build(sim_class, seed=0, max_send_wr=512):
     return cluster, server, client, conn, mr
 
 
+def path_neutral(counters):
+    """A counters snapshot minus the planner's own path tally
+    (``batch_fast_cohorts`` / ``batch_fallback_<reason>``), which by
+    design differs between the two paths."""
+    return {key: value for key, value in counters.snapshot().items()
+            if not key.startswith("batch_")}
+
+
 def fingerprint(cluster, client, server, conn, cqes):
     """Everything the two paths must agree on, hashed and raw.
 
@@ -95,8 +103,8 @@ def fingerprint(cluster, client, server, conn, cqes):
              c.complete_time, c.queue_ahead)
             for c in cqes
         ],
-        repr(client.rnic.counters.snapshot()),
-        repr(server.rnic.counters.snapshot()),
+        repr(path_neutral(client.rnic.counters)),
+        repr(path_neutral(server.rnic.counters)),
         stations,
         repr(server.rnic.translation.stats),
         server.rnic.translation.rng.bit_generator.state,
@@ -270,6 +278,33 @@ class TestFallback:
         # loss/storm scenarios taint the network or leave injector
         # events pending; RNR pressure keeps the sim non-quiescent
         assert True not in fast_path
+
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 1(b)")
+    def test_post_before_drain_interleaves_exactly(self, sim_class,
+                                                   fast_path):
+        """Known divergence: a scalar post made before a committed
+        cohort drains queues behind the cohort's planned horizons, so
+        it completes later than on the scalar path (here wr 99 at
+        13,522.27 ns instead of 10,757.03 ns).  The barrier contract
+        in ``post_send_batch`` excludes this shape; the fix flips this
+        test."""
+
+        def run(enabled):
+            cluster, server, client, conn, mr = build(sim_class)
+            batch.FAST_PATH_ENABLED = enabled
+            conn.post_read_batch(mr, [64 * i for i in range(16)])
+            conn.qp.post_send(SendWR(
+                opcode=Opcode.RDMA_READ, local_addr=conn.local_mr.addr,
+                length=64, remote_addr=mr.addr + 4096, rkey=mr.rkey,
+                wr_id=99))
+            cqes = conn.await_completions(17)
+            return fingerprint(cluster, client, server, conn, cqes)
+
+        scalar, _ = run(False)
+        batched, _ = run(True)
+        assert fast_path == [False, True]
+        assert batched == scalar
 
 
 class TestPrecheckAgreement:

@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# Build the optional C event-kernel accelerator in place:
+# Build the optional C accelerator, repro.sim._speedups, in place.  It
+# exports two things: EventCore, the event-kernel heap and dispatch
+# loop, and tpu_admit_batch, the translation unit's serial cohort tail
+# (only when NumPy's C random API is found, see below).
 #
 #   tools/build_speedups.sh             # build src/repro/sim/_speedups.*.so
 #   tools/build_speedups.sh --check     # exit 0 iff the built module imports

@@ -39,11 +39,11 @@
 #                      with a notice otherwise, and under --fast): the
 #                      accelerator is rebuilt with ASan+UBSan
 #                      (tools/build_speedups.sh --sanitize), the
-#                      cross-engine equivalence suite and the batched
-#                      fast-path equivalence suite (covering
-#                      batch_advance and tpu_admit_batch) run under it,
-#                      then the optimized .so is restored before the
-#                      bench gate
+#                      cross-engine equivalence suite, the batched
+#                      fast-path equivalence suite and the cohort-planner
+#                      oracle (random cohorts through the C EventCore
+#                      and tpu_admit_batch) run under it, then the
+#                      optimized .so is restored before the bench gate
 #  11. defense smoke — BLOCKING: the vectorized DetectorBank service
 #                      (docs/DEFENSE.md): the scalar/batched verdict-
 #                      parity and edge-case suites, then a REPRO_QUICK
@@ -131,11 +131,13 @@ elif [ -n "$asan_rt" ] && [ -e "$asan_rt" ] \
         && tools/build_speedups.sh --check >/dev/null 2>&1; then
     echo "== sanitizer smoke: ASan+UBSan engine equivalence (blocking) =="
     tools/build_speedups.sh --sanitize || fail=1
-    # the batch-equivalence suite drives batch_advance and the
-    # tpu_admit_batch serial tail in C, so both run sanitized here
+    # the batch-equivalence suite and the cohort-planner oracle drive
+    # the C EventCore and the tpu_admit_batch serial tail with planned
+    # cohorts (the oracle with random ones), so both run sanitized here
     LD_PRELOAD="$asan_rt" ASAN_OPTIONS=detect_leaks=0 \
         python -m pytest -q tests/sim/test_engines.py \
-        tests/rnic/test_batch_equivalence.py || fail=1
+        tests/rnic/test_batch_equivalence.py \
+        tests/properties/test_cohort_planner.py || fail=1
     # restore the optimized accelerator before anything times it
     tools/build_speedups.sh || fail=1
 else
