@@ -10,14 +10,12 @@ Detection side:
 * :class:`CacheGuard` — cache-attack detection on MPT/MTT miss and
   eviction rates (catches Pythia);
 * :class:`OnlineCounterDefense` — streaming change-point/periodicity
-  detectors (:mod:`repro.obs.insight`) watching per-tenant counter
-  *time series* rather than whole-run aggregates; reports detection
-  latency, feeding Table I's online columns.
-* :class:`DetectorBankService` / :class:`BatchedCounterDefense` — the
-  same detector suite productionized (:mod:`repro.defense.service`):
-  vectorized NumPy state multiplexing 100K+ concurrent counter
-  streams, byte-identical verdicts to the scalar detectors
-  (docs/DEFENSE.md).
+  detectors (:mod:`repro.defense.detectors`) watching per-tenant
+  counter *time series* rather than whole-run aggregates; reports
+  detection latency, feeding Table I's online columns.  Each series
+  is fed through :class:`DetectorBankService`
+  (:mod:`repro.defense.service`), the per-stream registry that
+  combines the detectors' alarms into one :class:`OnlineVerdict`.
 
 Mitigation side (Section VII):
 
@@ -35,20 +33,16 @@ from repro.defense.pfc import Grain1Detector
 from repro.defense.harmonic import HarmonicDetector, HarmonicIsolation
 from repro.defense.cache_guard import CacheGuard
 from repro.defense.noise import with_noise_mitigation
-from repro.defense.online import (
-    CounterTrace,
-    OnlineCounterDefense,
-    OnlineVerdict,
-    sample_counts,
+from repro.defense.detectors import (
+    CusumDetector,
+    Detection,
+    DetectorBank,
+    EwmaDetector,
+    PeriodicityDetector,
 )
+from repro.defense.online import CounterTrace, OnlineCounterDefense, sample_counts
 from repro.defense.partition import PartitionedTranslationUnit, with_partitioning
-from repro.defense.service import (
-    BatchedCounterDefense,
-    DetectorBankService,
-    VerdictLatencyTracker,
-    ingest_metrics_snapshots,
-    ingest_trace_jsonl,
-)
+from repro.defense.service import DetectorBankService, OnlineVerdict
 
 __all__ = [
     "TenantProfile",
@@ -57,14 +51,15 @@ __all__ = [
     "HarmonicDetector",
     "HarmonicIsolation",
     "CacheGuard",
+    "Detection",
+    "DetectorBank",
+    "EwmaDetector",
+    "CusumDetector",
+    "PeriodicityDetector",
     "CounterTrace",
     "OnlineCounterDefense",
     "OnlineVerdict",
-    "BatchedCounterDefense",
     "DetectorBankService",
-    "VerdictLatencyTracker",
-    "ingest_trace_jsonl",
-    "ingest_metrics_snapshots",
     "sample_counts",
     "with_noise_mitigation",
     "PartitionedTranslationUnit",

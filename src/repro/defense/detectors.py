@@ -25,7 +25,10 @@ Three detector families:
   at its symbol rate.
 
 All three are deterministic, pure-Python, allocate O(window), and
-never read a clock — timestamps come from the caller.
+never read a clock — timestamps come from the caller.  Table I feeds
+them per stream through :class:`~repro.defense.service.DetectorBankService`;
+the obs run report (:mod:`repro.obs.insight.report`) runs a
+:class:`DetectorBank` over each exported counter series.
 """
 
 from __future__ import annotations
@@ -224,11 +227,7 @@ def periodicity_score(buffer: Sequence[float], min_cov: float,
 
     Returns ``(best autocorrelation score, best lag)`` — ``(0.0, 0)``
     when the window fails the coefficient-of-variation gate (a flat
-    series trivially correlates with itself).  Shared by the scalar
-    :class:`PeriodicityDetector` and the vectorized bank in
-    :mod:`repro.defense.service` so both paths score a window with the
-    exact same floating-point operation sequence (the parity guarantee
-    in docs/DEFENSE.md).
+    series trivially correlates with itself).
     """
     n = len(buffer)
     mean = sum(buffer) / n

@@ -7,7 +7,8 @@ accounting, an ``ethtool -S`` polling loop) is stronger than that: it
 watches the counter *time series* and can catch modulation — the
 covert signalling itself — even when every aggregate looks benign.
 This module packages the streaming detectors of
-:mod:`repro.obs.insight.detectors` as that defender:
+:mod:`repro.defense.detectors`, fed through the stream registry
+:class:`~repro.defense.service.DetectorBankService`, as that defender:
 
 * a persistent channel (Pythia) must flip durable counters every
   symbol, so its eviction/miss series is a square wave the
@@ -31,20 +32,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional, Sequence
 
-from repro.obs.insight.detectors import (
-    CusumDetector,
-    Detection,
-    EwmaDetector,
-    PeriodicityDetector,
-    StreamingDetector,
-)
-
-#: Default detector suite factories (fresh instances per watch()).
-DEFAULT_DETECTORS: tuple[Callable[[], StreamingDetector], ...] = (
-    EwmaDetector,
-    CusumDetector,
-    PeriodicityDetector,
-)
+from repro.defense.detectors import StreamingDetector
+from repro.defense.service import DetectorBankService, OnlineVerdict
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,27 +57,6 @@ class CounterTrace:
             raise ValueError("sample times must be strictly increasing")
 
 
-@dataclasses.dataclass(frozen=True)
-class OnlineVerdict:
-    """The combined outcome of watching one counter trace."""
-
-    tenant: str
-    flagged: bool
-    #: Name of the first detector to alarm ("" when none did).
-    detector: str
-    #: Sim-time from window start to the first alarm (None if never).
-    detection_latency_ns: Optional[float]
-    #: Highest per-detector alarm rate over the window.
-    flag_rate: float
-    reason: str = ""
-    #: Every detector's full verdict, keyed by detector name.
-    detections: dict[str, Detection] = dataclasses.field(
-        default_factory=dict)
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.flagged
-
-
 class OnlineCounterDefense:
     """Streams a tenant's counter series through a detector suite.
 
@@ -101,35 +69,17 @@ class OnlineCounterDefense:
 
     def __init__(self, detector_factories: Optional[
             Sequence[Callable[[], StreamingDetector]]] = None) -> None:
-        self.detector_factories = tuple(
-            detector_factories if detector_factories is not None
-            else DEFAULT_DETECTORS)
-        if not self.detector_factories:
-            raise ValueError("need at least one detector factory")
+        # the registry defaults and validates the suite
+        self.detector_factories = DetectorBankService(
+            detector_factories).detector_factories
 
     def watch(self, trace: CounterTrace) -> OnlineVerdict:
         """Run every detector over the series; earliest alarm wins."""
-        detectors = [factory() for factory in self.detector_factories]
-        for ts, value in zip(trace.times_ns, trace.values):
-            for detector in detectors:
-                detector.observe(ts, value)
-        detections = {d.name: d.finish() for d in detectors}
-        start = trace.times_ns[0]
-        flagged = [d for d in detections.values() if d.flagged]
-        if not flagged:
-            return OnlineVerdict(
-                tenant=trace.tenant, flagged=False, detector="",
-                detection_latency_ns=None, flag_rate=0.0,
-                reason=f"{trace.key} series stationary over "
-                       f"{len(trace.values)} samples",
-                detections=detections)
-        first = min(flagged, key=lambda d: (d.first_flag_ts, d.detector))
-        return OnlineVerdict(
-            tenant=trace.tenant, flagged=True, detector=first.detector,
-            detection_latency_ns=first.first_flag_ts - start,
-            flag_rate=max(d.flag_rate for d in flagged),
-            reason=first.reason,
-            detections=detections)
+        service = DetectorBankService(self.detector_factories)
+        slot = service.admit(trace.key, tenant=trace.tenant)
+        service.ingest_slots([slot] * len(trace.values), trace.times_ns,
+                             trace.values)
+        return service.verdict(trace.key)
 
     def watch_all(self, traces: Sequence[CounterTrace]) -> OnlineVerdict:
         """Watch several series for one tenant (e.g. eviction rate AND

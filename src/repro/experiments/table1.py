@@ -18,10 +18,10 @@ three deployed defenses as its universe.
 
 Two extra columns model a *stronger* defender — an online
 change-point/periodicity suite
-(:class:`repro.defense.BatchedCounterDefense`, the vectorized
-DetectorBank production service, verdict-identical to
-:class:`repro.defense.OnlineCounterDefense`) watching each attack's
-counter **time series** instead of its whole-run aggregate:
+(:class:`repro.defense.OnlineCounterDefense`, whose series run through
+the :class:`repro.defense.DetectorBankService` stream registry)
+watching each attack's counter **time series** instead of its
+whole-run aggregate:
 
 * Pythia is persistent: every 1-symbol must kick durable entries out
   of the MPT cache, so its per-symbol eviction series toggles with the
@@ -33,6 +33,15 @@ counter **time series** instead of its whole-run aggregate:
   reads, never *how much*; the sender's measured completion-rate
   series stays stationary and the online suite stays silent — the
   volatile-channel stealth claim as a measured artifact.
+
+That is the intended reading, and ``notes`` states it, but the
+measured online column does not hold it on most seeds.  Over seeds
+0-15 (the perfbench corpus) Pythia is flagged only on seeds 0, 2, 4,
+7 and 12 (5 of 16), and a Ragnar inter-MR or intra-MR row is flagged
+on 12 seeds (2-4 and 6-14); only seed 0 matches the claim.  The
+priority channel is flagged on every seed.  This is a recorded
+finding, not a bound to tune: the detector thresholds and ``notes``
+are unchanged (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -42,11 +51,11 @@ from repro.covert import PAPER_BITSTREAM, random_bits
 from repro.covert.inter_mr import InterMRChannel, InterMRConfig
 from repro.covert.intra_mr import IntraMRChannel, IntraMRConfig
 from repro.defense import (
-    BatchedCounterDefense,
     CacheGuard,
     CounterTrace,
     Grain1Detector,
     HarmonicDetector,
+    OnlineCounterDefense,
     TenantProfile,
     sample_counts,
 )
@@ -228,10 +237,11 @@ def run(seed: int = 0) -> ExperimentResult:
     The three deployed-defense columns (and the ``undetected`` roll-up
     over exactly those three) reproduce the paper's matrix; ``online``
     / ``detect_ms`` report the stronger streaming-counter defender
-    (:class:`repro.defense.BatchedCounterDefense`, routed through the
-    vectorized :class:`repro.defense.DetectorBankService` production
-    path), which catches the *persistent* channels by their counter
-    modulation but still cannot see the volatile ULI channels.
+    (:class:`repro.defense.OnlineCounterDefense`, fed through the
+    :class:`repro.defense.DetectorBankService` stream registry), meant
+    to catch the *persistent* channels by their counter modulation and
+    miss the volatile ULI channels (see the module docstring for how
+    far the measured column bears that out).
     """
     spec = cx5()
     detectors = [
@@ -239,11 +249,7 @@ def run(seed: int = 0) -> ExperimentResult:
         HarmonicDetector(spec),
         CacheGuard(),
     ]
-    # the *production* online defender: the vectorized DetectorBank
-    # service (byte-identical verdicts to the scalar suite — see
-    # tests/defense/test_service_parity.py), so the matrix exercises
-    # the same code path a deployed 100K-stream monitor runs
-    online = BatchedCounterDefense()
+    online = OnlineCounterDefense()
     attacks = [
         ("perf-grain2", "P", "II", *_perf_attack_profile()),
         ("pythia", "C+S", "IV", *_pythia_profile(seed)),

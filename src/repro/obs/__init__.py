@@ -9,9 +9,10 @@ Three pieces, assembled by :mod:`repro.obs.runtime`:
 * :mod:`repro.obs.exporters` — JSONL and Chrome trace-event writers
   plus the validators behind ``python -m repro.obs validate``.
 * :mod:`repro.obs.insight` — the analysis layer over exported
-  artifacts: :class:`TraceFrame` indexing, streaming change-point /
-  periodicity detectors, ``python -m repro.obs report`` and
-  ``python -m repro.obs diff``.
+  artifacts: :class:`TraceFrame` indexing, ``python -m repro.obs
+  report`` and ``python -m repro.obs diff``.  The report's counter
+  verdicts come from the online detectors in
+  :mod:`repro.defense.detectors`.
 * :mod:`repro.obs.fleet` — the post-batch fleet pass: deterministic
   merging of per-task metric snapshots into ``fleet_metrics.json``
   (``--fleet-metrics``).
@@ -36,12 +37,7 @@ from .fleet import (
     write_fleet_artifacts,
 )
 from .insight import (
-    CusumDetector,
-    Detection,
-    DetectorBank,
     DiffResult,
-    EwmaDetector,
-    PeriodicityDetector,
     TraceFrame,
     diff_runs,
     render_report,
@@ -62,16 +58,11 @@ from .tracer import TraceEvent, Tracer
 
 __all__ = [
     "Counter",
-    "CusumDetector",
-    "Detection",
-    "DetectorBank",
     "DiffResult",
-    "EwmaDetector",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ObsSession",
-    "PeriodicityDetector",
     "TraceEvent",
     "TraceFrame",
     "Tracer",

@@ -7,9 +7,6 @@ JSONL/Chrome exporters); this package consumes them:
   view over an exported trace: span trees, per-component latency
   summaries, counter time series, station occupancy, derived ULI
   series.
-* :mod:`repro.obs.insight.detectors` — streaming EWMA/CUSUM
-  change-point and periodicity detectors that watch counter series
-  online (the data path behind :mod:`repro.defense.online`).
 * :mod:`repro.obs.insight.report` — ``python -m repro.obs report``:
   a deterministic markdown run report (same seed ⇒ same bytes).
 * :mod:`repro.obs.insight.diff` — ``python -m repro.obs diff``:
@@ -21,27 +18,13 @@ Analysis primitives are reused from :mod:`repro.analysis`
 :mod:`~repro.analysis.stats`) rather than duplicated here.
 """
 
-from .detectors import (
-    CusumDetector,
-    Detection,
-    DetectorBank,
-    EwmaDetector,
-    PeriodicityDetector,
-    run_series,
-)
 from .diff import DiffResult, diff_runs
 from .frame import TraceFrame
 from .report import render_report
 
 __all__ = [
-    "CusumDetector",
-    "Detection",
-    "DetectorBank",
     "DiffResult",
-    "EwmaDetector",
-    "PeriodicityDetector",
     "TraceFrame",
     "diff_runs",
     "render_report",
-    "run_series",
 ]

@@ -16,7 +16,6 @@ import json
 import pathlib
 from typing import Optional, Sequence
 
-from repro.obs.insight.detectors import DetectorBank
 from repro.obs.insight.frame import TraceFrame
 
 #: Spans shown in the "slowest spans" table.
@@ -131,6 +130,10 @@ def _trace_sections(frame: TraceFrame, top: int) -> list[str]:
                      f"dominant periods: {period_text}.")
 
     # -- counter series + detector verdicts ---------------------------
+    # imported here: repro.sim.kernel loads repro.obs, so repro.obs must
+    # not pull repro.defense in at module load
+    from repro.defense.detectors import DetectorBank
+
     detector_rows = []
     for component, name, key in frame.counter_keys():
         times, values = frame.counter_series(name, key,

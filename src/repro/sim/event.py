@@ -20,6 +20,9 @@ Design notes (this module *is* the hot path when the C core is absent):
 * The entry doubles as the cancellation handle: ``cancel(entry)``
   overwrites the callback slot with ``None`` (lazy deletion, O(1))
   instead of rebuilding the heap.  A dead entry costs one extra pop.
+  Dispatch and :meth:`~PyEventCore.reset` clear the slot too, so
+  cancelling a fired or reset handle is a no-op (as in the C core)
+  and never corrupts ``pending``.
 * ``run()`` pops exactly once per dispatch.  The bounded paths
   (``until``/``max_events``) pop, then push the entry back at the
   boundary instead of the old ``peek_time()`` + ``pop()`` double heap
@@ -159,6 +162,7 @@ class PyEventCore:
             cb = entry[2]
             if cb is None:
                 continue
+            entry[2] = None
             self.now = entry[0]
             self._fired += 1
             self._live -= 1
@@ -202,6 +206,7 @@ class PyEventCore:
                     cb = entry[2]
                     if cb is None:
                         continue
+                    entry[2] = None
                     self.now = entry[0]
                     self._fired += 1
                     self._live -= 1
@@ -225,6 +230,7 @@ class PyEventCore:
                 if until is not None and entry[0] > until:
                     heappush(heap, entry)
                     break
+                entry[2] = None
                 self.now = entry[0]
                 self._fired += 1
                 self._live -= 1
@@ -255,8 +261,11 @@ class PyEventCore:
         """Drop all pending events and rewind the clock.
 
         ``seq`` deliberately keeps counting so a stale handle from
-        before the reset can never cancel a newly scheduled event.
+        before the reset can never cancel a newly scheduled event; the
+        dropped entries are marked dead so cancelling one is a no-op.
         """
+        for entry in self._heap:
+            entry[2] = None
         self._heap.clear()
         self.now = 0.0
         self._fired = 0

@@ -20,7 +20,7 @@ from repro.defense import (
     OnlineCounterDefense,
     sample_counts,
 )
-from repro.obs.insight.detectors import (
+from repro.defense.detectors import (
     CusumDetector,
     DetectorBank,
     EwmaDetector,

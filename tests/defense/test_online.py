@@ -9,7 +9,7 @@ from repro.defense import (
     OnlineVerdict,
     sample_counts,
 )
-from repro.obs.insight.detectors import EwmaDetector
+from repro.defense.detectors import EwmaDetector
 
 
 def _trace(values, tenant="t0", key="rx_pps", step=1000.0):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.insight.detectors import (
+from repro.defense.detectors import (
     CusumDetector,
     DetectorBank,
     EwmaDetector,

@@ -66,6 +66,17 @@ def test_not_quiescent():
     assert declined(client.rnic, conn.qp, reads(conn, mr)) == "not_quiescent"
 
 
+def test_not_quiescent_after_stale_cancel():
+    """Cancelling an already-fired handle must not hide the one event
+    still in flight from the planner's quiescence guard."""
+    cluster, client, _, conn, mr = pair()
+    fired = cluster.sim.schedule(1.0, lambda: None)
+    cluster.sim.run()
+    cluster.sim.schedule(1.0, lambda: None)
+    cluster.sim.cancel(fired)
+    assert declined(client.rnic, conn.qp, reads(conn, mr)) == "not_quiescent"
+
+
 def test_hooks():
     cluster, client, _, conn, mr = pair()
     cluster.sim.enable_tracing()

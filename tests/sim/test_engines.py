@@ -73,6 +73,41 @@ class TestPerEngine:
         assert sim.events_fired == 3
         assert sim.pending == 0
 
+    def test_cancel_fired_handle_is_noop(self, sim_class):
+        sim = sim_class()
+        fired = sim.schedule(10.0, lambda: None)
+        sim.run()
+        sim.schedule(5.0, lambda: None)
+        sim.cancel(fired)
+        assert sim.pending == 1
+        sim.run()
+        assert sim.pending == 0
+        assert sim.events_fired == 2
+
+    def test_cancel_handle_from_before_reset_is_noop(self, sim_class):
+        sim = sim_class()
+        stale = sim.schedule(10.0, lambda: None)
+        sim.reset()
+        sim.schedule(5.0, lambda: None)
+        sim.cancel(stale)
+        assert sim.pending == 1
+        sim.run()
+        assert sim.pending == 0
+        assert sim.events_fired == 1
+
+    def test_cancel_fired_handle_is_noop_bounded_paths(self, sim_class):
+        """The ``until``/``max_events`` loop and :meth:`step` retire
+        their handles the same way as the fast drain."""
+        sim = sim_class()
+        by_step = sim.schedule(1.0, lambda: None)
+        by_bound = sim.schedule(2.0, lambda: None)
+        sim.schedule(9.0, lambda: None)
+        assert sim.step()
+        sim.run(until=5.0)
+        sim.cancel(by_step)
+        sim.cancel(by_bound)
+        assert sim.pending == 1
+
     def test_pending_tracks_partial_run(self, sim_class):
         sim = sim_class()
         for t in range(10):

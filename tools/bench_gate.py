@@ -32,12 +32,7 @@ context (tracing is expected to cost real time; only the *off* switch
 must be free).  A third baseline-free gate budgets the supervised
 experiment runtime (:mod:`repro.runtime`) at ``--runtime-tolerance``
 (default 2 %) over the bare spawn pool it replaced on the
-``--jobs`` path.  A fourth gate drives the vectorized defense service
-(:mod:`repro.defense.service`) at 100K concurrent counter streams and
-FAILS when fleet ingest throughput drops more than ``--tolerance``
-below the committed ``defense`` floor (its batched-vs-scalar speedup
-is advisory); being pure NumPy, it gates even when the kernel engine
-differs from the baseline's.  Baselines are machine-relative
+``--jobs`` path.  Baselines are machine-relative
 and should be *conservative floors* — the worst min a healthy build
 produces on that machine, not a lucky quiet-box run — or the gate
 flaps on load noise.  Refresh with ``--update-baseline`` when the
@@ -395,77 +390,6 @@ def obs_gate(report: dict, tolerance: float) -> int:
 
 
 # ----------------------------------------------------------------------
-# Defense-service throughput (vectorized DetectorBank, repro.defense)
-# ----------------------------------------------------------------------
-#: Concurrent counter streams the gate drives through one service —
-#: the production target from the DetectorBank service work.
-DEFENSE_STREAMS = 100_000
-#: Streams for the scalar-vs-batched comparison (the scalar side is
-#: the expensive one; fleet-width would cost seconds for no signal).
-DEFENSE_COMPARE_STREAMS = 2048
-
-
-def bench_defense_scale() -> dict:
-    """Drive the vectorized defense service at fleet scale.
-
-    Unlike the substrate benches this path is pure NumPy — its rate
-    does not depend on which kernel engine is built, so its gate
-    compares against the committed baseline even when the engine
-    differs.
-    """
-    from benchmarks.bench_defense_throughput import (
-        FLEET_TICKS,
-        SCALAR_TICKS,
-        measure_scalar_vs_batched,
-        measure_service,
-    )
-
-    fleet = measure_service(DEFENSE_STREAMS, FLEET_TICKS)
-    comparison = measure_scalar_vs_batched(
-        DEFENSE_COMPARE_STREAMS, SCALAR_TICKS)
-    return {"fleet": fleet, "comparison": comparison}
-
-
-def defense_gate(report: dict, baseline_path: pathlib.Path,
-                 tolerance: float) -> int:
-    """Fail when fleet-scale ingest throughput drops more than the
-    tolerance below the committed floor.  The batched-vs-scalar
-    speedup is advisory: it must stay >= 1x or the service has lost
-    its reason to exist, but machine noise on the scalar side should
-    not block a merge."""
-    section = report["defense"]
-    fleet = section["fleet"]
-    comparison = section["comparison"]
-    speedup = comparison["speedup_vs_scalar"]
-    speedup_note = ("ok" if speedup >= 1.0 else "slow (advisory)")
-    print(f"  defense fleet: {fleet['streams']:,} streams x "
-          f"{fleet['ticks']} ticks, {fleet['samples_per_s']:,.0f} "
-          f"samples/s, verdict p99 {fleet['verdict_p99_us']:.0f} us, "
-          f"{fleet['bytes_per_stream']:,.0f} B/stream")
-    print(f"  defense batched-vs-scalar (advisory): {speedup:.2f}x on "
-          f"{comparison['streams']:,} streams [{speedup_note}]")
-    if not baseline_path.exists():
-        print("  defense gate skipped: no committed baseline")
-        return 0
-    baseline = json.loads(baseline_path.read_text())
-    reference = baseline.get("defense", {}).get("fleet", {})
-    if "samples_per_s" not in reference:
-        print("  defense gate skipped: baseline has no defense section "
-              "(refresh with --update-baseline)")
-        return 0
-    ratio = fleet["samples_per_s"] / reference["samples_per_s"]
-    verdict = "ok" if ratio >= 1.0 - tolerance else "FAIL"
-    print(f"  defense fleet ingest: {ratio:.2f}x of baseline "
-          f"({fleet['samples_per_s']:,.0f} vs "
-          f"{reference['samples_per_s']:,.0f} samples/s) [{verdict}]")
-    if verdict == "FAIL":
-        print(f"bench_gate: defense-service ingest regressed more than "
-              f"{tolerance:.0%} below the committed baseline")
-        return 1
-    return 0
-
-
-# ----------------------------------------------------------------------
 # Supervised-runtime overhead (baseline-free, paired on this machine)
 # ----------------------------------------------------------------------
 def bench_runtime_overhead() -> dict:
@@ -522,7 +446,6 @@ def run_benches() -> dict:
               f"pre-rework)")
     report["obs"] = bench_obs_overhead()
     report["runtime"] = bench_runtime_overhead()
-    report["defense"] = bench_defense_scale()
     return report
 
 
@@ -620,8 +543,7 @@ def main(argv=None) -> int:
         return 0
     status = gate(report, args.baseline, args.tolerance)
     return (status | obs_gate(report, args.obs_tolerance)
-            | runtime_gate(report, args.runtime_tolerance)
-            | defense_gate(report, args.baseline, args.tolerance))
+            | runtime_gate(report, args.runtime_tolerance))
 
 
 if __name__ == "__main__":

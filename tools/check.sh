@@ -44,26 +44,21 @@
 #                      oracle (random cohorts through the C EventCore
 #                      and tpu_admit_batch) run under it, then the
 #                      optimized .so is restored before the bench gate
-#  11. defense smoke — BLOCKING: the vectorized DetectorBank service
-#                      (docs/DEFENSE.md): the scalar/batched verdict-
-#                      parity and edge-case suites, then a REPRO_QUICK
-#                      run of benchmarks/bench_defense_throughput.py
-#  12. fleet smoke   — BLOCKING: the post-batch fleet pass
+#  11. fleet smoke   — BLOCKING: the post-batch fleet pass
 #                      (docs/OBSERVABILITY.md "Fleet metrics"): a
 #                      two-experiment --jobs 2 run with --fleet-metrics,
 #                      fleet_metrics.json schema-validated and its
 #                      "Fleet metrics" section rendered into the run
 #                      report
-#  13. bench gate    — BLOCKING: simulator throughput vs the committed
+#  12. bench gate    — BLOCKING: simulator throughput vs the committed
 #                      baseline (docs/PERF.md); fails on a >20 %
 #                      event-dispatch regression (skips on engine
 #                      mismatch), a >2 % tracing-disabled
-#                      observability overhead, a >2 % supervised-
-#                      runtime overhead over the bare pool, or a >20 %
-#                      defense-service fleet-ingest regression; each
-#                      run is archived to benchmarks/history/ for
-#                      report trend lines
-#  14. pytest tier-1 — BLOCKING: the full unit/integration suite
+#                      observability overhead, or a >2 % supervised-
+#                      runtime overhead over the bare pool; each run
+#                      is archived to benchmarks/history/ for report
+#                      trend lines
+#  13. pytest tier-1 — BLOCKING: the full unit/integration suite
 set -u
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -143,11 +138,6 @@ elif [ -n "$asan_rt" ] && [ -e "$asan_rt" ] \
 else
     echo "== sanitizer smoke: skipped (no cc/libasan or no accelerator) =="
 fi
-
-echo "== defense-service smoke (blocking) =="
-python -m pytest -q tests/defense/test_service_parity.py \
-    tests/defense/test_detector_edges.py || fail=1
-REPRO_QUICK=1 python -m benchmarks.bench_defense_throughput || fail=1
 
 echo "== fleet smoke (blocking) =="
 fleet_out="$(mktemp -d)"
