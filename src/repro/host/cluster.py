@@ -52,6 +52,13 @@ class RDMAConnection:
         self._wr_ids += 1
         return self._wr_ids
 
+    def claim_wr_ids(self, count: int) -> int:
+        """Reserve ``count`` consecutive ``wr_id`` values; returns the
+        first."""
+        first = self._wr_ids + 1
+        self._wr_ids += count
+        return first
+
     def post_read(
         self,
         remote_mr: MemoryRegion,
@@ -127,18 +134,16 @@ class RDMAConnection:
         local_addr = self.local_mr.addr + local_offset
         rkey = remote_mr.rkey
         base = remote_mr.addr
-        wr_id = self._wr_ids
+        wr_id = self.claim_wr_ids(len(offsets))
         last = len(offsets) - 1
         wrs = [
             make_read_wr(
-                local_addr, length, base + offset, rkey,
-                wr_id + 1 + index,
+                local_addr, length, base + offset, rkey, wr_id + index,
                 signaled=signaled and (
                     index % signal_every == 0 or index == last),
             )
             for index, offset in enumerate(offsets)
         ]
-        self._wr_ids = wr_id + len(wrs)
         self.qp.post_send_batch(wrs)
         return wrs
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim.units import SECONDS, bytes_to_bits
 from repro.verbs.engine import move_one_sided
 from repro.verbs.enums import REQUIRED_REMOTE_ACCESS, AccessFlags, WCStatus
 from repro.verbs.errors import RemoteAccessError
@@ -66,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.wr import SendWR
 
 __all__ = ["MIN_BATCH", "FAST_PATH_ENABLED", "FALLBACK_REASONS",
+           "Declined", "RemoteProof", "path_guard", "count_fallback",
            "try_fast_path"]
 
 #: Cohorts below this size take the scalar path: the planner's fixed
@@ -73,19 +73,22 @@ __all__ = ["MIN_BATCH", "FAST_PATH_ENABLED", "FALLBACK_REASONS",
 #: real batch.
 MIN_BATCH = 2
 
-#: Kill switch (``REPRO_RNIC_BATCH=0``).  Defaults on — the fast path
-#: is bit-identical where it engages and falls back everywhere else —
-#: but experiments that want the scalar event stream for tracing can
-#: opt out without code changes.  Tests monkeypatch this module global.
+#: Kill switch (``REPRO_RNIC_BATCH=0``) for both planners, this one and
+#: the closed-loop probe planner (:mod:`repro.rnic.closed_loop`).
+#: Defaults on — the planners are bit-identical where they engage and
+#: fall back everywhere else — but experiments that want the scalar
+#: event stream for tracing can opt out without code changes.  Tests
+#: monkeypatch this module global.
 FAST_PATH_ENABLED = os.environ.get(
     "REPRO_RNIC_BATCH", "1"
 ).strip().lower() not in ("0", "false", "off")
 
-#: Why a cohort took the scalar path, in the order the planner checks.
+#: Why a cohort or a probe run took the scalar path, in the order the
+#: planners check (the closed-loop-only reasons are marked).
 FALLBACK_REASONS = (
     "disabled",        # REPRO_RNIC_BATCH=0
     "small",           # fewer than MIN_BATCH WQEs
-    "not_quiescent",   # events already pending in the simulator
+    "not_quiescent",   # events pending, or (closed loop) WQEs outstanding
     "hooks",           # dispatch hooks or the determinism digest
     "obs",             # an obs tracer on either NIC
     "transport",       # not a reliable (acknowledged) transport
@@ -93,14 +96,132 @@ FALLBACK_REASONS = (
     "responder",       # loopback, or a remote engine that is no RNIC
     "lossy",           # link loss or fault processes on the path
     "cq_destroyed",    # the send CQ is gone
+    "qp_state",        # closed loop: QP destroyed or not RTS (posts raise)
+    "ddio",            # closed loop: DDIO draws can reorder responses
     "wqe_kind",        # a SEND, a UD address handle or a flushed WQE
     "access",          # an MR lacks the access an opcode needs
     "rkey",            # an unknown or deregistered rkey
     "remote_bounds",   # a remote range outside its MR
     "local_bounds",    # a local buffer outside host memory
     "cq_space",        # more signaled WQEs than free CQ entries
+    "cq_in_use",       # closed loop: stale CQEs or an on_completion hook
     "pcie_hazard",     # a CQE write could precede the last WQE fetch
+    "tie",             # closed loop: an exact event-time tie it cannot order
 )
+
+
+class Declined(Exception):
+    """A planner guard failed; :attr:`reason` is the
+    :data:`FALLBACK_REASONS` entry.  Raised before anything is
+    committed, so the caller's scalar path starts from untouched state."""
+
+    @property
+    def reason(self) -> str:
+        return self.args[0]
+
+
+def count_fallback(counters, reason: str) -> None:
+    """Tally one scalar-path fallback on the requester's counters."""
+    fallbacks = counters.batch_fallbacks
+    fallbacks[reason] = fallbacks.get(reason, 0) + 1
+
+
+def path_guard(rnic: "RNIC", qp: "QueuePair") -> "RNIC":
+    """The path-level half of both planners' contract; returns the
+    responder RNIC or raises :class:`Declined`.
+
+    Quiescence: in-flight events could interleave with the planned
+    admits, and a plan replays *global* per-station event order.
+    Observability pins the scalar event stream (tracer spans, digest
+    hooks fire per dispatched event).  RC only: unreliable transports
+    complete at send time (different CQE timing).  Lossless,
+    fault-free path both ways: loss reroutes through the retry
+    machinery and fault processes make transit time-dependent.
+    """
+    sim = rnic.sim
+    if sim.pending != 0:
+        raise Declined("not_quiescent")
+    if sim._dispatch_hooks or sim._digest_hook is not None:
+        raise Declined("hooks")
+    if rnic._obs is not None:
+        raise Declined("obs")
+    if not qp.qp_type.acks_requests:
+        raise Declined("transport")
+    remote_qp = qp.remote_qp
+    if remote_qp is None:
+        raise Declined("unconnected")
+    from repro.rnic.rnic import RNIC as _RNIC  # rnic.py imports us
+
+    responder = remote_qp.context.engine
+    if responder is rnic or not isinstance(responder, _RNIC):
+        raise Declined("responder")
+    if responder._obs is not None:
+        raise Declined("obs")
+    net = rnic.network
+    if net is not None:
+        if net.has_faults or net.loss_probability(rnic, responder) > 0.0 \
+                or net.loss_probability(responder, rnic) > 0.0:
+            raise Declined("lossy")
+    rnet = responder.network
+    if rnet is not None and rnet is not net and rnet.has_faults:
+        raise Declined("lossy")
+    if qp.send_cq.destroyed:
+        raise Declined("cq_destroyed")
+    return responder
+
+
+class RemoteProof:
+    """The per-WQE remote-MR proof both planners share: the fused twin
+    of :func:`repro.verbs.engine.precheck_one_sided` (MR lookup and
+    liveness, access flags, bounds) plus the local-buffer bounds the
+    data stage would otherwise raise on.  MR lookups are memoized per
+    rkey, and access flags are checked once per (MR, opcode) pair as
+    either side first appears; bounds are two comparisons per WQE.  The
+    equivalence suite asserts it agrees with ``precheck_one_sided``;
+    any would-be non-``SUCCESS`` answer declines, so error CQEs stay
+    the scalar pipeline's."""
+
+    __slots__ = ("_mr_by_rkey", "_bounds", "_required", "_lm_base",
+                 "_lm_end")
+
+    def __init__(self, remote_ctx, local_mem) -> None:
+        self._mr_by_rkey = remote_ctx.mr_by_rkey
+        self._bounds: dict = {}       # rkey -> (addr, end, access)
+        self._required: dict = {}     # opcode -> required access flags
+        self._lm_base = local_mem.base
+        self._lm_end = local_mem.end
+
+    def base(self, opcode, rkey, remote_addr: int, length: int,
+             local_addr: int) -> int:
+        """The MR base address of a WQE proven to complete ``SUCCESS``;
+        raises :class:`Declined` otherwise."""
+        required = self._required.get(opcode)
+        if required is None:
+            required = self._required[opcode] = REQUIRED_REMOTE_ACCESS.get(
+                opcode, AccessFlags.NONE)
+            # new opcode: check its flags against every MR seen
+            for _, _, access in self._bounds.values():
+                if required and not (access & required):
+                    raise Declined("access")
+        bounds = self._bounds.get(rkey)
+        if bounds is None:
+            try:
+                mr = self._mr_by_rkey(rkey)
+            except RemoteAccessError:
+                raise Declined("rkey") from None
+            access = mr.access
+            # new MR: check its flags against every opcode seen
+            for needed in self._required.values():
+                if needed and not (access & needed):
+                    raise Declined("access")
+            bounds = self._bounds[rkey] = (mr.addr, mr.end, access)
+        addr = bounds[0]
+        if remote_addr < addr or remote_addr + length > bounds[1]:
+            raise Declined("remote_bounds")
+        # a local-buffer fault would raise out of the data stage
+        if local_addr < self._lm_base or local_addr + length > self._lm_end:
+            raise Declined("local_bounds")
+        return addr
 
 
 def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
@@ -108,12 +229,10 @@ def try_fast_path(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> bool:
     scalar path" and guarantees nothing was mutated beyond the
     requester's path counters."""
     reason = _plan(rnic, qp, wrs)
-    counters = rnic.counters
     if reason is None:
-        counters.batch_fast_cohorts += 1
+        rnic.counters.batch_fast_cohorts += 1
         return True
-    fallbacks = counters.batch_fallbacks
-    fallbacks[reason] = fallbacks.get(reason, 0) + 1
+    count_fallback(rnic.counters, reason)
     return False
 
 
@@ -125,161 +244,20 @@ def _plan(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> Optional[str]:
     n = len(wrs)
     if n < MIN_BATCH:
         return "small"
+    try:
+        responder = path_guard(rnic, qp)
+        plan = _cohort_geometry(rnic, qp, responder, wrs)
+    except Declined as declined:
+        return declined.reason
+    geos, offsets, sizes, fetch_extra, same_rkey, req_total, resp_total = plan
     sim = rnic.sim
-    # Quiescence: in-flight events could interleave with the planned
-    # admits, and the plan replays *global* per-station event order.
-    if sim.pending != 0:
-        return "not_quiescent"
-    # Observability pins the scalar event stream (tracer spans, digest
-    # hooks fire per dispatched event).
-    if sim._dispatch_hooks or sim._digest_hook is not None:
-        return "hooks"
-    if rnic._obs is not None:
-        return "obs"
-    # RC only: unreliable transports complete at send time (different
-    # CQE timing) and SENDs need responder RQ state.
-    if not qp.qp_type.acks_requests:
-        return "transport"
-    remote_qp = qp.remote_qp
-    if remote_qp is None:
-        return "unconnected"
-    from repro.rnic.rnic import RNIC as _RNIC  # rnic.py imports us
-
-    responder = remote_qp.context.engine
-    if responder is rnic or not isinstance(responder, _RNIC):
-        return "responder"
-    if responder._obs is not None:
-        return "obs"
-    # Lossless, fault-free path both ways: loss reroutes through the
-    # retry machinery and fault processes make transit time-dependent.
-    net = rnic.network
-    if net is not None:
-        if net.has_faults or net.loss_probability(rnic, responder) > 0.0 \
-                or net.loss_probability(responder, rnic) > 0.0:
-            return "lossy"
-    rnet = responder.network
-    if rnet is not None and rnet is not net and rnet.has_faults:
-        return "lossy"
-    cq = qp.send_cq
-    if cq.destroyed:
-        return "cq_destroyed"
-
     spec = rnic.spec
     rspec = responder.spec
-    pcie_spec = spec.pcie
-    rpcie_spec = rspec.pcie
-    header = spec.header_bytes
-    rheader = rspec.header_bytes
-    line_rate = spec.line_rate_bps
-    rline_rate = rspec.line_rate_bps
+    remote_ctx = qp.remote_qp.context
     local_mem = qp.context.memory
-    remote_ctx = remote_qp.context
-    mr_by_rkey = remote_ctx.mr_by_rkey
-    packets = rnic._packets
-
-    # Shadow station state: (busy_until, inflation, busy_ns, wait_ns).
-    # Inflations fold into the per-key effective service times below;
-    # the product is the one ServiceStation.admit computes per request.
-    p_busy, p_inf, p_bns, p_wns = rnic.pcie.batch_state()
-    w_inf = rnic.wire_tx.inflation
-    rw_inf = responder.wire_tx.inflation
-    rp_inf = responder.pcie.inflation
-    rt_req = pcie_spec.tlp_latency_ns * (1.0 + rnic.pcie.background_utilization)
-
-    # ------------------------------------------------------------------
-    # Per-WQE eligibility + geometry (memoized per (opcode, length))
-    # ------------------------------------------------------------------
-    # The remote-MR proof here is the fused twin of
-    # repro.verbs.engine.precheck_one_sided: MR lookup, liveness and
-    # access flags memoized per rkey/opcode, bounds as two inline
-    # comparisons per WQE.  The equivalence suite asserts the two
-    # agree; any would-be non-SUCCESS answer routes the batch to the
-    # scalar pipeline so error CQEs stay byte-identical.
-    geo: dict = {}
-    mr_bounds: dict = {}
-    geos = []
-    offsets = []
-    sizes = []
-    fetch_extra = []
-    geos_append = geos.append
-    offsets_append = offsets.append
-    sizes_append = sizes.append
-    fetch_extra_append = fetch_extra.append
-    rkey0 = wrs[0].rkey
-    same_rkey = True
-    signaled = 0
-    req_total = 0
-    resp_total = 0
     success = WCStatus.SUCCESS
-    lm_base = local_mem.base
-    lm_end = local_mem.end
-    none_flags = AccessFlags.NONE
-    try:
-        for wr in wrs:
-            op = wr.opcode
-            if not op.is_one_sided or wr.ah is not None or wr.flushed:
-                return "wqe_kind"
-            length = wr.length
-            key = (op, length)
-            g = geo.get(key)
-            if g is None:
-                req_payload = length if op.carries_request_payload else 0
-                resp_payload = length if op.response_carries_payload else 0
-                req_nbytes = req_payload + packets(req_payload) * header
-                resp_nbytes = resp_payload + packets(resp_payload) * rheader
-                required = REQUIRED_REMOTE_ACCESS.get(op, none_flags)
-                # new opcode: check its flags against every MR seen
-                for _, _, access in mr_bounds.values():
-                    if required and not (access & required):
-                        return "access"
-                # (fetch, wire out, wire back, data) effective service
-                # times, the byte counts, and whether the data stage
-                # waits out a host-read round trip
-                g = geo[key] = (
-                    pcie_spec.dma_occupancy_ns(64 + req_payload) * p_inf,
-                    req_nbytes,
-                    bytes_to_bits(req_nbytes) * SECONDS / line_rate * w_inf,
-                    resp_nbytes,
-                    bytes_to_bits(resp_nbytes) * SECONDS / rline_rate
-                    * rw_inf,
-                    rpcie_spec.dma_occupancy_ns(
-                        16 if op.is_atomic else length
-                    ) * rp_inf,
-                    op.response_carries_payload or op.is_atomic,
-                )
-            rkey = wr.rkey
-            bounds = mr_bounds.get(rkey)
-            if bounds is None:
-                mr = mr_by_rkey(rkey)
-                access = mr.access
-                # new MR: check its flags against every opcode seen
-                for gkey in geo:
-                    required = REQUIRED_REMOTE_ACCESS.get(gkey[0], none_flags)
-                    if required and not (access & required):
-                        return "access"
-                bounds = mr_bounds[rkey] = (mr.addr, mr.end, access)
-            mr_addr = bounds[0]
-            ra = wr.remote_addr
-            if ra < mr_addr or ra + length > bounds[1]:
-                return "remote_bounds"
-            la = wr.local_addr
-            # local-buffer fault would raise out of the data stage
-            if la < lm_base or la + length > lm_end:
-                return "local_bounds"
-            geos_append(g)
-            offsets_append(ra - mr_addr)
-            sizes_append(length)
-            fetch_extra_append(0.0 if wr.inline else rt_req)
-            if rkey != rkey0:
-                same_rkey = False
-            if wr.signaled:
-                signaled += 1
-            req_total += g[1]
-            resp_total += g[3]
-    except RemoteAccessError:
-        return "rkey"
-    if signaled > cq.free_space:
-        return "cq_space"
+    # Shadow station state: (busy_until, inflation, busy_ns, wait_ns).
+    p_busy, p_inf, p_bns, p_wns = rnic.pcie.batch_state()
 
     # ------------------------------------------------------------------
     # Requester-side stages on shadow station state
@@ -358,7 +336,7 @@ def _plan(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> Optional[str]:
     translation = responder.translation
     if same_rkey:
         finishes = translation.admit_batch(
-            [arr[i] for i in order2], rkey0,
+            [arr[i] for i in order2], wrs[0].rkey,
             [offsets[i] for i in order2], [sizes[i] for i in order2],
         )
     else:
@@ -373,7 +351,7 @@ def _plan(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> Optional[str]:
     # trip with its DDIO draw — sequential over order2, so the DDIO
     # stream advances exactly as the scalar path's rng.random() calls
     remote_mem = remote_ctx.memory
-    rt_resp = rpcie_spec.tlp_latency_ns * (
+    rt_resp = rspec.pcie.tlp_latency_ns * (
         1.0 + responder.pcie.background_utilization
     )
     ddio = rspec.ddio_enabled
@@ -484,3 +462,65 @@ def _plan(rnic: "RNIC", qp: "QueuePair", wrs: "list[SendWR]") -> Optional[str]:
     if run:
         schedule_at(cqe_times[run[-1]], _deliver, run)
     return None
+
+
+def _cohort_geometry(rnic: "RNIC", qp: "QueuePair", responder: "RNIC",
+              wrs: "list[SendWR]") -> tuple:
+    """Per-WQE eligibility and effective service geometry (memoized per
+    ``(opcode, length)``); raises :class:`Declined`."""
+    # Inflations fold into the per-key effective service times below;
+    # the product is the one ServiceStation.admit computes per request.
+    p_inf = rnic.pcie.inflation
+    w_inf = rnic.wire_tx.inflation
+    rw_inf = responder.wire_tx.inflation
+    rp_inf = responder.pcie.inflation
+    rt_req = rnic.spec.pcie.tlp_latency_ns * (
+        1.0 + rnic.pcie.background_utilization)
+    proof = RemoteProof(qp.remote_qp.context, qp.context.memory)
+    prove = proof.base
+    geometry = rnic.geometry
+    geo: dict = {}
+    geos = []
+    offsets = []
+    sizes = []
+    fetch_extra = []
+    geos_append = geos.append
+    offsets_append = offsets.append
+    sizes_append = sizes.append
+    fetch_extra_append = fetch_extra.append
+    rkey0 = wrs[0].rkey
+    same_rkey = True
+    signaled = 0
+    req_total = 0
+    resp_total = 0
+    for wr in wrs:
+        op = wr.opcode
+        if not op.is_one_sided or wr.ah is not None or wr.flushed:
+            raise Declined("wqe_kind")
+        length = wr.length
+        key = (op, length)
+        g = geo.get(key)
+        if g is None:
+            # (fetch, wire out, wire back, data) effective service
+            # times, the byte counts, and whether the data stage waits
+            # out a host-read round trip
+            fetch, req_nbytes, req_wire, resp_nbytes, resp_wire, data, \
+                host_read = geometry(op, length, responder)
+            g = geo[key] = (fetch * p_inf, req_nbytes, req_wire * w_inf,
+                            resp_nbytes, resp_wire * rw_inf, data * rp_inf,
+                            host_read)
+        rkey = wr.rkey
+        ra = wr.remote_addr
+        geos_append(g)
+        offsets_append(ra - prove(op, rkey, ra, length, wr.local_addr))
+        sizes_append(length)
+        fetch_extra_append(0.0 if wr.inline else rt_req)
+        if rkey != rkey0:
+            same_rkey = False
+        if wr.signaled:
+            signaled += 1
+        req_total += g[1]
+        resp_total += g[3]
+    if signaled > qp.send_cq.free_space:
+        raise Declined("cq_space")
+    return geos, offsets, sizes, fetch_extra, same_rkey, req_total, resp_total

@@ -78,6 +78,20 @@ class SetAssocCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
+    def checkpoint(self) -> tuple:
+        """Counters and resident keys (LRU order) for :meth:`restore`."""
+        return (self.hits, self.misses, self.evictions,
+                [(index, list(target))
+                 for index, target in enumerate(self._sets) if target])
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`checkpoint`."""
+        self.hits, self.misses, self.evictions, resident = state
+        for target in self._sets:
+            target.clear()
+        for index, keys in resident:
+            self._sets[index].update(dict.fromkeys(keys, True))
+
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0

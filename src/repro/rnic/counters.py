@@ -58,6 +58,9 @@ class NICCounters:
         #: simulated outcome is the same either way.
         self.batch_fast_cohorts = 0
         self.batch_fallbacks: dict[str, int] = {}
+        #: ULI probe runs planned by :mod:`repro.rnic.closed_loop`; its
+        #: declines count in ``batch_fallbacks`` too.
+        self.closed_loop_runs = 0
 
     def _check_tc(self, tc: int) -> int:
         if not 0 <= tc < self.num_traffic_classes:
@@ -115,10 +118,12 @@ class NICCounters:
             snap[f"rx_prio{tc}_packets"] = self.rx_per_tc[tc].packets
         for opcode, count in self.per_opcode.items():
             snap[f"op_{opcode.value.lower()}"] = count
-        # path tallies only once a cohort was posted, so snapshots of
-        # runs that never batch keep their historical key set
+        # path tallies only once a planner was asked, so snapshots of
+        # runs that never batch or probe keep their historical key set
         if self.batch_fast_cohorts:
             snap["batch_fast_cohorts"] = self.batch_fast_cohorts
+        if self.closed_loop_runs:
+            snap["closed_loop_runs"] = self.closed_loop_runs
         for reason, count in self.batch_fallbacks.items():
             snap[f"batch_fallback_{reason}"] = count
         return snap

@@ -33,7 +33,7 @@ from repro.rnic.translation import TranslationUnit
 from repro.sim.kernel import Simulator
 from repro.sim.units import SECONDS, bytes_to_bits
 from repro.verbs.engine import Engine, execute_data_movement, resolve_remote_qp
-from repro.verbs.enums import WCStatus
+from repro.verbs.enums import Opcode, WCStatus
 from repro.verbs.errors import RemoteAccessError
 from repro.verbs.wr import SendWR
 
@@ -42,6 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: RoCE path MTU used to split large messages into packets.
 MTU = 4096
+
+#: The pipeline stages in order, each one scheduled event of a WQE
+#: (:meth:`RNIC.launch` can start a WQE at any of them).  From
+#: ``"response"`` on, a stage carries the data stage's status.
+STAGES = ("fetch", "txpu", "wire_out", "responder_rx", "translate", "data",
+          "response", "wire_back", "requester_rx", "complete")
 
 
 class RNIC(Engine):
@@ -82,6 +88,7 @@ class RNIC(Engine):
         # every stage emission below is guarded by one `is not None`
         self._obs = _obs.tracer_for(sim)
         self._wqe_seq = 0
+        self._geometry: dict[tuple, tuple] = {}
         _obs.register_rnic(self)
 
     # ------------------------------------------------------------------
@@ -107,11 +114,43 @@ class RNIC(Engine):
     def _packets(self, payload: int) -> int:
         return max(1, (payload + MTU - 1) // MTU)
 
-    def _wire_ns(self, payload: int) -> float:
-        """Serialization time of a message including per-packet headers."""
-        npkt = self._packets(payload)
-        total_bytes = payload + npkt * self.spec.header_bytes
-        return bytes_to_bits(total_bytes) * SECONDS / self.spec.line_rate_bps
+    def geometry(self, opcode: Opcode, length: int,
+                 responder: "RNIC") -> tuple:
+        """The per-message service geometry of one WQE toward
+        ``responder``, memoized per ``(opcode, length, responder)``:
+
+        ``(fetch_ns, req_nbytes, req_wire_ns, resp_nbytes, resp_wire_ns,
+        data_ns, host_read)`` — the requester PCIe occupancy of the WQE
+        fetch plus payload gather, the request's wire bytes (payload
+        plus per-packet headers) and serialization time, the same for
+        the response (built with the responder's header geometry), the
+        responder's PCIe occupancy for the data, and whether the data
+        stage waits out a host-read TLP round trip.  Service times are
+        raw: stations apply their background inflation at admission.
+        The scalar pipeline and both planners read this one table.
+        """
+        key = (opcode, length, responder)
+        geometry = self._geometry.get(key)
+        if geometry is None:
+            spec = self.spec
+            rspec = responder.spec
+            req_payload = length if opcode.carries_request_payload else 0
+            resp_payload = length if opcode.response_carries_payload else 0
+            req_nbytes = (req_payload
+                          + self._packets(req_payload) * spec.header_bytes)
+            resp_nbytes = (resp_payload
+                           + self._packets(resp_payload) * rspec.header_bytes)
+            geometry = self._geometry[key] = (
+                spec.pcie.dma_occupancy_ns(64 + req_payload),
+                req_nbytes,
+                bytes_to_bits(req_nbytes) * SECONDS / spec.line_rate_bps,
+                resp_nbytes,
+                bytes_to_bits(resp_nbytes) * SECONDS / rspec.line_rate_bps,
+                rspec.pcie.dma_occupancy_ns(
+                    16 if opcode.is_atomic else length),
+                opcode.response_carries_payload or opcode.is_atomic,
+            )
+        return geometry
 
     def post_send_batch(self, qp: "QueuePair", wrs: list[SendWR]) -> None:
         """Doorbell batching: one MMIO doorbell launches the whole WQE
@@ -135,8 +174,33 @@ class RNIC(Engine):
                   _ring_doorbell: bool = True) -> None:
         """Launch the WQE through the discrete pipeline."""
         sim = self.sim
-        spec = self.spec
         wr.post_time = sim.now
+        wqe = 0
+        obs = self._obs
+        if obs is not None:
+            self._wqe_seq += 1
+            wqe = self._wqe_seq
+            obs.instant(f"{self.name}.post", category="rnic",
+                        component=f"rnic.{self.name}", ts=sim.now, wqe=wqe,
+                        opcode=wr.opcode.name, length=wr.length)
+        self.launch(qp, wr, "fetch",
+                    sim.now + (self.spec.doorbell_ns if _ring_doorbell
+                               else 0.0), wqe=wqe)
+
+    def launch(self, qp: "QueuePair", wr: SendWR, stage: str, time: float,
+               status: Optional[WCStatus] = None, wqe: int = 0) -> None:
+        """Schedule ``wr``'s pipeline :data:`STAGES` entry ``stage`` at
+        ``time``.
+
+        :meth:`post_send` starts every WQE at ``"fetch"``; the
+        closed-loop planner (:mod:`repro.rnic.closed_loop`) resumes the
+        reads it leaves in flight at their next stage, with ``status``
+        the outcome of the data stage when they already passed it
+        (``None`` before).  Either way the WQE runs the one closure
+        pipeline below from there on.
+        """
+        sim = self.sim
+        spec = self.spec
         remote_qp = resolve_remote_qp(qp, wr)
         responder: RNIC = remote_qp.context.engine  # type: ignore[assignment]
         if not isinstance(responder, RNIC):
@@ -144,33 +208,15 @@ class RNIC(Engine):
                 "remote QP's context is not backed by an RNIC engine"
             )
         tc = qp.traffic_class
-        request_payload = wr.wire_request_bytes
-        response_payload = wr.wire_response_bytes
         rspec = responder.spec
-        # wire geometry is fixed per message — compute it once here
-        # instead of once per stage (these matched _packets/_wire_ns
-        # call pairs showed up in end-to-end profiles)
-        req_npkt = self._packets(request_payload)
-        req_nbytes = request_payload + req_npkt * spec.header_bytes
-        req_wire_ns = bytes_to_bits(req_nbytes) * SECONDS / spec.line_rate_bps
-        resp_npkt = self._packets(response_payload)
-        resp_nbytes = response_payload + resp_npkt * rspec.header_bytes
-        resp_wire_ns = (
-            bytes_to_bits(resp_nbytes) * SECONDS / rspec.line_rate_bps
-        )
-        fetch_occupancy = spec.pcie.dma_occupancy_ns(64 + request_payload)
+        (fetch_occupancy, req_nbytes, req_wire_ns, resp_nbytes, resp_wire_ns,
+         data_occupancy, host_read) = self.geometry(wr.opcode, wr.length,
+                                                    responder)
 
         obs = self._obs
         robs = responder._obs
         comp = f"rnic.{self.name}"
         rcomp = f"rnic.{responder.name}"
-        wqe = 0
-        if obs is not None:
-            self._wqe_seq += 1
-            wqe = self._wqe_seq
-            obs.instant(f"{self.name}.post", category="rnic",
-                        component=comp, ts=sim.now, wqe=wqe,
-                        opcode=wr.opcode.name, length=wr.length)
 
         # resolve the remote MR geometry once; protection is enforced by
         # execute_data_movement at the data stage
@@ -190,7 +236,7 @@ class RNIC(Engine):
         # the RNR budget (rnr_retry) are separate, as in ibv_modify_qp.
         attempts = [0]
         rnr_attempts = [0]
-        executed_status: list[Optional[WCStatus]] = [None]
+        executed_status: list[Optional[WCStatus]] = [status]
 
         def stage_retry() -> None:
             if wr.flushed:
@@ -308,21 +354,17 @@ class RNIC(Engine):
                     return
                 executed_status[0] = first_status
             status = executed_status[0]
-            if wr.opcode.is_atomic:
-                dma_bytes = 16  # 8 B read + 8 B write
-            else:
-                dma_bytes = wr.length
-            pcie = rspec.pcie
-            finish = responder.pcie.admit(sim.now, pcie.dma_occupancy_ns(dma_bytes))
+            finish = responder.pcie.admit(sim.now, data_occupancy)
             if robs is not None:
+                # atomics move 8 B each way
                 robs.span("pcie.data", sim.now, finish - sim.now,
                           category="rnic", component=rcomp, wqe=wqe,
-                          nbytes=dma_bytes)
+                          nbytes=16 if wr.opcode.is_atomic else wr.length)
             # host-read DMAs (read/atomic responses) wait the TLP
             # round trip — stretched by congestion; posted writes
             # complete at the engine
-            if wr.opcode.response_carries_payload or wr.opcode.is_atomic:
-                round_trip = pcie.tlp_latency_ns * (
+            if host_read:
+                round_trip = rspec.pcie.tlp_latency_ns * (
                     1.0 + responder.pcie.background_utilization
                 )
                 if rspec.ddio_enabled:
@@ -384,7 +426,13 @@ class RNIC(Engine):
                          status=status.name)
             qp.complete_send(wr, status, sim.now)
 
-        sim.schedule(spec.doorbell_ns if _ring_doorbell else 0.0, stage_fetch)
+        first = (stage_fetch, stage_txpu, stage_wire_out, stage_responder_rx,
+                 stage_translate, stage_data, stage_response, stage_wire_back,
+                 stage_requester_rx, stage_complete)[STAGES.index(stage)]
+        if status is None:
+            sim.schedule_at(time, first)
+        else:
+            sim.schedule_at(time, first, status)
 
     # ------------------------------------------------------------------
     # Fluid-flow layer

@@ -638,6 +638,28 @@ class TranslationUnit:
         stats.busy_ns = busy_acc
         return finishes
 
+    def checkpoint(self) -> tuple:
+        """Everything :meth:`admit` can change, for :meth:`restore`: a
+        caller that admits speculatively (the closed-loop planner, which
+        can still decline after its admits) rolls back with it.  The
+        stats object itself is kept, so counter tallies that track
+        ``TranslationStats`` instances see no new one."""
+        return (dict(self.stats.__dict__), list(self._bank_busy),
+                self._pipe_busy, self._last_mr, self._last_seg_mr,
+                self._last_seg_idx, self._last_line_mr, self._last_line_idx,
+                self.mpt_cache.checkpoint(), self.mtt_cache.checkpoint(),
+                self.rng.bit_generator.state)
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`checkpoint` (RNG stream included)."""
+        (stats, self._bank_busy, self._pipe_busy, self._last_mr,
+         self._last_seg_mr, self._last_seg_idx, self._last_line_mr,
+         self._last_line_idx, mpt, mtt, rng_state) = state
+        self.stats.__dict__.update(stats)
+        self.mpt_cache.restore(mpt)
+        self.mtt_cache.restore(mtt)
+        self.rng.bit_generator.state = rng_state
+
     def reset_history(self) -> None:
         """Clear history registers and bank occupancy (not the caches)."""
         self._bank_busy = [0.0] * self._nbanks

@@ -11,11 +11,13 @@ re-posting on every completion, cycling through a fixed target pattern
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.host.cluster import RDMAConnection
+from repro.rnic.closed_loop import try_closed_loop
 from repro.verbs.mr import MemoryRegion
 
 
@@ -66,12 +68,27 @@ class ULIProbe:
     def measure(self, num_samples: int, warmup: int = 16) -> np.ndarray:
         """Collect ``num_samples`` ULI values (after ``warmup`` extras).
 
-        Runs the simulation inline; other actors (victim processes,
-        covert senders) make progress concurrently because the kernel
-        interleaves all scheduled events.
+        Runs the simulation inline until the last sample's completion,
+        leaving ``depth`` reads in flight for the next call.  When the
+        probe runs alone (quiescent simulator, lossless fault-free RC
+        path, no DDIO, no observers, an empty CQ) the whole loop is
+        planned as one recurrence (:mod:`repro.rnic.closed_loop`);
+        otherwise — other actors (victim processes, covert senders) have
+        events pending, say — it steps the kernel, which interleaves
+        everyone's events.  Both give the same samples and leave the
+        same simulator state.
         """
-        if num_samples <= 0:
-            raise ValueError(f"num_samples must be positive, got {num_samples}")
+        _check_count("num_samples", num_samples, 1)
+        _check_count("warmup", warmup, 0)
+        count = warmup + num_samples
+        ntargets = len(self.targets)
+        start = self._cursor % ntargets
+        ulis = try_closed_loop(
+            self.conn, self.targets[start:] + self.targets[:start],
+            self.depth, count)
+        if ulis is not None:
+            self._cursor += self.depth + count
+            return np.asarray(ulis[warmup:])
         while self.conn.qp.outstanding_send < self.depth:
             self._post_next()
         samples: list[float] = []
@@ -91,3 +108,10 @@ class ULIProbe:
 
     def measure_mean(self, num_samples: int, warmup: int = 16) -> float:
         return float(self.measure(num_samples, warmup).mean())
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")

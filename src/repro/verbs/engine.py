@@ -48,10 +48,10 @@ def precheck_one_sided(qp: "QueuePair", wr: SendWR) -> WCStatus:
     """The status :func:`execute_data_movement` *would* return for a
     one-sided WQE, computed without side effects.
 
-    Reference twin of the fused eligibility check inside
-    ``repro.rnic.batch.try_fast_path`` (which memoizes the MR lookup
-    and access-flag tests across a cohort instead of re-deriving them
-    per WQE); the batch equivalence suite asserts the two agree.  Only
+    Reference twin of ``repro.rnic.batch.RemoteProof``, the planners'
+    shared proof (which memoizes the MR lookup and access-flag tests
+    across a cohort or a probe loop instead of re-deriving them per
+    WQE); the batch equivalence suite asserts the two agree.  Only
     the remote MR validation (bounds + access flags) is modelled here —
     local-buffer faults raise out of the data stage on both paths and
     are prechecked separately.

@@ -321,6 +321,28 @@ class QueuePair:
         for wr in wrs:
             self.post_send(wr)
 
+    def account_closed_loop(self, sizes: dict, completed: int,
+                            inflight: list[SendWR]) -> None:
+        """The bookkeeping of a planned closed loop of signaled one-sided
+        posts (:mod:`repro.rnic.closed_loop`): ``sizes`` maps each
+        posted length to its count (in first-post order), ``completed``
+        WQEs retired with ``SUCCESS`` CQEs the poster consumed, and
+        ``inflight`` (in post order) are still outstanding.  Leaves
+        exactly what the posts, completions and polls would have."""
+        posted = sum(sizes.values())
+        opcode = inflight[0].opcode
+        self.total_posted += posted
+        self.total_completed += completed
+        self.bytes_posted += sum(size * count for size, count in sizes.items())
+        self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + posted
+        size_counts = self.size_counts
+        for size, count in sizes.items():
+            size_counts[size] = size_counts.get(size, 0) + count
+        for wr in inflight:
+            self._inflight_sends[id(wr)] = wr
+        self._outstanding_send += len(inflight)
+        self.send_cq.total_completions += completed
+
     def post_recv(self, wr: RecvWR) -> None:
         """``ibv_post_recv``: queue a receive buffer."""
         if self.srq is not None:

@@ -131,6 +131,13 @@ def make_read_wr(
     return wr
 
 
+def skip_wqe_seqs(count: int) -> None:
+    """Consume ``count`` WQE sequence numbers without building WQEs: a
+    planner that retires WQEs it never materializes keeps the ``seq`` of
+    every later WQE where the per-message path would put it."""
+    next(itertools.islice(_wqe_sequencer, count, count), None)
+
+
 def make_completion(
     wr_id: int,
     status: "WCStatus",

@@ -77,11 +77,12 @@ def build(sim_class, seed=0, max_send_wr=512):
 
 
 def path_neutral(counters):
-    """A counters snapshot minus the planner's own path tally
-    (``batch_fast_cohorts`` / ``batch_fallback_<reason>``), which by
-    design differs between the two paths."""
+    """A counters snapshot minus the planners' own path tallies
+    (``batch_fast_cohorts`` / ``closed_loop_runs`` /
+    ``batch_fallback_<reason>``), which by design differ between the
+    paths."""
     return {key: value for key, value in counters.snapshot().items()
-            if not key.startswith("batch_")}
+            if not key.startswith(("batch_", "closed_loop_"))}
 
 
 def fingerprint(cluster, client, server, conn, cqes):

@@ -105,3 +105,26 @@ def test_consecutive_measures_reuse_pipeline():
     first = probe.measure(20)
     second = probe.measure(20)
     assert first.shape == second.shape == (20,)
+
+
+@pytest.mark.parametrize("num_samples, warmup", [
+    (10, -3),      # was treated as no warmup
+    (10, 2.5),     # was discarding 3 samples
+    (2.5, 0),      # was returning 3 samples
+    (10.0, 0),
+    (True, 0),
+    (10, None),
+])
+def test_measure_rejects_non_counts(num_samples, warmup):
+    cluster, _, conn, _, probe = setup_probe()
+    with pytest.raises(ValueError):
+        probe.measure(num_samples, warmup=warmup)
+    # rejected before anything was posted, on either path
+    assert conn.qp.outstanding_send == 0
+    assert cluster.sim.pending == 0
+
+
+def test_measure_accepts_numpy_counts():
+    _, _, _, _, probe = setup_probe()
+    samples = probe.measure(np.int64(12), warmup=np.int32(0))
+    assert samples.shape == (12,)
