@@ -246,7 +246,7 @@ class RnrPressureClient:
 class ArmedFaults:
     """The live pieces one ``FaultPlan.install`` armed — kept so a
     caller can quiesce injection mid-run (both carry cancel-on-stop
-    lifecycles; see RAG009)."""
+    lifecycles; see RAG104)."""
 
     pause_storm: Optional[PauseStormInjector] = None
     rnr_pressure: Optional[RnrPressureClient] = None

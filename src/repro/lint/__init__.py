@@ -1,10 +1,12 @@
 """Determinism & invariant checks for the Ragnar reproduction.
 
-Two complementary halves:
+Three complementary parts:
 
 * a **static pass** (:mod:`repro.lint.engine` + :mod:`repro.lint.rules`):
-  an AST rule engine with repo-specific RAG001–RAG008 checks, runnable
-  as ``python -m repro.lint src/repro tests``;
+  an AST rule engine with repo-specific per-file checks (RAG001,
+  RAG003–RAG008), runnable as ``python -m repro.lint src/repro tests``;
+* a **whole-program pass** (:mod:`repro.lint.flow`): the RAG100–RAG106
+  dataflow rules over the call graph, ``python -m repro.lint --flow``;
 * a **runtime auditor** (:mod:`repro.lint.determinism`): replays a
   workload from one seed and fails on any payload or event-trace
   divergence.

@@ -7,7 +7,7 @@ Usage::
     python -m repro.lint src/ --format sarif      # CI code scanning
     python -m repro.lint --flow src/repro         # whole-program pass
     python -m repro.lint --flow --update-baseline # accept findings
-    python -m repro.lint --list-rules             # the RAGxxx rule pack
+    python -m repro.lint --list-rules             # per-file + flow rules
     python -m repro.lint --audit inter-mr         # runtime replay audit
 
 Exit status: 0 when clean, 1 on findings (or audit divergence), 2 on
@@ -45,18 +45,11 @@ def _run_flow(args, parser) -> int:
     from repro.lint import flow
     from repro.lint.flow.analyses import flow_rule_index
     from repro.lint.flow.baseline import Baseline, load_baseline
-    from repro.lint.flow.cache import DEFAULT_CACHE_NAME, FactsCache
 
     paths = args.paths or ["src/repro"]
     missing = [p for p in paths if not pathlib.Path(p).exists()]
     if missing:
         parser.error("no such file or directory: " + ", ".join(missing))
-
-    cache = None
-    if not args.no_cache:
-        cache_path = (pathlib.Path(args.cache) if args.cache
-                      else pathlib.Path(DEFAULT_CACHE_NAME))
-        cache = FactsCache(cache_path)
 
     baseline_path = (pathlib.Path(args.baseline) if args.baseline
                      else flow.default_baseline_path())
@@ -64,8 +57,7 @@ def _run_flow(args, parser) -> int:
     if baseline_path is not None and not args.update_baseline:
         baseline = load_baseline(baseline_path)
 
-    report = flow.run_flow(paths, exclude=args.exclude, cache=cache,
-                           baseline=baseline)
+    report = flow.run_flow(paths, exclude=args.exclude, baseline=baseline)
 
     if args.update_baseline:
         if baseline_path is None:
@@ -87,9 +79,7 @@ def _run_flow(args, parser) -> int:
           fmt=args.format, include_suppressed=args.include_suppressed,
           files_scanned=report.files_scanned, summary=report.summary(),
           rule_titles=titles,
-          extra={"cache_hits": report.cache_hits,
-                 "cache_misses": report.cache_misses,
-                 "baselined": report.baselined})
+          extra={"baselined": report.baselined})
     return 0 if report.clean else 1
 
 
@@ -123,11 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--update-baseline", action="store_true",
                         help="write the current flow findings to the "
                              "baseline instead of failing on them")
-    parser.add_argument("--cache", metavar="PATH", default=None,
-                        help="flow facts cache file (default: "
-                             ".lint_flow_cache.json)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the flow facts cache")
     parser.add_argument("--audit", choices=sorted(AUDITS), default=None,
                         help="run a canned runtime determinism audit "
                              "instead of the static pass")

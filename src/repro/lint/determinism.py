@@ -1,6 +1,6 @@
 """The runtime half of the determinism pass.
 
-Static rules (RAG001/RAG002/...) catch the *sources* of nondeterminism;
+Static rules (RAG001, RAG100, ...) catch the *sources* of nondeterminism;
 this module verifies the *promise* itself: running the same workload
 twice from the same seed must produce a bit-identical event trace and
 payload.  The auditors here run a workload N times, fingerprint each

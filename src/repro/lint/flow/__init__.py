@@ -1,19 +1,16 @@
 """Whole-program flow analyses for the parallel simulator.
 
-The per-file RAG001–RAG009 rules in :mod:`repro.lint.rules` are
-intraprocedural: they can see ``np.random.default_rng()`` on the line
-where it happens, but not a raw RNG hidden two calls below an
-experiment, a module-level cache that a ``--jobs`` worker mutates, or
-a schedule handle that escapes its creator and never meets a
-``sim.cancel()``.  This package closes that gap with a small
-whole-program pipeline:
+The per-file rules in :mod:`repro.lint.rules` are intraprocedural:
+they can see ``time.time()`` on the line where it happens, but not a
+raw RNG hidden two calls below an experiment, a module-level cache
+that a ``--jobs`` worker mutates, or a schedule handle that escapes
+its creator and never meets a ``sim.cancel()``.  This package closes
+that gap with a small whole-program pipeline:
 
 1. **extract** (:mod:`repro.lint.flow.facts`) — one pass per file
    producing JSON-serializable :class:`~repro.lint.flow.facts.FileFacts`
    (functions, resolved call/reference targets, RNG sites, module-global
-   writes, schedule-handle fates, reduction sites).  This is the
-   expensive step, so it is memoised by content hash
-   (:mod:`repro.lint.flow.cache`).
+   writes, schedule-handle fates, reduction sites).
 2. **link** (:mod:`repro.lint.flow.project`) — a project-wide symbol
    table and call graph over the extracted facts, with reachability
    queries anchored at the experiment registry
@@ -43,7 +40,6 @@ from typing import Iterable, Optional, Sequence
 from repro.lint.engine import Finding, iter_python_files
 from repro.lint.flow.analyses import FLOW_RULES, FlowRule, run_analyses
 from repro.lint.flow.baseline import Baseline, load_baseline
-from repro.lint.flow.cache import FactsCache
 from repro.lint.flow.facts import extract_facts
 from repro.lint.flow.project import ProjectIndex
 
@@ -64,8 +60,6 @@ class FlowReport:
 
     findings: list[FlowFinding] = dataclasses.field(default_factory=list)
     files_scanned: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     baselined: int = 0
 
     @property
@@ -81,8 +75,7 @@ class FlowReport:
         return not self.active
 
     def summary(self) -> str:
-        return (f"{self.files_scanned} files analysed "
-                f"({self.cache_hits} cached, {self.cache_misses} parsed): "
+        return (f"{self.files_scanned} files analysed: "
                 f"{len(self.active)} finding(s), "
                 f"{len(self.suppressed)} suppressed, "
                 f"{self.baselined} baselined")
@@ -102,15 +95,11 @@ def default_baseline_path() -> Optional[pathlib.Path]:
 def run_flow(paths: Iterable[str], *,
              rules: Optional[Sequence[FlowRule]] = None,
              exclude: Sequence[str] = (),
-             cache: Optional[FactsCache] = None,
              baseline: Optional[Baseline] = None) -> FlowReport:
     """Run the whole-program analyses over ``paths``.
 
-    ``cache`` (optional) memoises per-file fact extraction by content
-    hash; the cross-file link and analysis steps are always recomputed
-    (they are cheap, and per-file caching of *findings* would be
-    unsound for a whole-program pass).  ``baseline`` marks known
-    sanctioned findings as suppressed instead of active.
+    ``baseline`` drops known sanctioned findings from the report and
+    counts them in :attr:`FlowReport.baselined`.
     """
     report = FlowReport()
     index = ProjectIndex()
@@ -125,19 +114,7 @@ def run_flow(paths: Iterable[str], *,
                                 message=f"could not read file: {error}"),
                 fingerprint=("RAG000", str(file_path), "", "unreadable")))
             continue
-        facts = None
-        if cache is not None:
-            facts = cache.lookup(str(file_path), source)
-        if facts is not None:
-            report.cache_hits += 1
-        else:
-            report.cache_misses += 1
-            facts = extract_facts(source, path=str(file_path))
-            if cache is not None:
-                cache.store(str(file_path), source, facts)
-        index.add(facts)
-    if cache is not None:
-        cache.save()
+        index.add(extract_facts(source, path=str(file_path)))
     index.link()
     for flow_finding in run_analyses(index, rules=rules):
         report.findings.append(flow_finding)
@@ -157,7 +134,6 @@ def run_flow(paths: Iterable[str], *,
 __all__ = [
     "FLOW_RULES",
     "Baseline",
-    "FactsCache",
     "FlowFinding",
     "FlowReport",
     "FlowRule",

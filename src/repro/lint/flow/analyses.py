@@ -7,7 +7,8 @@ modules away can clear a shard-safety flag here.
 
 Rule catalogue (see docs/LINT.md for the narrative version):
 
-RAG100  process-global / entropy randomness on a reachable path
+RAG100  process-global randomness anywhere in the package, or raw
+        entropy on a reachable path
 RAG101  RNG constructed outside the named-stream discipline
 RAG102  module-level mutable container mutated after import time
 RAG103  module-level name rebound after import time without a reset
@@ -29,6 +30,9 @@ from repro.lint.flow.project import ProjectIndex
 #: (experiments, channels, fault injection, side channels).
 _TAINT_MODULE_RE = re.compile(
     r"(^|\.)(experiments|covert|faults|side|channels)(\.|$)")
+
+#: The named-stream module: the one file allowed to touch the global RNG.
+_RNG_HOME = "repro/sim/random.py"
 
 #: Function names that sanction a module-global reset wherever they
 #: appear (teardown paths are often only called from tests/atexit).
@@ -107,26 +111,54 @@ class RawFinding:
 # RAG100 / RAG101 — randomness taint
 # ----------------------------------------------------------------------
 
+def _in_package(facts: FileFacts) -> bool:
+    """Is this file part of the ``repro`` package (and not the
+    named-stream module that wraps the global RNG on purpose)?"""
+    return facts.module_path.startswith("repro/") and \
+        facts.module_path != _RNG_HOME
+
+
 class GlobalRandomnessTaintRule(FlowRule):
     """Process-global RNG state (``random.*``, legacy ``np.random.*``)
-    or raw entropy (``os.urandom``, ``uuid.uuid4``) anywhere reachable
-    from experiments, channels, faults, or side channels.  These make
+    anywhere in the package, reachable or not, and raw entropy
+    (``os.urandom``, ``uuid.uuid4``) anywhere reachable from
+    experiments, channels, faults, or side channels.  These make
     results depend on import order and host state, not the experiment
-    seed."""
+    seed; all randomness flows through named, seed-derived streams
+    (:class:`repro.sim.random.RandomStreams`) or an explicitly seeded
+    ``numpy.random.Generator``.  A reachable site names its call
+    chain."""
 
     rule_id = "RAG100"
-    title = "global RNG or entropy source on a reachable path"
+    title = "global RNG in the package, or entropy on a reachable path"
     severity = "error"
 
     def run(self, index: ProjectIndex) -> Iterator[RawFinding]:
         parents = index.reachable_from(taint_roots(index))
-        for qualname in sorted(parents):
+        for facts in index.files.values():
+            if not _in_package(facts):
+                continue
+            for site in facts.rng:
+                if site.kind == "global":
+                    yield self.raw(
+                        facts, None, site.line, site.col,
+                        key=f"global:{site.target}",
+                        message=(f"{facts.module} uses process-global RNG "
+                                 f"{site.target}() at import time; derive "
+                                 f"randomness from a named "
+                                 f"sim.random.stream(...) instead"))
+        for qualname in sorted(index.functions):
             fn, facts = index.functions[qualname]
+            reachable = qualname in parents
             for site in fn.rng:
-                if site.kind not in ("global", "entropy"):
+                if site.kind == "global":
+                    if not (reachable or _in_package(facts)):
+                        continue
+                    noun = "process-global RNG"
+                elif site.kind == "entropy" and reachable:
+                    noun = "process entropy source"
+                else:
                     continue
-                noun = ("process-global RNG" if site.kind == "global"
-                        else "process entropy source")
                 yield self.raw(
                     facts, fn, site.line, site.col,
                     key=f"{site.kind}:{site.target}",
@@ -265,11 +297,16 @@ class SharedRebindRule(FlowRule):
 
 class HandleEscapeRule(FlowRule):
     """Schedule handles that escape their creator without a cancel
-    path: self-rescheduling chains started with a discarded handle
-    (outside RAG009's class+stop scope), handles returned by a helper
-    and dropped at the call site, handles passed to helpers that
+    path: self-rescheduling chains whose handle is discarded (in a
+    class with ``stop()``, also the call that starts the chain), chains
+    kept on ``self`` by a class whose ``stop()`` can cancel nothing
+    (no ``cancel()`` anywhere in the class), handles returned by a
+    helper and dropped at the call site, handles passed to helpers that
     neither cancel nor keep them, and handles buried in containers by
-    functions with no cancel path."""
+    functions with no cancel path.  A ``stop()`` that merely clears a
+    flag leaves the pending event alive: a later ``start()`` launches a
+    *second* chain and doubles the callback rate (the
+    BandwidthMonitor/CounterSampler bug class)."""
 
     rule_id = "RAG104"
     title = "schedule handle escapes without a cancel path"
@@ -281,23 +318,31 @@ class HandleEscapeRule(FlowRule):
             yield from self._schedules(index, fn, facts)
             yield from self._dropped_at_caller(index, fn, facts)
 
-    def _rag009_covers(self, index: ProjectIndex, fn: FunctionFacts,
-                       facts: FileFacts, callback_form: str) -> bool:
-        """RAG009 (per-file) already polices self.X reschedules inside
-        classes that expose stop()."""
-        if not fn.cls or callback_form != "self":
-            return False
+    @staticmethod
+    def _has_stop(index: ProjectIndex, fn: FunctionFacts,
+                  facts: FileFacts) -> bool:
         entry = index.classes.get(f"{facts.module}.{fn.cls}")
         return bool(entry and "stop" in entry[0].methods)
 
+    @staticmethod
+    def _starts_chain(index: ProjectIndex, fn: FunctionFacts,
+                      facts: FileFacts, site) -> bool:
+        """Does ``site`` schedule a method of the class that
+        reschedules itself (``start()`` arming ``self._tick``)?"""
+        if site.callback_form != "self":
+            return False
+        entry = index.functions.get(
+            f"{facts.module}.{fn.cls}.{site.callback}")
+        return bool(entry and any(s.self_chain for s in entry[0].schedules))
+
     def _schedules(self, index: ProjectIndex, fn: FunctionFacts,
                    facts: FileFacts) -> Iterator[RawFinding]:
+        has_stop = self._has_stop(index, fn, facts)
         for site in fn.schedules:
-            if site.self_chain and site.fate in ("discarded", "local") \
+            chain = site.self_chain or (
+                has_stop and self._starts_chain(index, fn, facts, site))
+            if chain and site.fate in ("discarded", "local") \
                     and not site.cancelled_locally:
-                if self._rag009_covers(index, fn, facts,
-                                       site.callback_form):
-                    continue
                 yield self.raw(
                     facts, fn, site.line, site.col,
                     key=f"chain:{site.callback or fn.name}",
@@ -305,6 +350,16 @@ class HandleEscapeRule(FlowRule):
                              f"{site.method}() chain and drops the "
                              f"handle; no cancel path can ever stop the "
                              f"chain once the enclosing run ends"))
+            elif chain and has_stop and site.fate == "self_attr" \
+                    and not index.class_cancels(facts.module, fn.cls):
+                yield self.raw(
+                    facts, fn, site.line, site.col,
+                    key=f"kept:{site.callback}",
+                    message=(f"{fn.qualname} keeps the handle of a "
+                             f"self-rescheduling {site.method}() chain, "
+                             f"but {fn.cls}.stop() never cancel()s it; a "
+                             f"stop->start cycle doubles the callback "
+                             f"rate"))
             elif site.fate == "container":
                 class_ok = fn.cls and index.class_cancels(facts.module,
                                                           fn.cls)

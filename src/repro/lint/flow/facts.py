@@ -1,9 +1,7 @@
 """Per-file fact extraction for the whole-program analyses.
 
 One :class:`FileFacts` per source file, produced by a single AST pass
-and fully JSON-serializable so the incremental cache
-(:mod:`repro.lint.flow.cache`) can skip re-extraction when a file's
-content hash is unchanged.  Everything *file-local* is resolved here
+and fully JSON-serializable.  Everything *file-local* is resolved here
 (import aliases, nested scopes, handle fates inside one function);
 everything *cross-file* (call-graph edges, reachability, escape across
 helpers) is left to :mod:`repro.lint.flow.project`.
@@ -17,17 +15,27 @@ import pathlib
 from typing import Iterator, Optional
 
 from repro.lint.engine import module_path_for, parse_suppressions
-from repro.lint.rules import (
-    NUMPY_LEGACY_RANDOM_FNS,
-    STDLIB_RANDOM_FNS,
-    dotted_name,
-)
-
-#: Bump when the extraction schema changes; the cache keys on it.
-FACTS_SCHEMA_VERSION = 2
+from repro.lint.rules import dotted_name
 
 #: Kernel methods that return a cancellable schedule handle.
 SCHEDULE_METHODS = frozenset({"schedule", "schedule_at"})
+
+#: ``random.<fn>`` calls that draw from (or reseed) the process-global
+#: stdlib RNG.
+STDLIB_RANDOM_FNS = frozenset({
+    "random", "randint", "randrange", "choice", "choices", "shuffle",
+    "sample", "uniform", "normalvariate", "gauss", "seed", "getrandbits",
+    "betavariate", "expovariate", "paretovariate", "vonmisesvariate",
+    "triangular", "lognormvariate", "weibullvariate", "randbytes",
+})
+
+#: ``numpy.random.<fn>`` calls on the legacy process-global RandomState.
+NUMPY_LEGACY_RANDOM_FNS = frozenset({
+    "seed", "rand", "randn", "randint", "random", "random_sample",
+    "ranf", "sample", "choice", "shuffle", "permutation", "uniform",
+    "normal", "exponential", "poisson", "binomial", "standard_normal",
+    "bytes", "get_state", "set_state",
+})
 
 #: Call targets that read process entropy (never replayable).
 ENTROPY_TARGETS = frozenset({
@@ -197,7 +205,7 @@ class ClassFacts:
 
 @dataclasses.dataclass
 class FileFacts:
-    """The per-file extraction result (cache unit)."""
+    """The per-file extraction result."""
 
     path: str
     module_path: str          # repro/sim/kernel.py
@@ -207,6 +215,9 @@ class FileFacts:
     globals: dict[str, dict] = dataclasses.field(default_factory=dict)
     functions: list[FunctionFacts] = dataclasses.field(default_factory=list)
     classes: list[ClassFacts] = dataclasses.field(default_factory=list)
+    #: RNG sites outside every function body: module and class bodies,
+    #: decorators, default values (code that runs at import time).
+    rng: list[RngFact] = dataclasses.field(default_factory=list)
     #: Module-level registry dicts: name -> list of resolved dotted
     #: function targets (e.g. REGISTRY in experiments/runner.py).
     registries: dict[str, list[str]] = dataclasses.field(default_factory=dict)
@@ -229,6 +240,7 @@ class FileFacts:
                     parse_error=data.get("parse_error", ""))
         for cdata in data["classes"]:
             facts.classes.append(ClassFacts(**cdata))
+        facts.rng = [RngFact(**r) for r in data["rng"]]
         for fdata in data["functions"]:
             fn = FunctionFacts(
                 qualname=fdata["qualname"], name=fdata["name"],
@@ -314,6 +326,52 @@ def _numeric_literal(node: ast.AST) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         return _numeric_literal(node.operand)
     return False
+
+
+def _rng_site(call: ast.Call, aliases: dict[str, str]) -> Optional[RngFact]:
+    """The randomness source a call reads, if any (see :class:`RngFact`
+    for the kinds; ``loop_stream`` is decided by the caller)."""
+    target = _resolve(call.func, aliases)
+    if target is None:
+        return None
+    module, _, fn = target.rpartition(".")
+    kind = ""
+    if target in ENTROPY_TARGETS:
+        kind = "entropy"
+    elif module == "random" and fn in STDLIB_RANDOM_FNS:
+        kind = "global"
+    elif module == "numpy.random" and fn in NUMPY_LEGACY_RANDOM_FNS:
+        kind = "global"
+    elif target == "numpy.random.default_rng":
+        if not call.args and not call.keywords:
+            kind = "seedless"
+        elif call.args and _numeric_literal(call.args[0]):
+            kind = "literal_seed"
+    elif target == "numpy.random.Generator":
+        seeded = any(
+            isinstance(arg, ast.Call) and (arg.args or arg.keywords)
+            for arg in call.args)
+        if not seeded:
+            kind = "seedless"
+    if not kind:
+        return None
+    return RngFact(call.lineno, call.col_offset, kind, target)
+
+
+def _outside_functions(tree: ast.Module) -> Iterator[ast.AST]:
+    """Every node that no function body owns: module and class bodies,
+    and the decorators, defaults and annotations of each ``def``."""
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list)
+            stack.append(node.args)
+            if node.returns is not None:
+                stack.append(node.returns)
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
 
 
 # ----------------------------------------------------------------------
@@ -609,8 +667,15 @@ class _FunctionExtractor:
             if isinstance(arg, ast.Attribute) and \
                     isinstance(arg.value, ast.Name) and \
                     arg.value.id == "self":
-                callback, form = arg.attr, "self"
-                break
+                # ``schedule(self.interval_ns, self._tick)``: the delay
+                # is a self attribute too, so a method of the class
+                # wins over the first ``self.X``
+                if arg.attr in self.method_names:
+                    callback, form = arg.attr, "self"
+                    break
+                if not callback:
+                    callback, form = arg.attr, "self"
+                continue
             if isinstance(arg, ast.Name):
                 if arg.id == self.facts.name:
                     callback, form = self.facts.qualname, "local"
@@ -640,7 +705,9 @@ class _FunctionExtractor:
                     if arg.id in self.facts.params and \
                             arg.id not in self.facts.param_fates.cancelled:
                         self.facts.param_fates.cancelled.append(arg.id)
-        self._rng_call(call)
+        record = _rng_site(call, self.aliases)
+        if record is not None:
+            self.facts.rng.append(record)
         if self.loop_depth > 0:
             self._loop_stream(call)
         fact = self._call_fact(call, discarded)
@@ -724,35 +791,6 @@ class _FunctionExtractor:
             if isinstance(node, ast.Call):
                 self._loop_stream(node)
             stack.extend(ast.iter_child_nodes(node))
-
-    def _rng_call(self, call: ast.Call) -> None:
-        target = _resolve(call.func, self.aliases)
-        if target is None:
-            return
-        record: Optional[RngFact] = None
-        module, _, fn = target.rpartition(".")
-        if target in ENTROPY_TARGETS:
-            record = RngFact(call.lineno, call.col_offset, "entropy", target)
-        elif module == "random" and fn in STDLIB_RANDOM_FNS:
-            record = RngFact(call.lineno, call.col_offset, "global", target)
-        elif module == "numpy.random" and fn in NUMPY_LEGACY_RANDOM_FNS:
-            record = RngFact(call.lineno, call.col_offset, "global", target)
-        elif target == "numpy.random.default_rng":
-            if not call.args and not call.keywords:
-                record = RngFact(call.lineno, call.col_offset,
-                                 "seedless", target)
-            elif call.args and _numeric_literal(call.args[0]):
-                record = RngFact(call.lineno, call.col_offset,
-                                 "literal_seed", target)
-        elif target == "numpy.random.Generator":
-            seeded = any(
-                isinstance(arg, ast.Call) and (arg.args or arg.keywords)
-                for arg in call.args)
-            if not seeded:
-                record = RngFact(call.lineno, call.col_offset,
-                                 "seedless", target)
-        if record is not None:
-            self.facts.rng.append(record)
 
     # -- reductions ---------------------------------------------------
 
@@ -928,12 +966,15 @@ def extract_facts(source: str, *, path: str = "<string>") -> FileFacts:
 
     for stmt in tree.body:
         descend(stmt, module, "", top_defs, set())
+    sites = (_rng_site(node, aliases) for node in _outside_functions(tree)
+             if isinstance(node, ast.Call))
+    facts.rng = sorted((site for site in sites if site is not None),
+                       key=lambda site: (site.line, site.col))
     return facts
 
 
 __all__ = [
     "ENTROPY_TARGETS",
-    "FACTS_SCHEMA_VERSION",
     "CallFact",
     "ClassFacts",
     "FileFacts",
@@ -941,10 +982,12 @@ __all__ = [
     "GlobalWriteFact",
     "MUTABLE_FACTORIES",
     "MUTATING_METHODS",
+    "NUMPY_LEGACY_RANDOM_FNS",
     "ParamFates",
     "ReductionFact",
     "RngFact",
     "SCHEDULE_METHODS",
+    "STDLIB_RANDOM_FNS",
     "ScheduleFact",
     "extract_facts",
     "module_name_for",

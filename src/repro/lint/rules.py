@@ -5,15 +5,19 @@ Each rule encodes one promise the simulator makes to the experiments
 
 ========  ==========================================================
 RAG001    no wall-clock reads inside the package (CLI layer excepted)
-RAG002    no global ``random`` / legacy ``numpy.random`` state
 RAG003    no exact float equality on timestamps/latencies
 RAG004    no bare or over-broad ``except`` clauses
 RAG005    no mutable default arguments
 RAG006    no kernel-state mutation from outside ``repro/sim``
 RAG007    no raw 1e6/1e9 unit literals — use ``repro.sim.units``
 RAG008    no I/O calls inside sim/model layers
-RAG009    self-rescheduling callbacks must keep a cancellable handle
 ========  ==========================================================
+
+Global RNG state and self-rescheduling handles are checked once, by
+the whole-program pass (:mod:`repro.lint.flow.analyses`): RAG100
+reports every process-global RNG call in the package, RAG104 every
+schedule handle no cancel path can reach.  The ids RAG002 and RAG009
+are retired, not reused.
 """
 
 from __future__ import annotations
@@ -131,59 +135,6 @@ class WallClockRule(Rule):
                     f"wall-clock call {target}() in simulator code; use "
                     f"Simulator.now for simulated time or "
                     f"repro.experiments.timing.wallclock() in the CLI layer")
-
-
-# ----------------------------------------------------------------------
-# RAG002 — global random state
-# ----------------------------------------------------------------------
-
-STDLIB_RANDOM_FNS = frozenset({
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "normalvariate", "gauss", "seed", "getrandbits",
-    "betavariate", "expovariate", "paretovariate", "vonmisesvariate",
-    "triangular", "lognormvariate", "weibullvariate", "randbytes",
-})
-
-NUMPY_LEGACY_RANDOM_FNS = frozenset({
-    "seed", "rand", "randn", "randint", "random", "random_sample",
-    "ranf", "sample", "choice", "shuffle", "permutation", "uniform",
-    "normal", "exponential", "poisson", "binomial", "standard_normal",
-    "bytes", "get_state", "set_state",
-})
-
-
-@_register
-class GlobalRandomRule(Rule):
-    """All randomness flows through named, seed-derived streams
-    (:class:`repro.sim.random.RandomStreams`) or an explicitly seeded
-    ``numpy.random.Generator``; process-global RNG state is shared
-    mutable state that couples unrelated models."""
-
-    rule_id = "RAG002"
-    title = "no global random / legacy numpy.random state"
-    scope = ("repro/",)
-    exclude = ("repro/sim/random.py",)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        aliases = import_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_target(node.func, aliases)
-            if target is None:
-                continue
-            module, _, func = target.rpartition(".")
-            if module == "random" and func in STDLIB_RANDOM_FNS:
-                yield self.finding(
-                    ctx, node,
-                    f"global random state ({target}()); draw from a named "
-                    f"RandomStreams stream instead")
-            elif module == "numpy.random" and func in NUMPY_LEGACY_RANDOM_FNS:
-                yield self.finding(
-                    ctx, node,
-                    f"legacy global numpy RNG ({target}()); use "
-                    f"numpy.random.default_rng(seed) or a RandomStreams "
-                    f"stream")
 
 
 # ----------------------------------------------------------------------
@@ -436,72 +387,3 @@ class KernelIORule(Rule):
                     f"callbacks must stay I/O-free (surface data through "
                     f"telemetry or return values)")
 
-
-# ----------------------------------------------------------------------
-# RAG009 — cancel-on-stop for self-rescheduling callbacks
-# ----------------------------------------------------------------------
-
-SCHEDULE_METHODS = frozenset({"schedule", "schedule_at"})
-
-
-@_register
-class DroppedScheduleHandleRule(Rule):
-    """A class whose methods reschedule themselves (``schedule(...,
-    self._tick)``) and that exposes ``stop()`` must keep the schedule
-    handle and ``cancel()`` it on stop.  A stop() that merely clears a
-    flag leaves the pending event alive: a later start() launches a
-    *second* chain, silently doubling the callback rate — the
-    BandwidthMonitor/CounterSampler bug class."""
-
-    rule_id = "RAG009"
-    title = "self-rescheduling callbacks must keep a cancellable handle"
-    scope = ("repro/",)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for cls in ast.walk(ctx.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            methods = {
-                item.name: item for item in cls.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            stop = methods.get("stop")
-            if stop is None:
-                continue  # no lifecycle contract to enforce
-            stop_cancels = any(
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "cancel"
-                for node in ast.walk(stop))
-            for method in methods.values():
-                discarded = {
-                    id(stmt.value) for stmt in ast.walk(method)
-                    if isinstance(stmt, ast.Expr)
-                }
-                for node in ast.walk(method):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    func = node.func
-                    if not (isinstance(func, ast.Attribute)
-                            and func.attr in SCHEDULE_METHODS):
-                        continue
-                    reschedules = any(
-                        isinstance(arg, ast.Attribute)
-                        and isinstance(arg.value, ast.Name)
-                        and arg.value.id == "self"
-                        and arg.attr in methods
-                        for arg in node.args)
-                    if not reschedules:
-                        continue
-                    if id(node) in discarded:
-                        yield self.finding(
-                            ctx, node,
-                            f"{cls.name}.{method.name} drops the handle of a "
-                            f"self-rescheduling {func.attr}() call; keep it "
-                            f"so stop() can cancel the pending event")
-                    elif not stop_cancels:
-                        yield self.finding(
-                            ctx, node,
-                            f"{cls.name}.stop() never cancel()s the handle "
-                            f"of the {func.attr}() chain in {method.name}; "
-                            f"a stop->start cycle doubles the callback rate")

@@ -89,7 +89,10 @@ class ULIProbe:
         if ulis is not None:
             self._cursor += self.depth + count
             return np.asarray(ulis[warmup:])
-        while self.conn.qp.outstanding_send < self.depth:
+        # CQEs already waiting are the first samples, and each re-posts
+        # a read: count them against the depth
+        qp = self.conn.qp
+        while qp.outstanding_send + len(qp.send_cq) < self.depth:
             self._post_next()
         samples: list[float] = []
         remaining_warmup = warmup

@@ -64,6 +64,36 @@ def test_rng_kinds():
     assert fn(facts, "ok").rng == []
 
 
+def test_import_time_rng_sites_belong_to_the_file():
+    source = (
+        "import random\n"
+        "SEED = random.getrandbits(32)\n"
+        "class Config:\n"
+        "    jitter = random.random()\n"
+        "    def draw(self, scale=random.uniform(0, 1)):\n"
+        "        return random.gauss(0, scale)\n"
+    )
+    facts = extract_facts(source, path="src/repro/x.py")
+    assert [(r.line, r.kind, r.target) for r in facts.rng] == [
+        (2, "global", "random.getrandbits"),
+        (4, "global", "random.random"),
+        (5, "global", "random.uniform"),
+    ]
+    assert [r.target for r in fn(facts, "draw").rng] == ["random.gauss"]
+
+
+def test_self_callback_skips_a_self_attribute_delay():
+    source = (
+        "class Monitor:\n"
+        "    def _tick(self):\n"
+        "        self.sim.schedule(self.interval_ns, self._tick)\n"
+    )
+    facts = extract_facts(source, path="src/repro/x.py")
+    (site,) = fn(facts, "_tick").schedules
+    assert (site.callback, site.callback_form) == ("_tick", "self")
+    assert site.self_chain
+
+
 def test_schedule_handle_fates():
     source = (
         "def helper(sim, cb):\n"

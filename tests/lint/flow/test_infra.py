@@ -1,4 +1,4 @@
-"""Cache, baseline, and CLI behaviour of the flow pass."""
+"""Baseline and CLI behaviour of the flow pass."""
 
 import json
 import pathlib
@@ -6,7 +6,6 @@ import pathlib
 from repro.lint.__main__ import main
 from repro.lint.flow import run_flow
 from repro.lint.flow.baseline import Baseline, load_baseline
-from repro.lint.flow.cache import FactsCache
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "flow"
 
@@ -20,55 +19,6 @@ def write_pkg(tmp_path, body):
 
 
 DIRTY = "def run_task(samples):\n    return sum(set(samples))\n"
-
-
-# ----------------------------------------------------------------------
-# cache
-# ----------------------------------------------------------------------
-
-def test_cache_cold_then_warm(tmp_path):
-    write_pkg(tmp_path, DIRTY)
-    cache_file = tmp_path / "cache.json"
-
-    cache = FactsCache(cache_file)
-    cold = run_flow([str(tmp_path)], cache=cache)
-    assert cold.cache_misses >= 1 and cold.cache_hits == 0
-
-    cache = FactsCache(cache_file)
-    warm = run_flow([str(tmp_path)], cache=cache)
-    assert warm.cache_misses == 0
-    assert warm.cache_hits == cold.cache_misses
-
-    # cached and uncached runs agree finding-for-finding
-    assert [ff.fingerprint for ff in warm.findings] == \
-        [ff.fingerprint for ff in cold.findings]
-
-
-def test_cache_invalidates_on_content_change(tmp_path):
-    runner = write_pkg(tmp_path, DIRTY)
-    cache_file = tmp_path / "cache.json"
-    run_flow([str(tmp_path)], cache=FactsCache(cache_file))
-
-    runner.write_text(DIRTY + "\n# appended\n", encoding="utf-8")
-    report = run_flow([str(tmp_path)], cache=FactsCache(cache_file))
-    assert report.cache_misses >= 1
-
-
-def test_cache_ignores_stale_schema(tmp_path):
-    cache_file = tmp_path / "cache.json"
-    cache_file.write_text(json.dumps({"schema": -1, "files": {}}),
-                          encoding="utf-8")
-    cache = FactsCache(cache_file)
-    assert len(cache) == 0
-
-
-def test_corrupt_cache_degrades_to_cold_run(tmp_path):
-    write_pkg(tmp_path, DIRTY)
-    cache_file = tmp_path / "cache.json"
-    cache_file.write_text("not json{", encoding="utf-8")
-    report = run_flow([str(tmp_path)], cache=FactsCache(cache_file))
-    assert report.cache_misses >= 1
-    assert not report.clean
 
 
 # ----------------------------------------------------------------------
@@ -112,21 +62,21 @@ def run_cli(argv, capsys):
 
 
 def test_cli_flow_fails_on_dirty_fixture(capsys):
-    code, out = run_cli(["--flow", "--no-cache",
-                         str(FIXTURES / "rag100" / "dirty")], capsys)
+    code, out = run_cli(["--flow", str(FIXTURES / "rag100" / "dirty")],
+                        capsys)
     assert code == 1
     assert "RAG100" in out
 
 
 def test_cli_flow_passes_on_clean_fixture(capsys):
-    code, out = run_cli(["--flow", "--no-cache",
-                         str(FIXTURES / "rag100" / "clean")], capsys)
+    code, out = run_cli(["--flow", str(FIXTURES / "rag100" / "clean")],
+                        capsys)
     assert code == 0
     assert "0 finding(s)" in out
 
 
 def test_cli_flow_json_format(capsys):
-    code, out = run_cli(["--flow", "--no-cache", "--format", "json",
+    code, out = run_cli(["--flow", "--format", "json",
                          str(FIXTURES / "rag101" / "dirty")], capsys)
     assert code == 1
     payload = json.loads(out)
@@ -135,7 +85,7 @@ def test_cli_flow_json_format(capsys):
 
 
 def test_cli_flow_sarif_format(capsys):
-    code, out = run_cli(["--flow", "--no-cache", "--format", "sarif",
+    code, out = run_cli(["--flow", "--format", "sarif",
                          str(FIXTURES / "rag102" / "dirty")], capsys)
     assert code == 1
     sarif = json.loads(out)
@@ -160,26 +110,16 @@ def test_cli_classic_sarif_format(capsys):
 def test_cli_update_baseline_then_clean(tmp_path, capsys):
     write_pkg(tmp_path, DIRTY)
     baseline = tmp_path / "baseline.json"
-    code, out = run_cli(["--flow", "--no-cache", str(tmp_path),
+    code, out = run_cli(["--flow", str(tmp_path),
                          "--baseline", str(baseline),
                          "--update-baseline"], capsys)
     assert code == 0
     assert "baseline updated" in out
 
-    code, out = run_cli(["--flow", "--no-cache", str(tmp_path),
+    code, out = run_cli(["--flow", str(tmp_path),
                          "--baseline", str(baseline)], capsys)
     assert code == 0
     assert "1 baselined" in out
-
-
-def test_cli_cache_roundtrip(tmp_path, capsys):
-    write_pkg(tmp_path, "def run_task(name):\n    return name\n")
-    cache = tmp_path / "cache.json"
-    run_cli(["--flow", str(tmp_path), "--cache", str(cache)], capsys)
-    code, out = run_cli(["--flow", str(tmp_path), "--cache", str(cache)],
-                        capsys)
-    assert code == 0
-    assert "0 parsed" in out
 
 
 def test_cli_list_rules_includes_flow_pack(capsys):

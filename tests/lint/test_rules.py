@@ -53,32 +53,6 @@ def test_rag001_ignores_files_outside_the_package():
 
 
 # ----------------------------------------------------------------------
-# RAG002 — global random state
-# ----------------------------------------------------------------------
-
-def test_rag002_flags_stdlib_random():
-    source = "import random\nvalue = random.randint(0, 7)\n"
-    assert ids(source) == ["RAG002"]
-
-
-def test_rag002_flags_legacy_numpy_random():
-    source = "import numpy as np\nnp.random.seed(3)\nx = np.random.rand(4)\n"
-    assert ids(source) == ["RAG002", "RAG002"]
-
-
-def test_rag002_allows_seeded_generators():
-    source = ("import numpy as np\n"
-              "rng = np.random.default_rng(7)\n"
-              "x = rng.normal()\n")
-    assert ids(source) == []
-
-
-def test_rag002_allows_the_streams_module():
-    source = "import numpy as np\nnp.random.seed(1)\n"
-    assert ids(source, module="repro/sim/random.py") == []
-
-
-# ----------------------------------------------------------------------
 # RAG003 — float equality
 # ----------------------------------------------------------------------
 
@@ -179,63 +153,6 @@ def test_rag008_allows_io_outside_model_layers():
 
 
 # ----------------------------------------------------------------------
-# RAG009 — cancel-on-stop for self-rescheduling callbacks
-# ----------------------------------------------------------------------
-
-LEAKY = """
-class Leaky:
-    def start(self):
-        self.sim.schedule(10.0, self._tick)
-    def stop(self):
-        self._running = False
-    def _tick(self):
-        self.sim.schedule(10.0, self._tick)
-"""
-
-FIXED = """
-class Fixed:
-    def start(self):
-        self._handle = self.sim.schedule(10.0, self._tick)
-    def stop(self):
-        self.sim.cancel(self._handle)
-    def _tick(self):
-        self._handle = self.sim.schedule(10.0, self._tick)
-"""
-
-
-def test_rag009_flags_dropped_handles():
-    # both the start() and the _tick() schedule calls drop the handle
-    assert ids(LEAKY) == ["RAG009", "RAG009"]
-
-
-def test_rag009_flags_kept_handle_that_stop_never_cancels():
-    source = FIXED.replace("self.sim.cancel(self._handle)", "pass")
-    assert ids(source) == ["RAG009", "RAG009"]
-
-
-def test_rag009_accepts_cancel_on_stop():
-    assert ids(FIXED) == []
-
-
-def test_rag009_ignores_classes_without_stop():
-    source = LEAKY.replace(
-        "    def stop(self):\n        self._running = False\n", "")
-    assert ids(source) == []
-
-
-def test_rag009_ignores_schedules_of_foreign_callbacks():
-    # scheduling someone else's callback is not a self-owned chain
-    source = """
-class Driver:
-    def start(self, other):
-        self.sim.schedule(10.0, other.fire)
-    def stop(self):
-        pass
-"""
-    assert ids(source) == []
-
-
-# ----------------------------------------------------------------------
 # Engine mechanics
 # ----------------------------------------------------------------------
 
@@ -275,11 +192,11 @@ def test_module_path_anchors_at_last_repro_component():
 def test_rule_pack_is_complete_and_ordered():
     rules = default_rules()
     assert [r.rule_id for r in rules] == [
-        "RAG001", "RAG002", "RAG003", "RAG004",
-        "RAG005", "RAG006", "RAG007", "RAG008", "RAG009",
+        "RAG001", "RAG003", "RAG004",
+        "RAG005", "RAG006", "RAG007", "RAG008",
     ]
     index = rule_index()
-    assert len(index) == 9
+    assert len(index) == 7
     assert all(cls.title for cls in index.values())
 
 

@@ -128,3 +128,16 @@ def test_measure_accepts_numpy_counts():
     _, _, _, _, probe = setup_probe()
     samples = probe.measure(np.int64(12), warmup=np.int32(0))
     assert samples.shape == (12,)
+
+
+def test_measure_counts_stale_cqes_against_the_depth():
+    """CQEs left waiting in the CQ are the next samples, and each one
+    re-posts a read: the fill must leave room for them, or a full
+    queue (depth == max_send_wr) overflows."""
+    cluster, _, conn, _, probe = setup_probe(max_send_wr=4, depth=4)
+    probe.measure(10)
+    cluster.sim.run()
+    assert conn.qp.outstanding_send == 0 and len(conn.cq) == 4
+    samples = probe.measure(10)
+    assert samples.shape == (10,)
+    assert conn.qp.outstanding_send + len(conn.cq) == 4

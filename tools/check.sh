@@ -11,10 +11,8 @@
 #                      (docs/LINT.md); fixture corpus is intentionally dirty
 #                      and excluded
 #   3. lint-flow     — BLOCKING: the whole-program pass (RAG100-RAG106)
-#                      over src/repro against tools/flow_baseline.json,
-#                      via tools/lint_flow_gate.py: a cold run (cache
-#                      deleted) and a warm run are both timed, and the
-#                      warm run must be meaningfully faster
+#                      over src/repro; any finding not in the committed
+#                      tools/flow_baseline.json fails it
 #   4. replay audit  — BLOCKING: one Grain-III experiment, two identical
 #                      seeds, bit-identical or bust
 #   5. faults smoke  — BLOCKING: the fault-injection experiment end to
@@ -87,8 +85,8 @@ fi
 echo "== repro.lint (blocking) =="
 python -m repro.lint src/repro tests --exclude tests/lint/fixtures || fail=1
 
-echo "== lint-flow whole-program gate (blocking) =="
-python tools/lint_flow_gate.py || fail=1
+echo "== lint-flow whole-program pass (blocking) =="
+python -m repro.lint --flow src/repro || fail=1
 
 echo "== determinism replay audit (blocking) =="
 python -m repro.lint --audit inter-mr || fail=1
