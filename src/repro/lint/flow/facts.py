@@ -225,38 +225,6 @@ class FileFacts:
     suppressions: dict[str, list[str]] = dataclasses.field(default_factory=dict)
     parse_error: str = ""
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FileFacts":
-        facts = cls(path=data["path"], module_path=data["module_path"],
-                    module=data["module"], aliases=dict(data["aliases"]),
-                    globals={k: dict(v) for k, v in data["globals"].items()},
-                    registries={k: list(v)
-                                for k, v in data["registries"].items()},
-                    suppressions={k: list(v)
-                                  for k, v in data["suppressions"].items()},
-                    parse_error=data.get("parse_error", ""))
-        for cdata in data["classes"]:
-            facts.classes.append(ClassFacts(**cdata))
-        facts.rng = [RngFact(**r) for r in data["rng"]]
-        for fdata in data["functions"]:
-            fn = FunctionFacts(
-                qualname=fdata["qualname"], name=fdata["name"],
-                cls=fdata["cls"], line=fdata["line"],
-                params=list(fdata["params"]),
-                cancels=fdata["cancels"],
-                returns_handle=fdata["returns_handle"],
-                param_fates=ParamFates(**fdata["param_fates"]))
-            fn.calls = [CallFact(**c) for c in fdata["calls"]]
-            fn.rng = [RngFact(**r) for r in fdata["rng"]]
-            fn.writes = [GlobalWriteFact(**w) for w in fdata["writes"]]
-            fn.schedules = [ScheduleFact(**s) for s in fdata["schedules"]]
-            fn.reductions = [ReductionFact(**r) for r in fdata["reductions"]]
-            facts.functions.append(fn)
-        return facts
-
 
 # ----------------------------------------------------------------------
 # Alias resolution (extends engine.import_aliases with relative imports)
@@ -379,9 +347,12 @@ def _outside_functions(tree: ast.Module) -> Iterator[ast.AST]:
 # ----------------------------------------------------------------------
 
 class _FunctionExtractor:
-    """Extracts the facts of one function body.  Nested ``def``s are
-    skipped here (they get their own :class:`FunctionFacts`) but are
-    visible by name for callback resolution."""
+    """Extracts the facts of one function body.  The bodies of nested
+    ``def``s are skipped here (they get their own
+    :class:`FunctionFacts`), but their headers (decorators, defaults,
+    annotations) and nested class statements run with this function,
+    so they are scanned with it.  Nested ``def``s are visible by name
+    for callback resolution."""
 
     def __init__(self, node: ast.AST, facts: FunctionFacts,
                  aliases: dict[str, str], module: str,
@@ -466,9 +437,17 @@ class _FunctionExtractor:
                 self._reduction(sub)
 
     def _stmt(self, stmt: ast.AST) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return  # extracted separately by the module walker
+        # nested bodies are extracted separately by the module walker,
+        # but a def's header and a class statement run right here
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self._scan([*stmt.decorator_list, stmt.args, stmt.returns], None)
+            return
+        if isinstance(stmt, ast.ClassDef):
+            self._scan([*stmt.decorator_list, *stmt.bases, *stmt.keywords],
+                       None)
+            for child in stmt.body:
+                self._stmt(child)
+            return
         if isinstance(stmt, ast.Global):
             self.declared_global.update(stmt.names)
             return

@@ -139,7 +139,15 @@ class Conv1d(Layer):
 
 
 class BatchNorm1d(Layer):
-    """Per-channel batch normalization over (N, L)."""
+    """Per-channel batch normalization over (N, L).
+
+    The per-channel reductions sum the contiguous length axis first
+    (then the batch) and take ``x̂``-weighted sums with ``einsum``, which
+    reorders float sums against ``x.mean``/``x.var`` — the Conv1d float
+    contract of docs/PERF.md covers it.  Neither pass writes into its
+    input: :class:`~repro.ml.resnet.ResidualBlock1d` hands one gradient
+    to two branches.
+    """
 
     def __init__(self, channels: int, momentum: float = 0.9,
                  eps: float = 1e-5) -> None:
@@ -156,9 +164,11 @@ class BatchNorm1d(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape}")
+        n_eff = x.shape[0] * x.shape[2]
         if self.training:
-            mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
+            mean = x.sum(axis=2).sum(axis=0) / n_eff
+            x_hat = x - mean[None, :, None]
+            var = np.einsum("ncl,ncl->c", x_hat, x_hat) / n_eff
             self.running_mean = (
                 self.momentum * self.running_mean + (1 - self.momentum) * mean
             )
@@ -166,26 +176,30 @@ class BatchNorm1d(Layer):
                 self.momentum * self.running_var + (1 - self.momentum) * var
             )
         else:
-            mean, var = self.running_mean, self.running_var
+            x_hat = x - self.running_mean[None, :, None]
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None]) * inv_std[None, :, None]
-        self._cache = (x_hat, inv_std, x.shape)
-        return self.params["gamma"][None, :, None] * x_hat + \
-            self.params["beta"][None, :, None]
+        x_hat *= inv_std[None, :, None]
+        self._cache = (x_hat, inv_std, n_eff)
+        out = x_hat * self.params["gamma"][None, :, None]
+        out += self.params["beta"][None, :, None]
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        x_hat, inv_std, shape = self._cache
-        n_eff = shape[0] * shape[2]
-        self.grads["gamma"] = (grad * x_hat).sum(axis=(0, 2))
-        self.grads["beta"] = grad.sum(axis=(0, 2))
-        g = grad * self.params["gamma"][None, :, None]
+        x_hat, inv_std, n_eff = self._cache
+        sum_g = grad.sum(axis=2).sum(axis=0)
+        sum_gx = np.einsum("ncl,ncl->c", grad, x_hat)
+        self.grads["gamma"] = sum_gx
+        self.grads["beta"] = sum_g
+        scale = (self.params["gamma"] * inv_std)[None, :, None]
         if not self.training:
-            return g * inv_std[None, :, None]
-        sum_g = g.sum(axis=(0, 2), keepdims=True)
-        sum_gx = (g * x_hat).sum(axis=(0, 2), keepdims=True)
-        return (inv_std[None, :, None] / n_eff) * (
-            n_eff * g - sum_g - x_hat * sum_gx
-        )
+            return grad * scale
+        # gamma * inv_std * (grad - sum_g / n - x_hat * sum_gx / n)
+        out = x_hat * (sum_gx / n_eff)[None, :, None]
+        out += (sum_g / n_eff)[None, :, None]
+        np.subtract(grad, out, out=out)
+        out *= scale
+        return out
 
 
 class ReLU(Layer):
@@ -195,7 +209,7 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad * self._mask

@@ -8,12 +8,17 @@ which is why cache-attack defenses miss them (Section II-D).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from typing import Hashable
 
 
 class SetAssocCache:
-    """A classic set-associative cache with per-set LRU replacement."""
+    """A classic set-associative cache with per-set LRU replacement.
+
+    A set's ``OrderedDict`` is created the first time a key maps to it:
+    a CX-5 translation unit has 384 sets, and most units (one per
+    synthesized trace or sweep point) touch only a few of them.
+    """
 
     def __init__(self, entries: int, ways: int) -> None:
         if entries <= 0 or ways <= 0:
@@ -23,7 +28,7 @@ class SetAssocCache:
         self.entries = entries
         self.ways = ways
         self.sets = entries // ways
-        self._sets: list[OrderedDict] = [OrderedDict() for _ in range(self.sets)]
+        self._sets: defaultdict[int, OrderedDict] = defaultdict(OrderedDict)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -32,15 +37,11 @@ class SetAssocCache:
         """The set ``key`` maps to — the mapping eviction sets target."""
         return hash(key) % self.sets
 
-    def _set_for(self, key: Hashable) -> OrderedDict:
-        return self._sets[hash(key) % self.sets]
-
     def access(self, key: Hashable) -> bool:
         """Touch ``key``; returns True on hit.  Misses insert the key,
         evicting the set's LRU entry if the set is full."""
-        # _set_for inlined: access() runs twice per translation admit
-        # (MPT + MTT), which makes it the hottest cache entry point on
-        # the batched descriptor path.
+        # access() runs twice per translation admit (MPT + MTT), the
+        # hottest cache entry point; a missing set is created here
         target = self._sets[hash(key) % self.sets]
         if key in target:
             target.move_to_end(key)
@@ -55,23 +56,29 @@ class SetAssocCache:
 
     def probe(self, key: Hashable) -> bool:
         """Check residency without updating LRU state or counters."""
-        return key in self._set_for(key)
+        target = self._sets.get(hash(key) % self.sets)
+        return target is not None and key in target
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop ``key``; returns True if it was resident."""
-        target = self._set_for(key)
-        if key in target:
+        target = self._sets.get(hash(key) % self.sets)
+        if target is not None and key in target:
             del target[key]
             return True
         return False
 
     def flush(self) -> None:
-        for target in self._sets:
-            target.clear()
+        self._sets.clear()
 
     @property
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
+
+    def resident(self) -> list[tuple[int, list]]:
+        """The resident keys, as ``(set index, keys from LRU to MRU)``
+        per non-empty set, by set index."""
+        return sorted((index, list(target))
+                      for index, target in self._sets.items() if target)
 
     @property
     def hit_rate(self) -> float:
@@ -80,17 +87,14 @@ class SetAssocCache:
 
     def checkpoint(self) -> tuple:
         """Counters and resident keys (LRU order) for :meth:`restore`."""
-        return (self.hits, self.misses, self.evictions,
-                [(index, list(target))
-                 for index, target in enumerate(self._sets) if target])
+        return (self.hits, self.misses, self.evictions, self.resident())
 
     def restore(self, state: tuple) -> None:
         """Return to a :meth:`checkpoint`."""
         self.hits, self.misses, self.evictions, resident = state
-        for target in self._sets:
-            target.clear()
+        self._sets.clear()
         for index, keys in resident:
-            self._sets[index].update(dict.fromkeys(keys, True))
+            self._sets[index] = OrderedDict.fromkeys(keys, True)
 
     def reset_stats(self) -> None:
         self.hits = 0

@@ -38,6 +38,7 @@ from typing import Hashable, Optional
 import numpy as np
 
 from repro.rnic.caches import SetAssocCache
+from repro.rnic.jitter import draw_jitter
 from repro.rnic.spec import RNICSpec
 
 #: Cohorts below this take the scalar ``admit`` loop: the NumPy prepass
@@ -541,18 +542,19 @@ class TranslationUnit:
 
     def _drain(self, det: np.ndarray, first_line: np.ndarray,
                last_line: np.ndarray, arrivals=None, gaps=None) -> list:
-        """The serial tail of a prepassed batch: the interleaved jitter
-        draws (``normal``/``random``/``exponential`` from one stream),
-        the pipeline-busy recurrence and bank occupancy.  Returns the
-        finish times.
+        """The serial tail of a prepassed batch: the jitter draws, the
+        pipeline-busy recurrence and bank occupancy.  Returns the finish
+        times.
 
         Requests arrive at the explicit ``arrivals`` (a cohort), or —
         given ``gaps`` instead — each ``gaps[i]`` ns after the previous
-        request finished (a closed-loop client).  The jitter is drawn
-        as ``sigma * standard_normal()``: numpy computes :meth:`admit`'s
-        ``normal(0.0, sigma)`` as ``0.0 + sigma * z`` from the same
-        draw, so the service times are bit-equal, without the argument
-        parsing.
+        request finished (a closed-loop client).  The jitter does not
+        depend on timing, so all of it is drawn up front
+        (:func:`~repro.rnic.jitter.draw_jitter`, which consumes the
+        stream exactly as :meth:`admit`'s per-request calls do) and
+        added to ``det`` in one array add; numpy computes
+        :meth:`admit`'s ``normal(0.0, sigma)`` as ``0.0 + sigma * z``,
+        so ``sigma * z`` gives bit-equal service times.
         """
         closed = arrivals is None
         lead = gaps if closed else arrivals
@@ -560,14 +562,9 @@ class TranslationUnit:
         # numpy scalar types
         if isinstance(lead, np.ndarray):
             lead = lead.tolist()
-        rng = self.rng
-        standard_normal = rng.standard_normal
-        random = rng.random
-        exponential = rng.exponential
-        sigma = self._jitter_sigma
-        floor = self._jitter_floor
-        spike_prob = self._spike_prob
-        spike_ns = self._spike_ns
+        services = det + draw_jitter(
+            self.rng, len(det), self._jitter_sigma, self._jitter_floor,
+            self._spike_prob, self._spike_ns)
         hold = self._bank_hold_ns
         nbanks = self._nbanks
         bank_busy = self._bank_busy
@@ -577,8 +574,8 @@ class TranslationUnit:
         busy_acc = stats.busy_ns
         finishes = []
         append = finishes.append
-        for d, fl, ll, t in zip(det.tolist(), first_line.tolist(),
-                                last_line.tolist(), lead):
+        for service, fl, ll, t in zip(services.tolist(), first_line.tolist(),
+                                      last_line.tolist(), lead):
             arrival = pipe_busy + t if closed else t
             bank = fl % nbanks
             bank_ready = bank_busy[bank]
@@ -608,14 +605,6 @@ class TranslationUnit:
             issue_ready = arrival if arrival > pipe_busy else pipe_busy
             start = bank_ready if bank_ready > issue_ready else issue_ready
             bank_wait_acc += start - issue_ready
-
-            jitter = sigma * standard_normal()
-            if random() < spike_prob:
-                jitter += exponential(spike_ns)
-            if jitter < floor:
-                jitter = floor
-
-            service = d + jitter
             finish = start + service
             busy_acc += service
             pipe_busy = finish

@@ -1,6 +1,6 @@
 """Unit coverage for the per-file fact extraction layer."""
 
-from repro.lint.flow.facts import FileFacts, extract_facts
+from repro.lint.flow.facts import extract_facts
 
 
 def fn(facts, name):
@@ -80,6 +80,35 @@ def test_import_time_rng_sites_belong_to_the_file():
         (5, "global", "random.uniform"),
     ]
     assert [r.target for r in fn(facts, "draw").rng] == ["random.gauss"]
+
+
+def test_nested_headers_and_class_bodies_belong_to_the_enclosing_function():
+    """A nested def's decorators and defaults, and a nested class's
+    bases and body, run when the enclosing function runs; the nested
+    bodies are still their own functions."""
+    source = (
+        "import random\n"
+        "def outer():\n"
+        "    @wrap(random.randint(1, 8))\n"
+        "    def inner(delay=random.random()) -> None:\n"
+        "        return random.gauss(0, 1)\n"
+        "    class Config(base(random.getrandbits(4))):\n"
+        "        jitter = random.uniform(0, 1)\n"
+        "        def draw(self, scale=random.betavariate(1, 2)):\n"
+        "            return random.expovariate(scale)\n"
+        "    return inner, Config\n"
+    )
+    facts = extract_facts(source, path="src/repro/x.py")
+    assert facts.rng == []
+    assert [(r.line, r.target) for r in fn(facts, "outer").rng] == [
+        (3, "random.randint"), (4, "random.random"),
+        (6, "random.getrandbits"), (7, "random.uniform"),
+        (8, "random.betavariate"),
+    ]
+    assert [r.target for r in fn(facts, "outer.inner").rng] == \
+        ["random.gauss"]
+    assert [r.target for r in fn(facts, "Config.draw").rng] == \
+        ["random.expovariate"]
 
 
 def test_self_callback_skips_a_self_attribute_delay():
@@ -203,25 +232,6 @@ def test_param_fates():
     assert fn(facts, "returns").param_fates.returned == ["handle"]
     fates = fn(facts, "drops").param_fates
     assert not (fates.cancelled or fates.stored or fates.returned)
-
-
-def test_facts_round_trip_through_json_dict():
-    source = (
-        "import random\n"
-        "_CACHE = {}\n"
-        "class Sampler:\n"
-        "    def start(self, sim):\n"
-        "        self._h = sim.schedule(1.0, self._tick)\n"
-        "    def _tick(self):\n"
-        "        random.random()\n"
-        "    def stop(self, sim):\n"
-        "        sim.cancel(self._h)\n"
-    )
-    facts = extract_facts(source, path="src/repro/x.py")
-    clone = FileFacts.from_dict(facts.to_dict())
-    assert clone.to_dict() == facts.to_dict()
-    assert [f.qualname for f in clone.functions] == \
-        [f.qualname for f in facts.functions]
 
 
 def test_parse_error_is_captured_not_raised():

@@ -59,6 +59,7 @@ def test_rag104_dirty_has_both_escape_shapes():
 # ----------------------------------------------------------------------
 
 UNREACHABLE = FIXTURES / "rag100" / "unreachable"
+NESTED = FIXTURES / "rag100" / "nested"
 STOP = FIXTURES / "rag104" / "stop"
 
 
@@ -70,8 +71,10 @@ def hits(path):
 
 
 @pytest.mark.parametrize("tree,rule_id", [(UNREACHABLE, "RAG100"),
+                                          (NESTED, "RAG100"),
                                           (STOP, "RAG104")],
-                         ids=["rag100-unreachable", "rag104-stop"])
+                         ids=["rag100-unreachable", "rag100-nested",
+                              "rag104-stop"])
 def test_case_trees_trip_only_their_rule(tree, rule_id):
     assert rule_ids(run_flow([str(tree / "dirty")])) == [rule_id]
     clean = run_flow([str(tree / "clean")])
@@ -92,6 +95,13 @@ def test_rag100_flags_legacy_numpy_random():
 def test_rag100_flags_global_rng_in_a_function_nothing_calls():
     path = UNREACHABLE / "dirty" / "repro" / "global_random.py"
     assert hits(path) == [(9, "RAG100"), (10, "RAG100"), (11, "RAG100")]
+
+
+def test_rag100_flags_rng_in_nested_headers_and_class_bodies():
+    """A default value, a decorator argument and a class body inside a
+    function run with that function."""
+    path = NESTED / "dirty" / "repro" / "rnic" / "nested_headers.py"
+    assert hits(path) == [(10, "RAG100"), (16, "RAG100"), (24, "RAG100")]
 
 
 def test_rag100_flags_an_unreachable_helper():

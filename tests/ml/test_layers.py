@@ -181,6 +181,77 @@ class TestBatchNorm1d:
             BatchNorm1d(2).forward(np.zeros((1, 3, 4)))
 
 
+def reference_batchnorm(bn, x, grad, training):
+    """The textbook BatchNorm formulas (``x.mean``/``x.var``, ``g = γ·grad``)
+    on the layer's parameters and running statistics before the step;
+    returns ``(out, grad_x, grad_gamma, grad_beta, running_mean,
+    running_var)``."""
+    gamma = bn.params["gamma"][None, :, None]
+    beta = bn.params["beta"][None, :, None]
+    running_mean, running_var = bn.running_mean, bn.running_var
+    if training:
+        mean, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+        running_mean = bn.momentum * running_mean + (1 - bn.momentum) * mean
+        running_var = bn.momentum * running_var + (1 - bn.momentum) * var
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    x_hat = (x - mean[None, :, None]) * inv_std[None, :, None]
+    out = gamma * x_hat + beta
+    g = grad * gamma
+    if training:
+        n_eff = x.shape[0] * x.shape[2]
+        sum_g = g.sum(axis=(0, 2), keepdims=True)
+        sum_gx = (g * x_hat).sum(axis=(0, 2), keepdims=True)
+        grad_x = (inv_std[None, :, None] / n_eff) * (
+            n_eff * g - sum_g - x_hat * sum_gx)
+    else:
+        grad_x = g * inv_std[None, :, None]
+    return (out, grad_x, (grad * x_hat).sum(axis=(0, 2)),
+            grad.sum(axis=(0, 2)), running_mean, running_var)
+
+
+class TestBatchNormReLUFloatContract:
+    """BatchNorm1d sums per axis and with ``einsum`` instead of the
+    textbook formulas; like Conv1d it must agree within 1e-12 relative
+    (training stays byte-deterministic at one BLAS thread:
+    ``test_training_is_byte_deterministic_at_one_thread`` runs it)."""
+
+    def test_batchnorm_matches_the_textbook_formulas(self):
+        rng = np.random.default_rng(5)
+        bn = BatchNorm1d(4)
+        bn.params["gamma"] = rng.normal(1.0, 0.3, 4)
+        bn.params["beta"] = rng.normal(0.0, 0.3, 4)
+        # full batches, then a partial last batch; train, then eval
+        for training, batch in ((True, 8), (True, 3), (False, 8),
+                                (False, 3)):
+            bn.training = training
+            x = rng.normal(2.0, 1.5, (batch, 4, 33))
+            grad = rng.normal(size=x.shape)
+            x_before, grad_before = x.copy(), grad.copy()
+            want = reference_batchnorm(bn, x, grad, training)
+            out = bn.forward(x)
+            grad_x = bn.backward(grad)
+            got = (out, grad_x, bn.grads["gamma"], bn.grads["beta"],
+                   bn.running_mean, bn.running_var)
+            for actual, expected in zip(got, want):
+                assert_relative(actual, expected)
+            # neither pass writes into its input (a residual block
+            # hands one gradient to two branches)
+            assert np.array_equal(x, x_before)
+            assert np.array_equal(grad, grad_before)
+
+    def test_relu_matches_where_and_keeps_its_input(self):
+        rng = np.random.default_rng(6)
+        relu = ReLU()
+        x = rng.normal(size=(5, 3, 17))
+        x_before = x.copy()
+        grad = rng.normal(size=x.shape)
+        assert np.array_equal(relu.forward(x), np.where(x > 0, x, 0.0))
+        assert np.array_equal(relu.backward(grad), grad * (x > 0))
+        assert np.array_equal(x, x_before)
+
+
 class TestDenseAndOthers:
     def test_dense_gradients(self):
         rng = np.random.default_rng(3)

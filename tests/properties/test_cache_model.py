@@ -57,6 +57,33 @@ def test_cache_matches_reference(ops):
             if was_there:
                 del reference._set(key)[key]
             assert cache.invalidate(key) == was_there
+    expected = [(index, list(target))
+                for index, target in enumerate(reference.data) if target]
+    assert cache.resident() == expected
+    assert cache.occupancy == sum(len(keys) for _, keys in expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=operations, more=operations)
+def test_checkpoint_restore_and_flush_are_exact(ops, more):
+    """Sets exist only once a key maps to them; a restore must rebuild
+    exactly the checkpointed contents and LRU order, and a flush must
+    leave a cache that behaves like a new one."""
+    cache = SetAssocCache(entries=16, ways=4)
+    for _, key in ops:
+        cache.access(key)
+    state = cache.checkpoint()
+    outcomes = [cache.access(key) for _, key in more]
+    after = cache.checkpoint()
+    cache.restore(state)
+    assert cache.checkpoint() == state
+    assert [cache.access(key) for _, key in more] == outcomes
+    assert cache.checkpoint() == after
+    cache.flush()
+    fresh = SetAssocCache(entries=16, ways=4)
+    assert cache.resident() == [] and cache.occupancy == 0
+    assert ([cache.access(key) for _, key in more]
+            == [fresh.access(key) for _, key in more])
 
 
 @settings(max_examples=100, deadline=None)

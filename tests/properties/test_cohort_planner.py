@@ -126,8 +126,7 @@ def make_wr(conn, mrs, wr_id, wqe):
 
 
 def unit_state(unit):
-    caches = [(cache.hits, cache.misses, cache.evictions,
-               [list(entries.items()) for entries in cache._sets])
+    caches = [(cache.hits, cache.misses, cache.evictions, cache.resident())
               for cache in (unit.mpt_cache, unit.mtt_cache)]
     return (dataclasses.asdict(unit.stats), list(unit._bank_busy),
             unit._pipe_busy, caches, unit.rng.bit_generator.state)

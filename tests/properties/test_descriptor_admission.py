@@ -40,8 +40,7 @@ ENGINES = [
 
 def unit_state(unit: TranslationUnit) -> tuple:
     """Everything an admission may change."""
-    caches = [(cache.hits, cache.misses, cache.evictions,
-               [list(entries.items()) for entries in cache._sets])
+    caches = [(cache.hits, cache.misses, cache.evictions, cache.resident())
               for cache in (unit.mpt_cache, unit.mtt_cache)]
     return (dataclasses.asdict(unit.stats), list(unit._bank_busy),
             unit._pipe_busy, unit._last_mr, unit._last_seg_mr,
