@@ -42,46 +42,66 @@ class Layer:
         return [(self, name) for name in self.params]
 
 
+def _scratch(buf: Optional[np.ndarray], shape: tuple,
+             dtype: np.dtype) -> np.ndarray:
+    """``buf`` when its shape and dtype both still match, else a new
+    uninitialized array.  Checking the dtype too keeps a float32 batch
+    from being written into a float64 buffer (and the reverse, which
+    would round float64 values to float32)."""
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        return np.empty(shape, dtype)
+    return buf
+
+
+def _taps(length: int, kernel: int, stride: int, pad: int,
+          l_out: int) -> list[tuple[int, int, int, slice]]:
+    """``(k, lo, hi, source)`` per kernel position: output positions
+    ``lo:hi`` read the input positions ``source``; the others fall in
+    the zero padding (output ``j`` reads input ``k + j*stride - pad``)."""
+    taps = []
+    for k in range(kernel):
+        lo = min(l_out, max(0, -((k - pad) // stride)))
+        hi = max(lo, min(l_out, (length - 1 + pad - k) // stride + 1))
+        start = k + lo * stride - pad
+        taps.append((k, lo, hi,
+                     slice(start, start + (hi - lo) * stride, stride)))
+    return taps
+
+
 def _im2col(x: np.ndarray, kernel: int, stride: int, pad: int,
             out: Optional[np.ndarray] = None) -> np.ndarray:
-    """(N, C, L) -> (N, C*K, L_out) patch matrix.
+    """(N, C, L) -> (N, C*K, L_out) patch matrix in ``x``'s dtype.
 
     One strided-slice copy per kernel position (K is tiny) instead of a
-    fancy-indexed (N, C, L_out, K) temporary plus a transpose copy.
-    ``out`` is reused when its shape still matches — the training loop
-    calls this every step with a fixed batch shape.
+    fancy-indexed (N, C, L_out, K) temporary plus a transpose copy; the
+    padding is written as zero margins rather than a padded copy of
+    ``x``.  ``out`` is reused when its shape and dtype still match —
+    the training loop calls this every step with a fixed batch shape.
     """
     n, c, length = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
     l_out = (length + 2 * pad - kernel) // stride + 1
-    if out is None or out.shape != (n, c * kernel, l_out):
-        out = np.empty((n, c * kernel, l_out))
+    out = _scratch(out, (n, c * kernel, l_out), x.dtype)
     view = out.reshape(n, c, kernel, l_out)
-    span = stride * l_out
-    for k in range(kernel):
-        view[:, :, k, :] = x[:, :, k:k + span:stride]
+    for k, lo, hi, source in _taps(length, kernel, stride, pad, l_out):
+        view[:, :, k, :lo] = 0.0
+        view[:, :, k, hi:] = 0.0
+        view[:, :, k, lo:hi] = x[:, :, source]
     return out
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple, kernel: int, stride: int,
             pad: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Adjoint of :func:`_im2col` — scatter-add via one strided-slice
-    ``+=`` per kernel position.  ``out`` must cover the padded length
-    when supplied; a view without the padding is returned."""
+    ``+=`` per kernel position, skipping the taps that land in the
+    padding.  ``out`` (shape ``x_shape``) is reused when its dtype
+    matches ``cols``'."""
     n, c, length = x_shape
-    l_padded = length + 2 * pad
-    l_out = (l_padded - kernel) // stride + 1
+    l_out = (length + 2 * pad - kernel) // stride + 1
     patches = cols.reshape(n, c, kernel, l_out)
-    if out is None or out.shape != (n, c, l_padded):
-        out = np.zeros((n, c, l_padded))
-    else:
-        out[:] = 0.0
-    span = stride * l_out
-    for k in range(kernel):
-        out[:, :, k:k + span:stride] += patches[:, :, k, :]
-    if pad:
-        return out[:, :, pad:-pad]
+    out = _scratch(out, (n, c, length), cols.dtype)
+    out.fill(0.0)
+    for k, lo, hi, source in _taps(length, kernel, stride, pad, l_out):
+        out[:, :, source] += patches[:, :, k, lo:hi]
     return out
 
 
@@ -106,7 +126,8 @@ class Conv1d(Layer):
         self.params["b"] = np.zeros(out_channels)
         self._cache: Optional[tuple] = None
         # step-to-step scratch buffers; _im2col/_col2im reallocate them
-        # only when the batch shape changes (e.g. the last partial batch)
+        # only when the batch shape (e.g. the last partial batch) or the
+        # dtype changes
         self._cols: Optional[np.ndarray] = None
         self._grad_x: Optional[np.ndarray] = None
 
@@ -130,10 +151,7 @@ class Conv1d(Layer):
         # one (N*L_out) GEMM, whose operands need transposing copies
         self.grads["w"] = (grad @ cols.transpose(0, 2, 1)).sum(axis=0)
         grad_cols = self.params["w"].T @ grad
-        n, c, length = x_shape
-        if (self._grad_x is None
-                or self._grad_x.shape != (n, c, length + 2 * self.pad)):
-            self._grad_x = np.zeros((n, c, length + 2 * self.pad))
+        self._grad_x = _scratch(self._grad_x, x_shape, grad_cols.dtype)
         return _col2im(grad_cols, x_shape, self.kernel, self.stride, self.pad,
                        out=self._grad_x)
 

@@ -87,6 +87,12 @@ class ResNet1d(Sequential):
     a deep ResNet18 recovers it through padding artifacts, but a
     compact network should keep it explicitly (``head="gap"`` restores
     the classic head for ablation).
+
+    The network is float32 end to end, as PyTorch trains the paper's
+    ResNet18: parameters, BatchNorm running statistics, activations,
+    gradients, Adam moments and scratch buffers.  The He init is drawn
+    in float64 from the seeded stream and rounded once; :meth:`forward`
+    casts its input, so float64 traces need no conversion.
     """
 
     def __init__(self, in_channels: int, num_classes: int,
@@ -125,9 +131,20 @@ class ResNet1d(Sequential):
             features = current * final_length
         layers.append(Dense(features, num_classes, rng=rng))
         super().__init__(*layers)
+        # one precision for the whole network (class docstring)
+        for owner in dict.fromkeys(owner for owner, _ in self.parameters()):
+            for name, value in owner.params.items():
+                owner.params[name] = value.astype(np.float32)
+            if isinstance(owner, BatchNorm1d):
+                owner.running_mean = owner.running_mean.astype(np.float32)
+                owner.running_var = owner.running_var.astype(np.float32)
         self.num_classes = num_classes
         self.input_length = input_length
         self.head = head
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Logits for ``x``, cast to the network's float32 first."""
+        return super().forward(x.astype(np.float32, copy=False))
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Class predictions in eval mode."""

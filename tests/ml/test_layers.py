@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -103,6 +104,21 @@ def einsum_conv(conv, x, grad):
             np.einsum("fk,nfl->nkl", w, grad))
 
 
+def float64_twin(layer):
+    """A stand-in for ``einsum_conv``/``reference_batchnorm`` holding the
+    float64 values of ``layer``'s (possibly float32) parameters and
+    running statistics."""
+    twin = types.SimpleNamespace(**{
+        name: value for name, value in vars(layer).items()
+        if name in ("kernel", "stride", "pad", "momentum", "eps")})
+    twin.params = {name: value.astype(np.float64)
+                   for name, value in layer.params.items()}
+    for name in ("running_mean", "running_var"):
+        if hasattr(layer, name):
+            setattr(twin, name, getattr(layer, name).astype(np.float64))
+    return twin
+
+
 def assert_relative(actual, expected, rtol=1e-12):
     scale = max(float(np.abs(expected).max()), 1e-300)
     assert float(np.abs(actual - expected).max()) <= rtol * scale
@@ -131,15 +147,70 @@ class TestConv1dFloatContract:
             assert_relative(conv.grads["b"], grad.sum(axis=(0, 2)))
             assert_relative(grad_x, _col2im(want_cols, x.shape, kernel,
                                             stride, conv.pad))
+        # the last shape again in float32, then in float64: the scratch
+        # buffers must follow the dtype as well as the shape
+        params64 = dict(conv.params)
+        for dtype, rtol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+            conv.params = {name: value.astype(dtype)
+                           for name, value in params64.items()}
+            x = rng.normal(size=(8, 3, 257)).astype(dtype)
+            out = conv.forward(x)
+            grad = rng.normal(size=out.shape).astype(dtype)
+            grad_x = conv.backward(grad)
+            for array in (out, grad_x, conv.grads["w"], conv.grads["b"],
+                          conv._cols, conv._grad_x):
+                assert array.dtype == dtype
+            x64, grad64 = x.astype(np.float64), grad.astype(np.float64)
+            want_out, want_w, want_cols = einsum_conv(float64_twin(conv),
+                                                      x64, grad64)
+            assert_relative(out, want_out, rtol)
+            assert_relative(conv.grads["w"], want_w, rtol)
+            assert_relative(conv.grads["b"], grad64.sum(axis=(0, 2)), rtol)
+            assert_relative(grad_x, _col2im(want_cols, x.shape, kernel,
+                                            stride, conv.pad), rtol)
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 7])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("pad", [0, 1, 3, 4])
+    def test_im2col_matches_a_padded_copy(self, kernel, stride, pad):
+        """The zero margins stand for ``np.pad``: both directions agree
+        exactly with the padded-copy formulation, short inputs
+        included."""
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + pad)
+        for length in range(max(1, kernel - 2 * pad), 12):
+            x = rng.normal(size=(2, 3, length))
+            padded = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+            l_out = (length + 2 * pad - kernel) // stride + 1
+            want = np.stack([padded[:, :, k:k + stride * l_out:stride]
+                             for k in range(kernel)], axis=2)
+            cols = _im2col(x, kernel, stride, pad)
+            assert np.array_equal(cols, want.reshape(2, 3 * kernel, l_out))
+            scattered = np.zeros_like(padded)
+            for k in range(kernel):
+                scattered[:, :, k:k + stride * l_out:stride] += want[:, :, k]
+            assert np.array_equal(
+                _col2im(cols, x.shape, kernel, stride, pad),
+                scattered[:, :, pad:pad + length])
 
     def test_training_is_byte_deterministic_at_one_thread(self):
         script = (
             "import pickle, sys\n"
+            "import numpy as np\n"
+            "from repro.ml.train import Trainer\n"
             "from repro.side import SnoopDataset, evaluate_classifier\n"
+            "models, fit = [], Trainer.fit\n"
+            "def recording_fit(self, *args, **kwargs):\n"
+            "    models.append(self.model)\n"
+            "    return fit(self, *args, **kwargs)\n"
+            "Trainer.fit = recording_fit\n"
             "data = SnoopDataset.generate(per_class=4, seed=1)\n"
             "runs = [pickle.dumps(evaluate_classifier(data, epochs=2, "
             "seed=1)) for _ in range(2)]\n"
-            "sys.exit(0 if runs[0] == runs[1] else 1)\n"
+            "dtypes = {owner.params[name].dtype for model in models "
+            "for owner, name in model.parameters()}\n"
+            "if dtypes != {np.dtype(np.float32)}:\n"
+            "    sys.exit(f'trained model is not float32: {dtypes}')\n"
+            "sys.exit(0 if runs[0] == runs[1] else 'runs differ')\n"
         )
         env = dict(os.environ,
                    PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))

@@ -12,8 +12,9 @@ from repro.ml import (
     confusion_matrix,
     train_test_split,
 )
-from repro.ml.layers import Dense, ReLU, Sequential
+from repro.ml.layers import BatchNorm1d, Conv1d, Dense, ReLU, Sequential
 from repro.ml.resnet import ResidualBlock1d
+from repro.ml.train import cross_entropy
 
 
 def synthetic_traces(n_per_class, num_classes, length=64, seed=0):
@@ -80,6 +81,67 @@ class TestResNet:
         trainer = Trainer(model, Adam(model, lr=1e-3), batch_size=16)
         history = trainer.fit(x, y, epochs=5)
         assert history[-1].loss < history[0].loss
+
+
+def leaf_layers(layer):
+    if isinstance(layer, Sequential):
+        for sub in layer.layers:
+            yield from leaf_layers(sub)
+    elif isinstance(layer, ResidualBlock1d):
+        yield from leaf_layers(layer.body)
+        if layer.shortcut is not None:
+            yield from leaf_layers(layer.shortcut)
+        yield layer.relu
+    else:
+        yield layer
+
+
+class TestFloat32Contract:
+    """The Figure 13 classifier trains in float32 end to end; a silent
+    upcast anywhere would keep the accuracies and lose the speed."""
+
+    def test_fit_step_stays_float32(self):
+        # evaluate_classifier's configuration, fed float64 traces as
+        # SnoopDataset gives them; a full batch, then a partial one
+        model = ResNet1d(in_channels=1, num_classes=17, input_length=257,
+                         stage_channels=(16, 32), blocks_per_stage=1, seed=0)
+        optimizer = Adam(model)
+        leaves = list(leaf_layers(model))
+        seen = []
+
+        def recording(method):
+            def call(array):
+                out = method(array)
+                seen.append((type(method.__self__).__name__,
+                             method.__name__, out.dtype))
+                return out
+            return call
+
+        for layer in leaves:
+            layer.forward = recording(layer.forward)
+            layer.backward = recording(layer.backward)
+        rng = np.random.default_rng(0)
+        for batch in (64, 20):
+            x = rng.normal(size=(batch, 1, 257))
+            logits = model.forward(x)
+            _, grad = cross_entropy(logits, rng.integers(0, 17, batch))
+            grad_x = model.backward(grad)
+            optimizer.step()
+            assert logits.dtype == grad.dtype == grad_x.dtype == np.float32
+        assert len(seen) == 2 * 2 * len(leaves)
+        assert {dtype for *_, dtype in seen} == {np.dtype(np.float32)}, seen
+        arrays = [owner.params[name] for owner, name in model.parameters()]
+        arrays += [owner.grads[name] for owner, name in model.parameters()]
+        arrays += optimizer._m + optimizer._v
+        for layer in leaves:
+            if isinstance(layer, Conv1d):
+                arrays += [layer._cols, layer._grad_x]
+            if isinstance(layer, BatchNorm1d):
+                arrays += [layer.running_mean, layer.running_var]
+        assert {array.dtype for array in arrays} == {np.dtype(np.float32)}
+        # inference reads the running statistics instead
+        model.eval()
+        assert model.forward(x).dtype == np.float32
 
 
 class TestMLPTraining:

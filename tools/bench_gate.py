@@ -226,15 +226,18 @@ def bench_trace_synthesis() -> tuple[int, float]:
 def bench_conv1d_train_step() -> tuple[int, float]:
     """Forward and backward through every ``Conv1d`` of the Figure 13
     ResNet (``evaluate_classifier``'s configuration) at its training
-    minibatch shape: 64 traces of 257 points."""
+    minibatch shape: 64 traces of 257 points, in the model's own
+    dtype (float32) like the training loop."""
     model = ResNet1d(in_channels=1, num_classes=17, input_length=257,
                      stage_channels=(16, 32), blocks_per_stage=1, seed=0)
     rng = np.random.default_rng(0)
     model.forward(rng.normal(size=(64, 1, 257)))  # records input shapes
     convs = list(dict.fromkeys(owner for owner, _ in model.parameters()
                                if isinstance(owner, Conv1d)))
-    inputs = [rng.normal(size=conv._cache[0]) for conv in convs]
-    grads = [rng.normal(size=conv.forward(x).shape)
+    dtype = convs[0].params["w"].dtype
+    inputs = [rng.normal(size=conv._cache[0]).astype(dtype)
+              for conv in convs]
+    grads = [rng.normal(size=conv.forward(x).shape).astype(dtype)
              for conv, x in zip(convs, inputs)]
 
     def run():
