@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cProfile
 import dataclasses
+import gc
 import inspect
 import io
 import pstats
@@ -118,15 +119,42 @@ class TaskOutcome:
         return self.table is not None
 
 
-def _write_profile(profiler: cProfile.Profile, out: str,
-                   name: str) -> str:
-    """Render a cProfile run to ``<out>/<name>.prof.txt`` (cumulative
-    top-40) and return the path."""
+class _CollectorClock:
+    """A ``gc.callbacks`` hook that counts the cyclic collector's runs
+    per generation and their wall seconds.  cProfile smears collector
+    time over whichever function triggers a collection, so the profile
+    states it on a line of its own."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = wallclock()
+        else:
+            self.seconds += wallclock() - self._started
+            self.collections[info["generation"]] += 1
+
+    def summary(self) -> str:
+        per_generation = ", ".join(
+            f"gen{generation} {count}"
+            for generation, count in enumerate(self.collections))
+        return (f"cyclic gc: {sum(self.collections)} collections "
+                f"({per_generation}), {self.seconds:.3f} s\n")
+
+
+def _write_profile(profiler: cProfile.Profile, collector: _CollectorClock,
+                   out: str, name: str) -> str:
+    """Render a cProfile run to ``<out>/<name>.prof.txt`` (the
+    collector line, then the cumulative top-40) and return the path."""
     import pathlib
 
     out_dir = pathlib.Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     buffer = io.StringIO()
+    buffer.write(collector.summary())
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(40)
     path = out_dir / f"{name}.prof.txt"
@@ -163,8 +191,9 @@ def run_task(
     ``trace_sample=N`` records 1-in-N kernel dispatch events (exactly
     accounted — see :attr:`repro.obs.Tracer.sampled_out`) to keep
     long traced runs cheap; ``profile`` wraps the run in cProfile and
-    writes ``<name>.prof.txt``; ``report`` renders the run's artifacts
-    to ``<name>.report.md`` via :func:`repro.obs.render_report`.
+    a ``gc.callbacks`` collector clock and writes ``<name>.prof.txt``;
+    ``report`` renders the run's artifacts to ``<name>.report.md`` via
+    :func:`repro.obs.render_report`.
     """
     runner = (REGISTRY if registry is None else registry)[name]
     kwargs = dict(FULL_SCALE.get(name, {})) if full else {}
@@ -183,20 +212,23 @@ def run_task(
                               trace_sample_rate=trace_sample) \
             if (trace or metrics) else None
         profiler = cProfile.Profile() if profile else None
+        collector = _CollectorClock()
         try:
-            if profiler is not None:
-                profiler.enable()
-            result = _invoke(runner, seed, smoke, kwargs)
-            if profiler is not None:
-                profiler.disable()
+            try:
+                if profiler is not None:
+                    gc.callbacks.append(collector)
+                    profiler.enable()
+                result = _invoke(runner, seed, smoke, kwargs)
+            finally:
+                if profiler is not None:
+                    profiler.disable()
+                    gc.callbacks.remove(collector)
             if session is not None:
                 extras = [str(p) for p in session.export(out, name)]
             if profiler is not None:
-                extras.append(_write_profile(profiler, out, name))
+                extras.append(_write_profile(profiler, collector, out, name))
             break
         except Exception as error:  # ragnar-lint: disable=RAG004 — runner isolation: one crashing experiment must not abort the batch; the traceback is captured, written to the output dir and reported in the exit summary
-            if profiler is not None:
-                profiler.disable()
             error_text = traceback.format_exc()
             error_type = type(error).__name__
             if attempt < retries:

@@ -1,7 +1,7 @@
 """Batched message-descriptor fast path for :class:`repro.rnic.rnic.RNIC`.
 
-``RNIC.post_send_batch`` historically expanded into per-message closure
-chains: ten scheduled events per WQE, each touching one
+``RNIC.post_send_batch`` historically expanded into one scalar flight
+per message: ten scheduled events per WQE, each touching one
 :class:`~repro.rnic.station.ServiceStation`.  For the barrier-shaped
 workloads that dominate the end-to-end benchmarks (post a cohort, drain
 it, repeat), every one of those events is *predictable at post time*:
@@ -41,7 +41,7 @@ observability hooks, a non-quiescent simulator, a WQE that would not
 complete ``SUCCESS`` — declines before the commit point with a reason
 code (:data:`FALLBACK_REASONS`, counted on the requester's
 :class:`~repro.rnic.counters.NICCounters`), and the caller falls back
-to the scalar per-message pipeline, closures and all.
+to the scalar per-message pipeline, one flight per WQE.
 
 Contract note: the plan commits future station occupancy at post time.
 Posting *more* work before the cohort drains is causally fine (later

@@ -2,12 +2,13 @@
 
 The probe keeps ``depth`` RDMA Reads outstanding on one RC QP and posts
 the next read the moment a completion is polled.  On the per-message
-pipeline every read is ten scheduled closures (fetch, TxPU, wire,
-responder RxPU, translate, data, response, wire back, requester Rx,
-complete).  With nothing else running, every one of those event times
-follows from the reads before it, so :func:`try_closed_loop` computes
+pipeline every read is ten scheduled events, the stage methods of
+its flight (fetch, TxPU, wire, responder RxPU, translate, data,
+response, wire back, requester Rx, complete).  With nothing else
+running, every one of those event times follows from the reads
+before it, so :func:`try_closed_loop` computes
 the whole run as one plain-float per-read recurrence over the nine
-station admissions and the translation unit — no heap, no closures —
+station admissions and the translation unit — no heap, no flights —
 and leaves the simulator exactly where the scalar loop would have.
 
 The recurrence.  Read ``j`` is posted at ``P_j``: the measure's start

@@ -16,6 +16,11 @@ Stages 5–8 run on the *responder's* stations, which both clients of a
 server share — that shared occupancy is the volatile channel.  Bulk
 fluid flows (see :mod:`repro.rnic.bandwidth`) additionally load the
 stations via background utilization.
+
+Each WQE in flight is one :class:`_Flight`: its methods are the stages,
+and each scheduled event is a bound method of it.  Nothing refers back
+to a flight but the event heap, so a WQE is freed by reference counting
+when its last event fires.
 """
 
 from __future__ import annotations
@@ -163,8 +168,8 @@ class RNIC(Engine):
         results under the barrier contract of
         ``QueuePair.post_send_batch`` (the cohort drains before the
         next post).  Everything else falls back to the per-message
-        closure pipeline below; the requester's counters tally which
-        path each cohort took and why."""
+        pipeline, one :class:`_Flight` per WQE; the requester's counters
+        tally which path each cohort took and why."""
         if try_fast_path(self, qp, wrs):
             return
         for index, wr in enumerate(wrs):
@@ -196,243 +201,17 @@ class RNIC(Engine):
         closed-loop planner (:mod:`repro.rnic.closed_loop`) resumes the
         reads it leaves in flight at their next stage, with ``status``
         the outcome of the data stage when they already passed it
-        (``None`` before).  Either way the WQE runs the one closure
-        pipeline below from there on.
+        (``None`` before).  Either way the WQE runs as one
+        :class:`_Flight` from there on.
         """
-        sim = self.sim
-        spec = self.spec
-        remote_qp = resolve_remote_qp(qp, wr)
-        responder: RNIC = remote_qp.context.engine  # type: ignore[assignment]
-        if not isinstance(responder, RNIC):
-            raise TypeError(
-                "remote QP's context is not backed by an RNIC engine"
-            )
-        tc = qp.traffic_class
-        rspec = responder.spec
-        (fetch_occupancy, req_nbytes, req_wire_ns, resp_nbytes, resp_wire_ns,
-         data_occupancy, host_read) = self.geometry(wr.opcode, wr.length,
-                                                    responder)
-
-        obs = self._obs
-        robs = responder._obs
-        comp = f"rnic.{self.name}"
-        rcomp = f"rnic.{responder.name}"
-
-        # resolve the remote MR geometry once; protection is enforced by
-        # execute_data_movement at the data stage
-        mr_key = wr.rkey
-        offset = 0
-        if wr.opcode.is_one_sided:
-            try:
-                mr = remote_qp.context.mr_by_rkey(wr.rkey)
-                offset = wr.remote_addr - mr.addr
-            except RemoteAccessError:
-                offset = 0
-
-        # reliability state: RC retries on frame loss; the responder's
-        # duplicate detection makes re-executed operations idempotent
-        # (crucial for atomics), modelled by caching the first
-        # execution's status.  The ACK-timeout budget (retry_count) and
-        # the RNR budget (rnr_retry) are separate, as in ibv_modify_qp.
-        attempts = [0]
-        rnr_attempts = [0]
-        executed_status: list[Optional[WCStatus]] = [status]
-
-        def stage_retry() -> None:
-            if wr.flushed:
-                return
-            attempts[0] += 1
-            if attempts[0] > spec.retry_count:
-                qp.complete_send(wr, WCStatus.RETRY_EXC_ERR, sim.now)
-                return
-            self.counters.retransmits += 1
-            self.counters.timeouts += 1
-            stage_fetch()
-
-        def stage_fetch() -> None:
-            if wr.flushed:
-                return
-            # WQE fetch (64 B) plus gather of any request payload: the
-            # DMA engine is occupied for the transfer, and the message
-            # additionally waits out the fixed TLP round-trip latency.
-            # Congestion from bulk flows stretches both: the engine by
-            # the M/G/1 inflation, the round trip by queueing at the
-            # root complex (modelled as 1 + utilization).
-            #
-            # Inline posts are the classic fast path: the CPU writes
-            # WQE+payload through MMIO (a posted write), so there is no
-            # DMA read round trip at all.
-            finish = self.pcie.admit(sim.now, fetch_occupancy)
-            if obs is not None:
-                obs.span("pcie.fetch", sim.now, finish - sim.now,
-                         category="rnic", component=comp, wqe=wqe)
-            if wr.inline:
-                sim.schedule_at(finish, stage_txpu)
-                return
-            congestion = 1.0 + self.pcie.background_utilization
-            round_trip = spec.pcie.tlp_latency_ns * congestion
-            sim.schedule_at(finish + round_trip, stage_txpu)
-
-        def stage_txpu() -> None:
-            finish = self.txpu.admit(sim.now, spec.txpu_ns)
-            if obs is not None:
-                obs.span("txpu", sim.now, finish - sim.now,
-                         category="rnic", component=comp, wqe=wqe)
-            sim.schedule_at(finish, stage_wire_out)
-
-        def stage_wire_out() -> None:
-            finish = self.wire_tx.admit(sim.now, req_wire_ns)
-            if obs is not None:
-                obs.span("wire.request", sim.now, finish - sim.now,
-                         category="rnic", component=comp, wqe=wqe,
-                         nbytes=req_nbytes)
-            self.counters.record_tx(req_nbytes, tc=tc, opcode=wr.opcode)
-            if not qp.qp_type.acks_requests and not wr.opcode.response_carries_payload:
-                # unreliable transports are fire-and-forget: the local
-                # completion fires at send time; a lost frame silently
-                # drops the remote effect
-                sim.schedule_at(finish, stage_complete, WCStatus.SUCCESS)
-                if self._frame_lost(self, responder):
-                    return
-                sim.schedule_at(
-                    finish + self._transit_ns(responder), stage_responder_rx
-                )
-                return
-            if self._frame_lost(self, responder):
-                # request frame lost: the RC retransmission timer fires
-                sim.schedule_at(finish + spec.retry_timeout_ns, stage_retry)
-                return
-            sim.schedule_at(finish + self._transit_ns(responder), stage_responder_rx)
-
-        def stage_responder_rx() -> None:
-            responder.counters.record_rx(req_nbytes, tc=tc)
-            finish = responder.rxpu.admit(sim.now, rspec.rxpu_ns)
-            if robs is not None:
-                robs.span("rxpu", sim.now, finish - sim.now,
-                          category="rnic", component=rcomp, wqe=wqe)
-            sim.schedule_at(finish, stage_translate)
-
-        def stage_translate() -> None:
-            if wr.opcode.is_one_sided:
-                finish, _ = responder.translation.admit(
-                    sim.now, mr_key, offset, wr.length
-                )
-                if robs is not None:
-                    robs.span("translate", sim.now, finish - sim.now,
-                              category="rnic", component=rcomp, wqe=wqe)
-            else:
-                finish = sim.now
-            sim.schedule_at(finish, stage_data)
-
-        def stage_rnr_nak(nak_arrival: float) -> None:
-            """Responder answered Receiver-Not-Ready: back off
-            min_rnr_timer and resend, on the separate rnr_retry budget."""
-            rnr_attempts[0] += 1
-            self.counters.rnr_naks += 1
-            if rnr_attempts[0] > spec.rnr_retry:
-                sim.schedule_at(nak_arrival, stage_complete,
-                                WCStatus.RNR_RETRY_EXC_ERR)
-                return
-            self.counters.retransmits += 1
-            sim.schedule_at(nak_arrival + spec.min_rnr_timer_ns, stage_fetch)
-
-        def stage_data() -> None:
-            if wr.flushed:
-                return
-            if executed_status[0] is None:
-                first_status = execute_data_movement(qp, wr)
-                if (first_status is WCStatus.RNR_RETRY_EXC_ERR
-                        and qp.qp_type.acks_requests):
-                    # the RNR NAK rides the responder's TxPU and the
-                    # return path like any response frame (NAK loss is
-                    # not modelled: a lost NAK would fall back to the
-                    # slower ACK-timeout retry, same outcome later)
-                    finish = responder.txpu.admit(
-                        sim.now, rspec.txpu_ns
-                    )
-                    stage_rnr_nak(finish + responder._transit_ns(self))
-                    return
-                executed_status[0] = first_status
-            status = executed_status[0]
-            finish = responder.pcie.admit(sim.now, data_occupancy)
-            if robs is not None:
-                # atomics move 8 B each way
-                robs.span("pcie.data", sim.now, finish - sim.now,
-                          category="rnic", component=rcomp, wqe=wqe,
-                          nbytes=16 if wr.opcode.is_atomic else wr.length)
-            # host-read DMAs (read/atomic responses) wait the TLP
-            # round trip — stretched by congestion; posted writes
-            # complete at the engine
-            if host_read:
-                round_trip = rspec.pcie.tlp_latency_ns * (
-                    1.0 + responder.pcie.background_utilization
-                )
-                if rspec.ddio_enabled:
-                    # DMA from the LLC when resident, bimodal otherwise
-                    rng = responder._ddio_rng
-                    if rng.random() < rspec.ddio_hit_rate:
-                        round_trip -= rspec.ddio_saving_ns
-                    else:
-                        round_trip += rspec.ddio_miss_penalty_ns
-                finish += round_trip
-            if not qp.qp_type.acks_requests and not wr.opcode.response_carries_payload:
-                # unreliable transports: no response flow, and the local
-                # completion already fired at send time
-                return
-            sim.schedule_at(finish, stage_response, status)
-
-        def stage_response(status: WCStatus) -> None:
-            finish = responder.txpu.admit(sim.now, rspec.txpu_ns)
-            if robs is not None:
-                robs.span("txpu.response", sim.now, finish - sim.now,
-                          category="rnic", component=rcomp, wqe=wqe)
-            sim.schedule_at(finish, stage_wire_back, status)
-
-        def stage_wire_back(status: WCStatus) -> None:
-            finish = responder.wire_tx.admit(sim.now, resp_wire_ns)
-            if robs is not None:
-                robs.span("wire.response", sim.now, finish - sim.now,
-                          category="rnic", component=rcomp, wqe=wqe,
-                          nbytes=resp_nbytes)
-            responder.counters.record_tx(resp_nbytes, tc=tc)
-            if self._frame_lost(responder, self):
-                # ACK/response frame lost: requester times out and
-                # resends; the responder's replay cache answers without
-                # re-executing
-                sim.schedule_at(finish + spec.retry_timeout_ns, stage_retry)
-                return
-            sim.schedule_at(
-                finish + responder._transit_ns(self), stage_requester_rx, status
-            )
-
-        def stage_requester_rx(status: WCStatus) -> None:
-            # the frames on the wire were built by the *responder*, so
-            # the byte count uses the responder's header geometry (it
-            # must mirror stage_wire_back's record_tx exactly)
-            self.counters.record_rx(resp_nbytes, tc=tc)
-            finish = self.rxpu.admit(sim.now, spec.rxpu_ns)
-            cqe = self.pcie.admit(finish, spec.cqe_write_ns)
-            if obs is not None:
-                obs.span("rxpu.cqe", sim.now, cqe - sim.now,
-                         category="rnic", component=comp, wqe=wqe)
-            sim.schedule_at(cqe, stage_complete, status)
-
-        def stage_complete(status: WCStatus) -> None:
-            if wr.flushed:
-                return
-            if obs is not None:
-                obs.span("wqe", wr.post_time, sim.now - wr.post_time,
-                         category="rnic", component=comp, wqe=wqe,
-                         status=status.name)
-            qp.complete_send(wr, status, sim.now)
-
-        first = (stage_fetch, stage_txpu, stage_wire_out, stage_responder_rx,
-                 stage_translate, stage_data, stage_response, stage_wire_back,
-                 stage_requester_rx, stage_complete)[STAGES.index(stage)]
+        if stage not in STAGES:
+            raise ValueError(f"unknown pipeline stage {stage!r}; "
+                             f"expected one of {STAGES}")
+        flight = _Flight(self, qp, wr, status, wqe)
         if status is None:
-            sim.schedule_at(time, first)
+            self.sim.schedule_at(time, getattr(flight, stage))
         else:
-            sim.schedule_at(time, first, status)
+            self.sim.schedule_at(time, getattr(flight, stage), status)
 
     # ------------------------------------------------------------------
     # Fluid-flow layer
@@ -488,3 +267,288 @@ class RNIC(Engine):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RNIC {self.name} spec={self.spec.name}>"
+
+
+class _Flight:
+    """One WQE's trip through the scalar pipeline.
+
+    Each stage method is one scheduled event.  The methods
+    :meth:`RNIC.launch` can start a WQE at carry exactly the names in
+    :data:`STAGES`; ``retry`` (an RC ACK timeout) and ``rnr_nak`` (a
+    Receiver-Not-Ready answer) are reached only from other stages.  A
+    stage schedules its successor as a bound method, so the event heap
+    holds the only references to a flight and the flight holds none
+    back: a WQE is freed by reference counting the moment its last
+    event fires, and never reaches the cyclic collector.
+
+    Reliability state lives here too: RC retries on frame loss, and the
+    responder's duplicate detection makes re-executed operations
+    idempotent (crucial for atomics), modelled by caching the first
+    execution's status in ``executed``.  The ACK-timeout budget
+    (``retry_count``) and the RNR budget (``rnr_retry``) are separate,
+    as in ``ibv_modify_qp``.
+    """
+
+    __slots__ = ("nic", "responder", "sim", "qp", "wr", "wqe", "tc",
+                 "offset", "fetch_ns", "req_nbytes", "req_wire_ns",
+                 "resp_nbytes", "resp_wire_ns", "data_ns", "host_read",
+                 "obs", "robs", "comp", "rcomp", "attempts", "rnr_attempts",
+                 "executed")
+
+    def __init__(self, nic: RNIC, qp: "QueuePair", wr: SendWR,
+                 status: Optional[WCStatus], wqe: int) -> None:
+        remote_qp = resolve_remote_qp(qp, wr)
+        responder = remote_qp.context.engine
+        if not isinstance(responder, RNIC):
+            raise TypeError(
+                "remote QP's context is not backed by an RNIC engine"
+            )
+        self.nic = nic
+        self.responder = responder
+        self.sim = nic.sim
+        self.qp = qp
+        self.wr = wr
+        self.wqe = wqe
+        self.tc = qp.traffic_class
+        (self.fetch_ns, self.req_nbytes, self.req_wire_ns, self.resp_nbytes,
+         self.resp_wire_ns, self.data_ns, self.host_read) = nic.geometry(
+            wr.opcode, wr.length, responder)
+        # the component labels are only read by the obs spans
+        obs = self.obs = nic._obs
+        robs = self.robs = responder._obs
+        self.comp = f"rnic.{nic.name}" if obs is not None else ""
+        self.rcomp = f"rnic.{responder.name}" if robs is not None else ""
+        # resolve the remote MR geometry once; protection is enforced by
+        # execute_data_movement at the data stage
+        offset = 0
+        if wr.opcode.is_one_sided:
+            try:
+                mr = remote_qp.context.mr_by_rkey(wr.rkey)
+                offset = wr.remote_addr - mr.addr
+            except RemoteAccessError:
+                offset = 0
+        self.offset = offset
+        self.attempts = 0
+        self.rnr_attempts = 0
+        self.executed = status
+
+    def retry(self) -> None:
+        """The RC retransmission timer fired: resend from the fetch, on
+        the ACK-timeout budget."""
+        if self.wr.flushed:
+            return
+        nic = self.nic
+        self.attempts += 1
+        if self.attempts > nic.spec.retry_count:
+            self.qp.complete_send(self.wr, WCStatus.RETRY_EXC_ERR,
+                                  self.sim.now)
+            return
+        nic.counters.retransmits += 1
+        nic.counters.timeouts += 1
+        self.fetch()
+
+    def fetch(self) -> None:
+        if self.wr.flushed:
+            return
+        # WQE fetch (64 B) plus gather of any request payload: the DMA
+        # engine is occupied for the transfer, and the message
+        # additionally waits out the fixed TLP round-trip latency.
+        # Congestion from bulk flows stretches both: the engine by the
+        # M/G/1 inflation, the round trip by queueing at the root
+        # complex (modelled as 1 + utilization).
+        #
+        # Inline posts are the classic fast path: the CPU writes
+        # WQE+payload through MMIO (a posted write), so there is no DMA
+        # read round trip at all.
+        nic = self.nic
+        sim = self.sim
+        now = sim.now
+        finish = nic.pcie.admit(now, self.fetch_ns)
+        if self.obs is not None:
+            self.obs.span("pcie.fetch", now, finish - now, category="rnic",
+                          component=self.comp, wqe=self.wqe)
+        if self.wr.inline:
+            sim.schedule_at(finish, self.txpu)
+            return
+        congestion = 1.0 + nic.pcie.background_utilization
+        round_trip = nic.spec.pcie.tlp_latency_ns * congestion
+        sim.schedule_at(finish + round_trip, self.txpu)
+
+    def txpu(self) -> None:
+        now = self.sim.now
+        finish = self.nic.txpu.admit(now, self.nic.spec.txpu_ns)
+        if self.obs is not None:
+            self.obs.span("txpu", now, finish - now, category="rnic",
+                          component=self.comp, wqe=self.wqe)
+        self.sim.schedule_at(finish, self.wire_out)
+
+    def wire_out(self) -> None:
+        nic = self.nic
+        responder = self.responder
+        sim = self.sim
+        wr = self.wr
+        now = sim.now
+        finish = nic.wire_tx.admit(now, self.req_wire_ns)
+        if self.obs is not None:
+            self.obs.span("wire.request", now, finish - now, category="rnic",
+                          component=self.comp, wqe=self.wqe,
+                          nbytes=self.req_nbytes)
+        nic.counters.record_tx(self.req_nbytes, tc=self.tc, opcode=wr.opcode)
+        if (not self.qp.qp_type.acks_requests
+                and not wr.opcode.response_carries_payload):
+            # unreliable transports are fire-and-forget: the local
+            # completion fires at send time; a lost frame silently
+            # drops the remote effect
+            sim.schedule_at(finish, self.complete, WCStatus.SUCCESS)
+            if nic._frame_lost(nic, responder):
+                return
+            sim.schedule_at(finish + nic._transit_ns(responder),
+                            self.responder_rx)
+            return
+        if nic._frame_lost(nic, responder):
+            # request frame lost: the RC retransmission timer fires
+            sim.schedule_at(finish + nic.spec.retry_timeout_ns, self.retry)
+            return
+        sim.schedule_at(finish + nic._transit_ns(responder),
+                        self.responder_rx)
+
+    def responder_rx(self) -> None:
+        responder = self.responder
+        now = self.sim.now
+        responder.counters.record_rx(self.req_nbytes, tc=self.tc)
+        finish = responder.rxpu.admit(now, responder.spec.rxpu_ns)
+        if self.robs is not None:
+            self.robs.span("rxpu", now, finish - now, category="rnic",
+                           component=self.rcomp, wqe=self.wqe)
+        self.sim.schedule_at(finish, self.translate)
+
+    def translate(self) -> None:
+        wr = self.wr
+        now = self.sim.now
+        if wr.opcode.is_one_sided:
+            finish, _ = self.responder.translation.admit(
+                now, wr.rkey, self.offset, wr.length
+            )
+            if self.robs is not None:
+                self.robs.span("translate", now, finish - now,
+                               category="rnic", component=self.rcomp,
+                               wqe=self.wqe)
+        else:
+            finish = now
+        self.sim.schedule_at(finish, self.data)
+
+    def rnr_nak(self, nak_arrival: float) -> None:
+        """Responder answered Receiver-Not-Ready: back off min_rnr_timer
+        and resend, on the separate rnr_retry budget."""
+        nic = self.nic
+        self.rnr_attempts += 1
+        nic.counters.rnr_naks += 1
+        if self.rnr_attempts > nic.spec.rnr_retry:
+            self.sim.schedule_at(nak_arrival, self.complete,
+                                 WCStatus.RNR_RETRY_EXC_ERR)
+            return
+        nic.counters.retransmits += 1
+        self.sim.schedule_at(nak_arrival + nic.spec.min_rnr_timer_ns,
+                             self.fetch)
+
+    def data(self) -> None:
+        wr = self.wr
+        if wr.flushed:
+            return
+        qp = self.qp
+        responder = self.responder
+        rspec = responder.spec
+        sim = self.sim
+        if self.executed is None:
+            first_status = execute_data_movement(qp, wr)
+            if (first_status is WCStatus.RNR_RETRY_EXC_ERR
+                    and qp.qp_type.acks_requests):
+                # the RNR NAK rides the responder's TxPU and the return
+                # path like any response frame (NAK loss is not
+                # modelled: a lost NAK would fall back to the slower
+                # ACK-timeout retry, same outcome later)
+                finish = responder.txpu.admit(sim.now, rspec.txpu_ns)
+                self.rnr_nak(finish + responder._transit_ns(self.nic))
+                return
+            self.executed = first_status
+        status = self.executed
+        now = sim.now
+        finish = responder.pcie.admit(now, self.data_ns)
+        if self.robs is not None:
+            # atomics move 8 B each way
+            self.robs.span("pcie.data", now, finish - now, category="rnic",
+                           component=self.rcomp, wqe=self.wqe,
+                           nbytes=16 if wr.opcode.is_atomic else wr.length)
+        # host-read DMAs (read/atomic responses) wait the TLP round trip
+        # — stretched by congestion; posted writes complete at the
+        # engine
+        if self.host_read:
+            round_trip = rspec.pcie.tlp_latency_ns * (
+                1.0 + responder.pcie.background_utilization
+            )
+            if rspec.ddio_enabled:
+                # DMA from the LLC when resident, bimodal otherwise
+                if responder._ddio_rng.random() < rspec.ddio_hit_rate:
+                    round_trip -= rspec.ddio_saving_ns
+                else:
+                    round_trip += rspec.ddio_miss_penalty_ns
+            finish += round_trip
+        if (not qp.qp_type.acks_requests
+                and not wr.opcode.response_carries_payload):
+            # unreliable transports: no response flow, and the local
+            # completion already fired at send time
+            return
+        sim.schedule_at(finish, self.response, status)
+
+    def response(self, status: WCStatus) -> None:
+        now = self.sim.now
+        finish = self.responder.txpu.admit(now, self.responder.spec.txpu_ns)
+        if self.robs is not None:
+            self.robs.span("txpu.response", now, finish - now,
+                           category="rnic", component=self.rcomp,
+                           wqe=self.wqe)
+        self.sim.schedule_at(finish, self.wire_back, status)
+
+    def wire_back(self, status: WCStatus) -> None:
+        nic = self.nic
+        responder = self.responder
+        sim = self.sim
+        now = sim.now
+        finish = responder.wire_tx.admit(now, self.resp_wire_ns)
+        if self.robs is not None:
+            self.robs.span("wire.response", now, finish - now,
+                           category="rnic", component=self.rcomp,
+                           wqe=self.wqe, nbytes=self.resp_nbytes)
+        responder.counters.record_tx(self.resp_nbytes, tc=self.tc)
+        if nic._frame_lost(responder, nic):
+            # ACK/response frame lost: requester times out and resends;
+            # the responder's replay cache answers without re-executing
+            sim.schedule_at(finish + nic.spec.retry_timeout_ns, self.retry)
+            return
+        sim.schedule_at(finish + responder._transit_ns(nic),
+                        self.requester_rx, status)
+
+    def requester_rx(self, status: WCStatus) -> None:
+        # the frames on the wire were built by the *responder*, so the
+        # byte count uses the responder's header geometry (it must
+        # mirror wire_back's record_tx exactly)
+        nic = self.nic
+        now = self.sim.now
+        nic.counters.record_rx(self.resp_nbytes, tc=self.tc)
+        finish = nic.rxpu.admit(now, nic.spec.rxpu_ns)
+        cqe = nic.pcie.admit(finish, nic.spec.cqe_write_ns)
+        if self.obs is not None:
+            self.obs.span("rxpu.cqe", now, cqe - now, category="rnic",
+                          component=self.comp, wqe=self.wqe)
+        self.sim.schedule_at(cqe, self.complete, status)
+
+    def complete(self, status: WCStatus) -> None:
+        wr = self.wr
+        if wr.flushed:
+            return
+        now = self.sim.now
+        if self.obs is not None:
+            self.obs.span("wqe", wr.post_time, now - wr.post_time,
+                          category="rnic", component=self.comp, wqe=self.wqe,
+                          status=status.name)
+        self.qp.complete_send(wr, status, now)

@@ -14,7 +14,10 @@ not a polling interval — and enforces:
   ``timeout``;
 * **heartbeat liveness** (``heartbeat_timeout``): a worker that stops
   beating — SIGSTOPped, wedged in the kernel, deadlocked — is killed
-  and classified ``timeout`` without waiting for the full deadline;
+  and classified ``timeout`` without waiting for the full deadline.
+  The silence clock starts at the worker's first beat, which it sends
+  once the task's module is imported: interpreter start-up under load
+  is bounded by the deadline only;
 * **silent deaths**: a worker that disappears without reporting
   (external SIGKILL, the OOM killer, a segfault) is classified from
   its exitcode (:func:`repro.runtime.failures.classify_exit`);
@@ -124,7 +127,7 @@ class _Worker:
         self.process = process
         self.conn = conn
         self.started = started
-        self.last_beat = started
+        self.last_beat: Optional[float] = None   # no beat yet: starting up
         self.deadline_at = None if deadline is None else started + deadline
         self.outcome = None   # ("ok", value) | ("error", exc_type, tb)
         self.eof = False
@@ -299,7 +302,8 @@ class Supervisor:
             for worker in running.values():
                 if worker.deadline_at is not None:
                     targets.append(worker.deadline_at)
-                if config.heartbeat_timeout is not None:
+                if config.heartbeat_timeout is not None \
+                        and worker.last_beat is not None:
                     targets.append(worker.last_beat
                                    + config.heartbeat_timeout)
             if waiting:
@@ -377,6 +381,7 @@ class Supervisor:
                                             f"{config.deadline}s exceeded; "
                                             f"worker killed"))
                     elif config.heartbeat_timeout is not None \
+                            and worker.last_beat is not None \
                             and now - worker.last_beat \
                             >= config.heartbeat_timeout:
                         reap(worker, kill=True)

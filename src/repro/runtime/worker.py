@@ -4,9 +4,13 @@ Kept deliberately light: a spawn child imports this module (plus the
 module that defines the task function) and nothing else, so worker
 startup stays cheap.  The protocol over the pipe is tiny tuples:
 
-* ``("beat",)`` — periodic liveness beat from a daemon thread; stops
-  arriving the moment the process is SIGSTOPped, wedged in the kernel,
-  or dead, which is exactly the supervisor's hang signal.
+* ``("beat",)`` — liveness: one as soon as the worker is up (the task
+  module imported, the task about to start), then one per interval
+  from a daemon thread; beats stop arriving the moment the process is
+  SIGSTOPped, wedged in the kernel, or dead, which is exactly the
+  supervisor's hang signal.  The first beat starts the supervisor's
+  silence clock, so a slow interpreter start-up is bounded by the
+  deadline alone.
 * ``("ok", value)`` — the task function returned ``value``.
 * ``("error", exc_type, traceback)`` — the task function raised.
 
@@ -39,6 +43,9 @@ def child_main(conn, fn, args, kwargs, heartbeat_interval: float) -> None:
                 except OSError:
                     return  # supervisor went away; nothing left to tell
 
+    # spawn has unpickled ``fn`` (importing its module) by now: this
+    # first beat tells the supervisor start-up is over
+    conn.send(("beat",))
     thread = threading.Thread(target=beat, daemon=True, name="heartbeat")
     thread.start()
     try:

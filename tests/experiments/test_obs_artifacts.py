@@ -6,7 +6,9 @@ the Chrome trace is loadable, and a crashed attempt's partial trace
 never leaks into a retry's export.
 """
 
+import gc
 import json
+import re
 
 import pytest
 
@@ -47,6 +49,43 @@ def test_cli_profile_writes_stats(tmp_path, capsys):
     assert "cumulative" in prof.read_text()
     # no obs flags -> no trace/metrics artifacts
     assert not (tmp_path / "table1.trace.jsonl").exists()
+
+
+def _cycles(seed=0):
+    """Builds reference cycles, so the cyclic collector has to run."""
+    from repro.experiments.result import ExperimentResult
+    for _ in range(20_000):
+        node = []
+        node.append(node)
+    return ExperimentResult(experiment="cycles", title="t", rows=[{"v": 1}])
+
+
+def test_profile_opens_with_the_collector_line(tmp_path):
+    callbacks = list(gc.callbacks)
+    outcome = run_task("cycles", 0, False, False, 0, str(tmp_path),
+                       registry={"cycles": _cycles}, profile=True)
+    assert outcome.ok, outcome.error
+    first = (tmp_path / "cycles.prof.txt").read_text().splitlines()[0]
+    match = re.fullmatch(
+        r"cyclic gc: (\d+) collections \(gen0 (\d+), gen1 (\d+), "
+        r"gen2 (\d+)\), (\d+\.\d{3}) s", first)
+    assert match, first
+    total, gen0, gen1, gen2 = (int(match.group(i)) for i in range(1, 5))
+    assert total > 0 and total == gen0 + gen1 + gen2
+    # the hook lives only around the profiled attempt
+    assert gc.callbacks == callbacks
+
+
+def test_crashed_profiled_attempt_removes_the_collector_hook(tmp_path):
+    callbacks = list(gc.callbacks)
+
+    def boom(seed=0):
+        raise RuntimeError("dead")
+
+    outcome = run_task("boom", 0, False, False, 1, str(tmp_path),
+                       registry={"boom": boom}, profile=True)
+    assert not outcome.ok
+    assert gc.callbacks == callbacks
 
 
 def test_table5_trace_is_chrome_loadable(tmp_path):

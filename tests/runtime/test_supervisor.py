@@ -15,7 +15,7 @@ from repro.runtime import (
     TaskFailure,
     TaskSpec,
 )
-from tests.runtime import chaos_tasks
+from tests.runtime import chaos_dead_import, chaos_slow_import, chaos_tasks
 
 FAST_RETRY = RetryPolicy(retries=1, base_delay=0.01, max_delay=0.05)
 
@@ -149,6 +149,32 @@ class TestTimeouts:
                     if e["event"] == "timeout"]
         assert timeouts and "heartbeat" in timeouts[0]["detail"]
         assert result.retry_delays == [FAST_RETRY.delay(0, "hung", 1)]
+
+    def test_slow_startup_is_not_a_hang(self):
+        """The silence clock starts at the worker's first beat: a
+        worker whose task module takes longer than the heartbeat
+        timeout to import is healthy, and finishes on attempt 1."""
+        timeout = 0.5
+        assert chaos_slow_import.IMPORT_DELAY_S > timeout
+        supervisor = Supervisor(SupervisorConfig(
+            heartbeat_interval=0.05, heartbeat_timeout=timeout,
+            deadline=60.0))
+        results = supervisor.run([spec(
+            "slow", chaos_slow_import.ok_task, "slow")])
+        result = results["slow"]
+        assert result.ok, result.failure
+        assert result.value == "done:slow"
+        assert result.attempts == 1
+
+    def test_death_during_startup_is_classified_from_the_exitcode(self):
+        supervisor = Supervisor(SupervisorConfig(
+            heartbeat_interval=0.05, heartbeat_timeout=0.5,
+            deadline=60.0))
+        results = supervisor.run([spec(
+            "dead", chaos_dead_import.ok_task, "dead")])
+        failure = results["dead"].failure
+        assert failure.kind == "crash"
+        assert failure.exitcode == 3
 
 
 class TestCircuitBreaker:

@@ -40,9 +40,10 @@
 #                      cross-engine equivalence suite, the batched
 #                      fast-path equivalence suite, the cohort-planner
 #                      oracle (random cohorts through the C EventCore
-#                      and tpu_admit_batch) and the closed-loop oracle
+#                      and tpu_admit_batch), the closed-loop oracle
 #                      (the C EventCore firing the probe reads resumed
-#                      after a planned run) run under it, then the
+#                      after a planned run) and the flight-lifetime
+#                      test (every scalar stage) run under it, then the
 #                      optimized .so is restored before the bench gate
 #  11. fleet smoke   — BLOCKING: the post-batch fleet pass
 #                      (docs/OBSERVABILITY.md "Fleet metrics"): a
@@ -128,14 +129,16 @@ elif [ -n "$asan_rt" ] && [ -e "$asan_rt" ] \
     tools/build_speedups.sh --sanitize || fail=1
     # the batch-equivalence suite and the cohort-planner oracle drive
     # the C EventCore and the tpu_admit_batch serial tail with planned
-    # cohorts (the oracle with random ones), and the closed-loop oracle
+    # cohorts (the oracle with random ones), the closed-loop oracle
     # has the C EventCore fire the reads a planned probe run resumes,
-    # so all three run sanitized here
+    # and the flight-lifetime test has it dispatch every scalar stage
+    # (retries, RNR NAKs, flushes), so all four run sanitized here
     LD_PRELOAD="$asan_rt" ASAN_OPTIONS=detect_leaks=0 \
         python -m pytest -q tests/sim/test_engines.py \
         tests/rnic/test_batch_equivalence.py \
         tests/properties/test_cohort_planner.py \
-        tests/properties/test_closed_loop.py || fail=1
+        tests/properties/test_closed_loop.py \
+        tests/rnic/test_flight_lifetime.py || fail=1
     # restore the optimized accelerator before anything times it
     tools/build_speedups.sh || fail=1
 else
