@@ -14,6 +14,7 @@ thresholded with 1-D 2-means.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -171,20 +172,23 @@ def window_means(
         raise ValueError(f"period must be positive, got {period}")
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
-    sums = np.zeros(count)
-    counts = np.zeros(count)
-    for ts, value in samples:
-        idx = int((ts - start) // period)
-        if 0 <= idx < count:
-            sums[idx] += value
-            counts[idx] += 1
-    means = np.empty(count)
-    previous = 0.0
-    for i in range(count):
-        if counts[i] > 0:
-            previous = sums[i] / counts[i]
-        means[i] = previous
-    return means
+    # a flat pass over the pairs; np.asarray would probe each tuple
+    frame = np.fromiter(itertools.chain.from_iterable(samples),
+                        dtype=np.float64,
+                        count=2 * len(samples)).reshape(-1, 2)
+    # numpy's float floor division is Python's (an fmod-based divmod)
+    window = (frame[:, 0] - start) // period
+    inside = (window >= 0) & (window < count)
+    index = window[inside].astype(np.intp)
+    # bincount adds each window's values in sample order, as a loop does
+    sums = np.bincount(index, weights=frame[inside, 1], minlength=count)
+    counts = np.bincount(index, minlength=count)
+    filled = counts > 0
+    means = np.divide(sums, counts, out=np.zeros(count), where=filled)
+    # a window with no samples repeats the last mean before it (0.0 at
+    # the start)
+    last = np.maximum.accumulate(np.where(filled, np.arange(count), -1))
+    return np.where(last >= 0, means[last], 0.0)
 
 
 def decode_windows(

@@ -5,8 +5,8 @@ serves draws, from the unit's stream and in this order,
 ``sigma * standard_normal()``, then ``random() < spike_prob``, then —
 on a spike — ``exponential(spike_ns)``, and floors the sum at
 ``floor``.  None of it depends on timing, so a drain of ``n`` requests
-draws all ``n`` jitters first (:func:`draw_jitter`) and only the
-bank/pipeline recurrence stays serial.
+draws all ``n`` jitters first (:func:`draw_jitter`), before its
+bank/pipeline recurrence.
 
 The public calls cost about 1.7 us a request.  On a PCG64 stream
 :func:`_jitter_from_raw` replays them from raw 64-bit words instead,
@@ -16,9 +16,10 @@ ziggurat with numpy's tables (vendored in :mod:`repro.rnic._ziggurat`).
 A word's fast path (99.3 % of normals) is one table lookup and one
 compare, evaluated for every word at once.  Requests whose normal
 takes the fast path and that do not spike each use exactly two words,
-so runs of them are copied in slices; the rest — spikes and the rare
-slow paths — run numpy's exact slow-path code in Python.  The stream
-is then rewound to exactly the words consumed.
+so the replay steps only through the rest — spikes and the rare slow
+paths, which run numpy's exact slow-path code in Python — and gathers
+every fast normal in one pass.  The stream is then rewound to exactly
+the words consumed.
 
 :func:`replay_exact` checks the replay against the public calls once
 per process; if it fails, or the stream is not PCG64, the public calls
@@ -133,21 +134,25 @@ def _budget(n: int, spike_prob: float) -> int:
 
 
 def _scan(words: np.ndarray, spike_prob: float):
-    """Per-word fast-path normals, and for each parity the sorted word
-    positions at which a request is *not* plain (its normal leaves the
-    fast path, or the next word's uniform spikes), each list closed by
-    a sentinel past the end."""
-    low = words & 0x1FF
+    """Where a request starting at each word leaves the plain case.
+
+    Returns ``(low, rabs, fast, stops)``: two of the normal ziggurat's
+    word fields, whether each word is a fast-path normal, and per
+    parity the sorted words at which a request is not plain (its normal
+    leaves the fast path, or the next word's uniform spikes).  The last
+    three words are always stops: their requests run the exact
+    slow-path code, which draws more words as needed."""
+    low = (words & 0x1FF).astype(np.intp)
     rabs = (words >> 9) & _MASK52
-    normal = rabs * WI_SIGNED[low]
+    fast = rabs < KI_SIGNED[low]
     # random() < p, scaled by 2**53 (exact): (w >> 11) < p * 2**53
-    stops = np.flatnonzero((rabs >= KI_SIGNED[low])[:-1]
-                           | ((words[1:] >> 11) < spike_prob * 2.0**53))
-    end = len(words) + 1
-    even, odd = [], []
-    for stop in stops.tolist():
-        (odd if stop & 1 else even).append(stop)
-    return normal, (even + [end], odd + [end])
+    stop = np.ones(len(words), dtype=bool)
+    body = max(len(words) - 3, 0)
+    stop[:body] = ~fast[:body] | ((words[1:body + 1] >> 11)
+                                  < spike_prob * 2.0**53)
+    every = np.flatnonzero(stop)
+    odd = (every & 1).astype(bool)
+    return low, rabs, fast, (every[~odd].tolist(), every[odd].tolist())
 
 
 def _jitter_from_raw(rng: np.random.Generator, n: int, sigma: float,
@@ -159,43 +164,61 @@ def _jitter_from_raw(rng: np.random.Generator, n: int, sigma: float,
     runs short), then the generator is rewound to exactly the consumed
     count.  ``advance`` clears PCG64's uint32 buffer
     (``has_uint32``/``uinteger``), which none of these draws touch, so
-    it is written back."""
+    it is written back.
+
+    A plain request takes two words, so runs of them walk one parity
+    of the words; the walk visits only the stops (:func:`_scan`), each
+    of which runs numpy's code in Python from its word: a slow normal,
+    a spike's exponential.  Request ``i`` then starts at word ``2 i``
+    plus the extra words of the stops before it, and the fast-path
+    normals (``rabs * wi[idx]`` with the sign) are gathered from those
+    words in one pass."""
     bitgen = rng.bit_generator
     saved = bitgen.state
     words = bitgen.random_raw(_budget(n, spike_prob))
-    normal, stops = _scan(words, spike_prob)
+    low, rabs, fast, stops_at = _scan(words, spike_prob)
 
     def fetch(pos: int) -> int:
-        nonlocal words, normal, stops
+        nonlocal words, low, rabs, fast, stops_at
         if pos >= len(words):
             words = np.concatenate(
                 (words, bitgen.random_raw(max(len(words), 16))))
-            normal, stops = _scan(words, spike_prob)
-        return int(words[pos])
+            low, rabs, fast, stops_at = _scan(words, spike_prob)
+        return words.item(pos)
 
-    z = np.empty(n)
-    spiked, spikes = [], []
+    stops, extra, slow, slow_z, spiked, spikes = [], [], [], [], [], []
     pos = i = 0
-    while i < n:
-        parity = stops[pos & 1]
+    while True:
+        if pos + 3 >= len(words):
+            fetch(pos + 3)
+        parity = stops_at[pos & 1]
         stop = parity[bisect.bisect_left(parity, pos)]
-        run = min((stop - pos) >> 1, n - i, (len(words) - pos) >> 1)
-        if run:
-            # plain requests: a fast normal, then a uniform that does
-            # not spike
-            z[i:i + run] = normal[pos:pos + 2 * run:2]
-            i += run
-            pos += 2 * run
-            continue
-        z[i], pos = _normal(fetch, pos)
+        i += (stop - pos) >> 1
+        if i >= n:
+            pos = stop - 2 * (i - n)
+            break
+        if fast.item(stop):
+            pos = stop + 1
+        else:
+            z, pos = _normal(fetch, stop)
+            slow.append(i)
+            slow_z.append(z)
         if _uniform(fetch(pos)) < spike_prob:
             value, pos = _exponential(fetch, pos + 1)
             spiked.append(i)
             spikes.append(value)
         else:
             pos += 1
+        stops.append(i)
+        extra.append(pos - stop - 2)
         i += 1
 
+    shift = np.zeros(n + 1, dtype=np.int64)
+    shift[np.array(stops, dtype=np.intp) + 1] = extra
+    start = 2 * np.arange(n) + np.cumsum(shift[:-1])
+    z = rabs[start] * WI_SIGNED[low[start]]
+    if slow:
+        z[slow] = slow_z
     jitter = sigma * z
     if spiked:
         jitter[spiked] += spike_ns * np.array(spikes)

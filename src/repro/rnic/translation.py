@@ -30,41 +30,27 @@ Modelled structure:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-import os
 import zlib
 from typing import Hashable, Optional
 
 import numpy as np
 
-from repro.rnic.caches import SetAssocCache
+from repro.rnic.caches import SetAssocCache, int_sets, pair_sets
 from repro.rnic.jitter import draw_jitter
 from repro.rnic.spec import RNICSpec
 
 #: Cohorts below this take the scalar ``admit`` loop: the NumPy prepass
 #: in :meth:`TranslationUnit.admit_batch` does not amortize.
 VECTOR_MIN = 16
-
-
-def _select_tpu_batch():
-    """The C serial-tail drain, mirroring the kernel's engine choice.
-
-    ``REPRO_SIM_ENGINE=python`` forces the pure-Python loop (the same
-    switch that selects the pure-Python event core), and a missing or
-    numpy-less ``_speedups`` build falls back silently.  The two
-    implementations are bit-identical — the C tail draws jitter through
-    the very ziggurat routines the ``Generator`` methods dispatch to.
-    """
-    if os.environ.get("REPRO_SIM_ENGINE", "").lower() != "python":
-        try:
-            from repro.sim._speedups import tpu_admit_batch
-            return tpu_admit_batch
-        except ImportError:
-            pass
-    return None
-
-
-_C_TPU_TAIL = _select_tpu_batch()
+#: Requests a drain admits one by one, at most, before the pipeline
+#: horizon passes every bank horizon it carried in (see
+#: :meth:`TranslationUnit._drain`).
+PREFIX_MAX = 8
+#: Busy periods a cohort drain restarts its chain for, at most, before
+#: it takes the per-request loop instead.
+RESTARTS_MAX = 8
 
 
 def mr_cache_id(mr_key: Hashable) -> int:
@@ -85,6 +71,48 @@ def mr_cache_id(mr_key: Hashable) -> int:
     if isinstance(mr_key, str):
         return zlib.crc32(mr_key.encode("utf-8"))
     return zlib.crc32(repr(mr_key).encode("utf-8"))
+
+
+#: An MTT key ``(mr_id, segment)`` packs into one int64 cache code as
+#: ``mr_id << _SEG_BITS | segment`` when both fit (see
+#: :meth:`TranslationUnit._prepass`).
+_SEG_BITS = 31
+_SEG_MASK = (1 << _SEG_BITS) - 1
+
+
+@functools.lru_cache(maxsize=16)
+def _wave_table(seg_bytes: int, wave_half: float) -> np.ndarray:
+    """:meth:`TranslationUnit.admit`'s wave term for every in-segment
+    offset, evaluated with its own scalar expression."""
+    two_pi = 2.0 * math.pi
+    return np.array([wave_half * (1.0 - math.cos(two_pi * (k / seg_bytes)))
+                     for k in range(seg_bytes)])
+
+
+@functools.lru_cache(maxsize=16)
+def _head_table(period: int, line_bytes: int, base: float, sub8: float,
+                sub64: float) -> tuple:
+    """:meth:`TranslationUnit.admit`'s ``base + alignment`` for every
+    offset modulo ``period`` (a multiple of 8 and of ``line_bytes``),
+    and the phases it counts as ``unaligned8`` and ``unaligned64``."""
+    phase = range(period)
+    table = np.array([base + (sub8 if k % 8 else sub64 if k % line_bytes
+                              else 0.0) for k in phase])
+    unaligned8 = np.array([k % 8 != 0 for k in phase])
+    unaligned64 = np.array([k % 8 == 0 and k % line_bytes != 0
+                            for k in phase])
+    return table, unaligned8, unaligned64
+
+
+def _mtt_keys(codes: np.ndarray) -> list:
+    """MTT cache keys ``(mr_id, segment)`` of packed codes."""
+    return list(zip((codes >> _SEG_BITS).tolist(),
+                    (codes & _SEG_MASK).tolist()))
+
+
+def _mtt_sets(codes: np.ndarray, nsets: int) -> np.ndarray:
+    """The MTT set indices of packed codes."""
+    return pair_sets(codes >> _SEG_BITS, codes & _SEG_MASK, nsets)
 
 
 @dataclasses.dataclass
@@ -381,14 +409,10 @@ class TranslationUnit:
         """Process one descriptor cohort (same MR, admission order).
 
         Returns the per-request finish times as a list of floats —
-        bit-identical to ``[admit(t, mr_key, o, s)[0] for ...]``.  Cohorts of at least
-        :data:`VECTOR_MIN` run the shared vectorized prepass
-        (:meth:`_prepass`) and then the serial tail: in C when the
-        extension exports ``tpu_admit_batch`` (and ``REPRO_SIM_ENGINE``
-        does not force Python), without re-entering Python per
-        descriptor; otherwise :meth:`_drain`, its bit-identical
-        fallback.  ``arrivals`` must already be in admission (event)
-        order.
+        bit-identical to ``[admit(t, mr_key, o, s)[0] for ...]``.
+        Cohorts of at least :data:`VECTOR_MIN` run the shared vectorized
+        prepass (:meth:`_prepass`) and then :meth:`_drain`.
+        ``arrivals`` must already be in admission (event) order.
         """
         mr_id = self._mr_id(mr_key)
         n = len(arrivals)
@@ -401,22 +425,8 @@ class TranslationUnit:
             ]
         det, first_line, last_line = self._prepass(
             np.full(n, mr_id, dtype=np.int64), offsets, sizes)
-        if _C_TPU_TAIL is not None:
-            stats = self.stats
-            arr_in = np.ascontiguousarray(arrivals, dtype=np.float64)
-            finishes_out = np.empty(n, dtype=np.float64)
-            pipe, bank_wait, busy = _C_TPU_TAIL(
-                self.rng.bit_generator.capsule, arr_in, det,
-                first_line, last_line, finishes_out, self._bank_busy,
-                self._nbanks, self._pipe_busy, self._jitter_sigma,
-                self._jitter_floor, self._spike_prob, self._spike_ns,
-                self._bank_hold_ns, stats.bank_wait_ns, stats.busy_ns,
-            )
-            self._pipe_busy = pipe
-            stats.bank_wait_ns = bank_wait
-            stats.busy_ns = busy
-            return finishes_out.tolist()
-        return self._drain(det, first_line, last_line, arrivals=arrivals)
+        return self._drain(det, first_line, last_line,
+                           arrivals=arrivals).tolist()
 
     def admit_closed_loop(self, mr_ids, offsets, sizes, gaps) -> np.ndarray:
         """Process requests from one closed-loop client: request ``i``
@@ -434,7 +444,7 @@ class TranslationUnit:
             return np.empty(0)
         det, first_line, last_line = self._prepass(
             np.asarray(mr_ids, dtype=np.int64), offsets, sizes)
-        return np.asarray(self._drain(det, first_line, last_line, gaps=gaps))
+        return self._drain(det, first_line, last_line, gaps=gaps)
 
     def _prepass(self, mr_ids: np.ndarray, offsets, sizes):
         """The timing-free part of ``len(mr_ids)`` consecutive admissions.
@@ -445,9 +455,9 @@ class TranslationUnit:
         scalar :meth:`admit` loop would leave them.  The split works
         because most of :meth:`admit` does not depend on timing:
 
-        * alignment, wave, and segment geometry vectorize directly
-          (``np.cos`` and ``math.cos`` both evaluate libm's double
-          ``cos``, so the wave term is bit-equal elementwise);
+        * alignment and segment geometry vectorize directly, and the
+          wave term is looked up per in-segment offset in a table of
+          :meth:`admit`'s own expression (:func:`_wave_table`);
         * the history penalties (MR switch, segment switch, same-line
           lock) compare each request with its predecessor (request 0
           with the history registers) — a shifted comparison;
@@ -455,8 +465,9 @@ class TranslationUnit:
           and segments, so they replay up front; an access repeating
           the previous key is a guaranteed MRU hit whose
           ``move_to_end`` is a no-op, folded into the hit counter, so
-          only the key changes touch the caches.  A single-MR cohort
-          is the case with one MPT access.
+          only the key changes touch the caches, in bulk
+          (:meth:`~repro.rnic.caches.SetAssocCache.access_many`).  A
+          single-MR cohort is the case with one MPT access.
 
         The deterministic service components are accumulated
         left-to-right in the scalar path's order: base + alignment +
@@ -473,76 +484,86 @@ class TranslationUnit:
         off = np.asarray(offsets, dtype=np.int64)
         sz = np.asarray(sizes, dtype=np.int64)
         first_line = off // line_bytes
-        last_line = np.where(sz > 1, (off + sz - 1) // line_bytes, first_line)
+        last_line = (off + np.maximum(sz, 1) - 1) // line_bytes
         segment = off // seg_bytes
-        mr_list = mr_ids.tolist()
-        seg_list = segment.tolist()
 
-        # alignment penalties (mutually exclusive, like the scalar
-        # if/elif) and their stats counts
-        sub8 = (off % 8) != 0
-        sub64 = ~sub8 & ((off % line_bytes) != 0)
-        stats.unaligned8 += int(np.count_nonzero(sub8))
-        stats.unaligned64 += int(np.count_nonzero(sub64))
-        det = self._base_ns + np.where(
-            sub8, self._sub8_ns, np.where(sub64, self._sub64_ns, 0.0)
-        )
+        # base + alignment penalty, by offset modulo the alignment
+        # period, and the alignment stats from the same phases.  Each
+        # penalty below is a flag times its cost: where it does not
+        # apply that adds 0.0, as the scalar path does.
+        period = math.lcm(8, line_bytes)
+        head, sub8, sub64 = _head_table(period, line_bytes, self._base_ns,
+                                        self._sub8_ns, self._sub64_ns)
+        lines = first_line if period == line_bytes else off // period
+        phase = off - lines * period
+        det = head[phase]
+        phases = np.bincount(phase, minlength=period)
+        stats.unaligned8 += int(phases[sub8].sum())
+        stats.unaligned64 += int(phases[sub64].sum())
 
         # new_mr[i]: request i's MR differs from the previous request's
-        mr0 = mr_list[0]
+        mr0 = int(mr_ids[0])
         new_mr = np.empty(n, dtype=bool)
         new_mr[0] = self._last_mr is not None and mr0 != self._last_mr
         np.not_equal(mr_ids[1:], mr_ids[:-1], out=new_mr[1:])
 
         seg_switch = np.empty(n, dtype=bool)
         seg_switch[0] = self._last_seg_mr is not None and (
-            mr0 != self._last_seg_mr or seg_list[0] != self._last_seg_idx
+            mr0 != self._last_seg_mr or int(segment[0]) != self._last_seg_idx
         )
         np.not_equal(segment[1:], segment[:-1], out=seg_switch[1:])
         seg_switch[1:] |= new_mr[1:]
         stats.segment_misses += int(np.count_nonzero(seg_switch))
-        det = det + np.where(seg_switch, self._seg_miss_ns, 0.0)
+        det += seg_switch * self._seg_miss_ns
 
-        pos = (off % seg_bytes) / seg_bytes
-        det = det + self._wave_half * (1.0 - np.cos(self._two_pi * pos))
+        det += _wave_table(seg_bytes, self._wave_half)[off - segment * seg_bytes]
 
         stats.mr_switches += int(np.count_nonzero(new_mr))
-        det = det + np.where(new_mr, self._mr_switch_ns, 0.0)
+        det += new_mr * self._mr_switch_ns
 
         line_lock = np.empty(n, dtype=bool)
         line_lock[0] = (mr0 == self._last_line_mr
                         and int(first_line[0]) == self._last_line_idx)
         np.equal(first_line[1:], first_line[:-1], out=line_lock[1:])
         line_lock[1:] &= ~new_mr[1:]
-        det = det + np.where(line_lock, self._line_lock_ns, 0.0)
+        det += line_lock * self._line_lock_ns
 
         # cache replays: request 0 and every key change are real
-        # accesses, the repeats MRU hits; MPT before MTT per request
+        # accesses, the repeats MRU hits
         cache_miss = np.zeros(n, dtype=np.float64)
+        mpt_at = np.flatnonzero(new_mr[1:]) + 1
+        mpt_at = np.concatenate(([0], mpt_at))
         mpt_cache = self.mpt_cache
-        mpt_access = mpt_cache.access
-        mpt_runs = [0, *(new_mr[1:].nonzero()[0] + 1).tolist()]
-        for i in mpt_runs:
-            if not mpt_access(mr_list[i]):
-                cache_miss[i] = self._mpt_miss_ns
-        mpt_cache.hits += n - len(mpt_runs)
+        missed = mpt_cache.access_many(mr_ids[mpt_at], np.ndarray.tolist,
+                                      int_sets)
+        mpt_cache.hits += n - len(mpt_at)
+        cache_miss[mpt_at[missed]] = self._mpt_miss_ns
+        mtt_at = np.concatenate(([0], np.flatnonzero(seg_switch[1:]) + 1))
         mtt_cache = self.mtt_cache
-        mtt_access = mtt_cache.access
-        mtt_runs = [0, *(seg_switch[1:].nonzero()[0] + 1).tolist()]
-        for i in mtt_runs:
-            if not mtt_access((mr_list[i], seg_list[i])):
-                cache_miss[i] += self._mtt_miss_ns
-        mtt_cache.hits += n - len(mtt_runs)
-        det = det + cache_miss
+        mtt_mr = mr_ids[mtt_at]
+        mtt_seg = segment[mtt_at]
+        if (mtt_mr.min() >= 0 and mtt_mr.max() < 1 << 32
+                and mtt_seg.min() >= 0 and mtt_seg.max() < 1 << _SEG_BITS):
+            missed = mtt_cache.access_many(
+                (mtt_mr << _SEG_BITS) | mtt_seg, _mtt_keys, _mtt_sets)
+        else:
+            access = mtt_cache.access
+            missed = [not access(key) for key in
+                      zip(mtt_mr.tolist(), mtt_seg.tolist())]
+        mtt_cache.hits += n - len(mtt_at)
+        cache_miss[mtt_at[missed]] += self._mtt_miss_ns
+        det += cache_miss
 
-        self._last_mr = self._last_seg_mr = self._last_line_mr = mr_list[-1]
-        self._last_seg_idx = seg_list[-1]
+        self._last_mr = self._last_seg_mr = self._last_line_mr = \
+            int(mr_ids[-1])
+        self._last_seg_idx = int(segment[-1])
         self._last_line_idx = int(first_line[-1])
         return det, first_line, last_line
 
     def _drain(self, det: np.ndarray, first_line: np.ndarray,
-               last_line: np.ndarray, arrivals=None, gaps=None) -> list:
-        """The serial tail of a prepassed batch: the jitter draws, the
+               last_line: np.ndarray, arrivals=None,
+               gaps=None) -> np.ndarray:
+        """The timing part of a prepassed batch: the jitter draws, the
         pipeline-busy recurrence and bank occupancy.  Returns the finish
         times.
 
@@ -555,16 +576,145 @@ class TranslationUnit:
         added to ``det`` in one array add; numpy computes
         :meth:`admit`'s ``normal(0.0, sigma)`` as ``0.0 + sigma * z``,
         so ``sigma * z`` gives bit-equal service times.
+
+        The recurrence itself is closed-form under a contract:
+
+        * a short prefix runs :meth:`_serial` until the pipeline
+          horizon is at or above every bank horizon carried in;
+        * from the prefix's last request on, every service is at least
+          the bank hold.  Rounding is monotone, so a bank last held by
+          request ``j <= i - 2`` is free by ``f(i-1) >= f(j) + s(i-1)
+          >= f(j) + hold``: only request ``i - 1``'s banks, held until
+          ``f(i-1) + hold``, can stall request ``i``.  With ``c(i)`` the
+          hold when requests ``i`` and ``i - 1`` share a bank and 0
+          otherwise, request ``i`` starts at ``f(i-1) + max(c(i),
+          gap)`` in the closed loop (gaps non-negative), and at
+          ``max(a(i), f(i-1) + c(i))`` in a cohort;
+        * the chain of those starts and finishes is one
+          ``np.add.accumulate``: the same additions, in the same order,
+          as the loop.  A cohort restarts the chain at each arrival
+          past its chained start, one busy period at a time.
+
+        When the contract fails (a short service, a negative gap, a
+        prefix or a cohort with too many restarts) :meth:`_serial` runs
+        the rest.
         """
-        closed = arrivals is None
-        lead = gaps if closed else arrivals
-        # plain floats keep the accumulators and bank horizons free of
-        # numpy scalar types
-        if isinstance(lead, np.ndarray):
-            lead = lead.tolist()
+        lead = np.asarray(arrivals if gaps is None else gaps,
+                          dtype=np.float64)
         services = det + draw_jitter(
             self.rng, len(det), self._jitter_sigma, self._jitter_floor,
             self._spike_prob, self._spike_ns)
+        n = len(services)
+        hold = self._bank_hold_ns
+        closed = gaps is not None
+        carried = max(self._bank_busy)
+        k = 0
+        head = []
+        while self._pipe_busy < carried and k < min(n, PREFIX_MAX):
+            head += self._serial(services[k:k + 1], first_line[k:k + 1],
+                                 last_line[k:k + 1], lead[k:k + 1], closed)
+            k += 1
+        if k == n:
+            return np.array(head)
+        finish = None
+        if (self._pipe_busy >= carried
+                and services[max(k - 1, 0):].min() >= hold):
+            finish = self._chain(services, first_line, last_line, lead,
+                                 closed, k)
+        if finish is None:
+            finish = np.array(self._serial(
+                services[k:], first_line[k:], last_line[k:], lead[k:],
+                closed))
+        return np.concatenate((head, finish)) if head else finish
+
+    def _chain(self, services: np.ndarray, first_line: np.ndarray,
+               last_line: np.ndarray, lead: np.ndarray, closed: bool,
+               k: int) -> Optional[np.ndarray]:
+        """Requests ``k`` onwards of a :meth:`_drain` in closed form,
+        committing the pipeline, bank and stats updates; None, with
+        nothing changed, when the gaps or the busy periods break the
+        contract."""
+        nbanks = self._nbanks
+        hold = self._bank_hold_ns
+        service = services[k:]
+        lead = lead[k:]
+        m = len(service)
+        if closed and not lead.min() >= 0.0:
+            return None
+        # c(i): request i - 1 holds one of request i's banks, i.e. some
+        # line difference between the two spans is a multiple of nbanks
+        lo = first_line[1:] - last_line[:-1]
+        hi = last_line[1:] - first_line[:-1]
+        stall = np.empty(len(services))
+        stall[0] = 0.0
+        stall[1:] = (hi // nbanks != (lo - 1) // nbanks) * hold
+        stall = stall[k:]
+        pipe = self._pipe_busy
+
+        seq = np.empty(2 * m + 1)
+        if closed:
+            # start(i) = f(i-1) + max(c(i), gap): monotone rounding makes
+            # it the later of the bank release and the arrival
+            seq[0] = pipe
+            seq[1::2] = np.maximum(stall, lead)
+            seq[2::2] = service
+            chain = np.add.accumulate(seq)
+            start = chain[1::2]
+            finish = chain[2::2]
+            wait = start - (chain[:-1:2] + lead)
+        else:
+            start = np.empty(m)
+            finish = np.empty(m)
+            r = 0
+            base = pipe
+            restarts = 0
+            while True:
+                part = seq[:2 * (m - r) + 1]
+                part[0] = base
+                part[1::2] = stall[r:]
+                if restarts:  # the chain restarts at an arrival
+                    part[1] = 0.0
+                part[2::2] = service[r:]
+                chain = np.add.accumulate(part)
+                late = np.flatnonzero(lead[r:] > chain[1::2])
+                end = m if not len(late) else r + int(late[0])
+                start[r:end] = chain[1:2 * (end - r):2]
+                finish[r:end] = chain[2:2 * (end - r) + 1:2]
+                if end == m:
+                    break
+                restarts += 1
+                if restarts > RESTARTS_MAX:
+                    return None
+                r = end
+                base = lead[r]
+            previous = np.concatenate(([pipe], finish[:-1]))
+            wait = start - np.maximum(lead, previous)
+
+        stats = self.stats
+        stats.bank_wait_ns = float(np.add.accumulate(
+            np.concatenate(([stats.bank_wait_ns], wait)))[-1])
+        stats.busy_ns = float(np.add.accumulate(
+            np.concatenate(([stats.busy_ns], service)))[-1])
+        self._pipe_busy = float(finish[-1])
+        # every bank of every request, held until its finish + hold:
+        # the d-th line of each request spanning more than d lines
+        until = finish + hold
+        line = first_line[k:]
+        width = np.minimum(last_line[k:] - line, nbanks - 1)
+        bank_busy = np.array(self._bank_busy)
+        np.maximum.at(bank_busy, line % nbanks, until)
+        for d in range(1, int(width.max()) + 1):
+            spans = np.flatnonzero(width >= d)
+            np.maximum.at(bank_busy, (line[spans] + d) % nbanks,
+                          until[spans])
+        self._bank_busy = bank_busy.tolist()
+        return finish
+
+    def _serial(self, services: np.ndarray, first_line: np.ndarray,
+                last_line: np.ndarray, lead: np.ndarray,
+                closed: bool) -> list:
+        """The per-request loop of :meth:`_drain`: the definition its
+        closed form must match, and its fallback."""
         hold = self._bank_hold_ns
         nbanks = self._nbanks
         bank_busy = self._bank_busy
@@ -575,7 +725,7 @@ class TranslationUnit:
         finishes = []
         append = finishes.append
         for service, fl, ll, t in zip(services.tolist(), first_line.tolist(),
-                                      last_line.tolist(), lead):
+                                      last_line.tolist(), lead.tolist()):
             arrival = pipe_busy + t if closed else t
             bank = fl % nbanks
             bank_ready = bank_busy[bank]
@@ -641,9 +791,10 @@ class TranslationUnit:
 
     def restore(self, state: tuple) -> None:
         """Return to a :meth:`checkpoint` (RNG stream included)."""
-        (stats, self._bank_busy, self._pipe_busy, self._last_mr,
+        (stats, bank_busy, self._pipe_busy, self._last_mr,
          self._last_seg_mr, self._last_seg_idx, self._last_line_mr,
          self._last_line_idx, mpt, mtt, rng_state) = state
+        self._bank_busy = list(bank_busy)
         self.stats.__dict__.update(stats)
         self.mpt_cache.restore(mpt)
         self.mtt_cache.restore(mtt)

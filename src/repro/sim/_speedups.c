@@ -23,19 +23,6 @@
 #include <Python.h>
 #include <structmember.h>
 
-#include <stdint.h>
-
-/* tools/build_speedups.sh defines REPRO_HAVE_NPYRANDOM when NumPy's
- * C random API (distributions.h + libnpyrandom.a) is available; the
- * TPU cohort-drain entry point below draws jitter through the same
- * ziggurat implementations Generator.normal()/random()/exponential()
- * call, so the draws — and the generator state they leave behind —
- * are bit-identical to the pure-Python loop. */
-#ifdef REPRO_HAVE_NPYRANDOM
-#include <numpy/random/bitgen.h>
-#include <numpy/random/distributions.h>
-#endif
-
 /* priority * PRI_SHIFT + seq */
 #define PRI_SHIFT (1LL << 52)
 #define PRI_LIMIT (1LL << 30)
@@ -686,204 +673,11 @@ static PyTypeObject EventCoreType = {
     .tp_new = PyType_GenericNew,
 };
 
-#ifdef REPRO_HAVE_NPYRANDOM
-/* ------------------------------------------------------------------ */
-/* tpu_admit_batch: the TranslationUnit's sequential remainder         */
-/* ------------------------------------------------------------------ */
-
-/* tpu_admit_batch(capsule, arrivals, det, first_line, last_line,
- *                 finishes, bank_busy, nbanks, pipe_busy,
- *                 sigma, floor, spike_prob, spike_ns, hold,
- *                 bank_wait_acc, busy_acc)
- *     -> (pipe_busy', bank_wait_acc', busy_acc')
- *
- * The genuinely serial tail of TranslationUnit.admit_batch(): per
- * descriptor, in admission order — interleaved jitter draws (normal,
- * uniform, conditional exponential: the same npyrandom ziggurat code
- * Generator methods dispatch to), the single-issue pipeline
- * recurrence, and the bank-occupancy array.  Replays the Python
- * loop's exact IEEE-754 operation order, so finish times, stats
- * accumulators, bank horizons and the RNG stream state all come out
- * bit-identical.
- *
- * `capsule` is rng.bit_generator.capsule (a bitgen_t).  `arrivals`
- * and `det` are contiguous float64 buffers; `first_line`/`last_line`
- * contiguous int64; `finishes` a writable float64 output buffer.
- * `bank_busy` is the unit's Python list of bank horizons, rewritten
- * in place before returning.
- */
-static PyObject *
-speedups_tpu_admit_batch(PyObject *module, PyObject *const *args,
-                         Py_ssize_t nargs)
-{
-    bitgen_t *bitgen;
-    Py_buffer arr_view, det_view, fl_view, ll_view, fin_view;
-    PyObject *bank_list, *result = NULL;
-    double *bank = NULL, *fin;
-    const double *arr, *det;
-    const int64_t *fl, *ll;
-    double pipe_busy, sigma, floor_v, spike_prob, spike_ns, hold;
-    double bank_wait_acc, busy_acc;
-    Py_ssize_t n, nbanks, i, b;
-    int have_arr = 0, have_det = 0, have_fl = 0, have_ll = 0, have_fin = 0;
-
-    (void)module;
-    if (nargs != 16) {
-        PyErr_SetString(PyExc_TypeError,
-                        "tpu_admit_batch expects exactly 16 arguments");
-        return NULL;
-    }
-    bitgen = (bitgen_t *)PyCapsule_GetPointer(args[0], "BitGenerator");
-    if (bitgen == NULL)
-        return NULL;
-    bank_list = args[6];
-    if (!PyList_Check(bank_list)) {
-        PyErr_SetString(PyExc_TypeError, "bank_busy must be a list");
-        return NULL;
-    }
-    nbanks = PyLong_AsSsize_t(args[7]);
-    pipe_busy = PyFloat_AsDouble(args[8]);
-    sigma = PyFloat_AsDouble(args[9]);
-    floor_v = PyFloat_AsDouble(args[10]);
-    spike_prob = PyFloat_AsDouble(args[11]);
-    spike_ns = PyFloat_AsDouble(args[12]);
-    hold = PyFloat_AsDouble(args[13]);
-    bank_wait_acc = PyFloat_AsDouble(args[14]);
-    busy_acc = PyFloat_AsDouble(args[15]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (nbanks <= 0 || PyList_GET_SIZE(bank_list) != nbanks) {
-        PyErr_SetString(PyExc_ValueError,
-                        "bank_busy length disagrees with nbanks");
-        return NULL;
-    }
-
-    if (PyObject_GetBuffer(args[1], &arr_view, PyBUF_CONTIG_RO) < 0)
-        goto done;
-    have_arr = 1;
-    if (PyObject_GetBuffer(args[2], &det_view, PyBUF_CONTIG_RO) < 0)
-        goto done;
-    have_det = 1;
-    if (PyObject_GetBuffer(args[3], &fl_view, PyBUF_CONTIG_RO) < 0)
-        goto done;
-    have_fl = 1;
-    if (PyObject_GetBuffer(args[4], &ll_view, PyBUF_CONTIG_RO) < 0)
-        goto done;
-    have_ll = 1;
-    if (PyObject_GetBuffer(args[5], &fin_view, PyBUF_CONTIG) < 0)
-        goto done;
-    have_fin = 1;
-    n = arr_view.len / (Py_ssize_t)sizeof(double);
-    if (arr_view.itemsize != (Py_ssize_t)sizeof(double) ||
-            det_view.len != arr_view.len ||
-            fin_view.len != arr_view.len ||
-            fl_view.len != (Py_ssize_t)(n * sizeof(int64_t)) ||
-            ll_view.len != fl_view.len) {
-        PyErr_SetString(PyExc_ValueError,
-                        "tpu_admit_batch buffer length mismatch");
-        goto done;
-    }
-    arr = (const double *)arr_view.buf;
-    det = (const double *)det_view.buf;
-    fl = (const int64_t *)fl_view.buf;
-    ll = (const int64_t *)ll_view.buf;
-    fin = (double *)fin_view.buf;
-
-    bank = PyMem_Malloc(nbanks * sizeof(double));
-    if (bank == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (b = 0; b < nbanks; b++) {
-        bank[b] = PyFloat_AsDouble(PyList_GET_ITEM(bank_list, b));
-        if (bank[b] == -1.0 && PyErr_Occurred())
-            goto done;
-    }
-
-    for (i = 0; i < n; i++) {
-        int64_t first = fl[i], last = ll[i], line;
-        double bank_ready, issue_ready, start, jitter, service;
-        double finish, busy_until;
-
-        if (first < 0 || last < first) {
-            PyErr_SetString(PyExc_ValueError,
-                            "tpu_admit_batch: bad line range");
-            goto done;
-        }
-        bank_ready = bank[first % nbanks];
-        for (line = first + 1; line <= last; line++) {
-            double horizon = bank[line % nbanks];
-            if (horizon > bank_ready)
-                bank_ready = horizon;
-        }
-        issue_ready = arr[i] > pipe_busy ? arr[i] : pipe_busy;
-        start = bank_ready > issue_ready ? bank_ready : issue_ready;
-        bank_wait_acc += start - issue_ready;
-
-        jitter = random_normal(bitgen, 0.0, sigma);
-        if (random_standard_uniform(bitgen) < spike_prob)
-            jitter += random_exponential(bitgen, spike_ns);
-        if (jitter < floor_v)
-            jitter = floor_v;
-
-        service = det[i] + jitter;
-        finish = start + service;
-        busy_acc += service;
-        pipe_busy = finish;
-        busy_until = finish + hold;
-        for (line = first; line <= last; line++) {
-            if (bank[line % nbanks] < busy_until)
-                bank[line % nbanks] = busy_until;
-        }
-        fin[i] = finish;
-    }
-
-    for (b = 0; b < nbanks; b++) {
-        PyObject *horizon = PyFloat_FromDouble(bank[b]);
-        if (horizon == NULL)
-            goto done;
-        PyList_SetItem(bank_list, b, horizon);  /* steals the ref */
-    }
-    result = Py_BuildValue("(ddd)", pipe_busy, bank_wait_acc, busy_acc);
-
-done:
-    PyMem_Free(bank);
-    if (have_fin)
-        PyBuffer_Release(&fin_view);
-    if (have_ll)
-        PyBuffer_Release(&ll_view);
-    if (have_fl)
-        PyBuffer_Release(&fl_view);
-    if (have_det)
-        PyBuffer_Release(&det_view);
-    if (have_arr)
-        PyBuffer_Release(&arr_view);
-    return result;
-}
-#endif  /* REPRO_HAVE_NPYRANDOM */
-
-static PyMethodDef speedups_functions[] = {
-#ifdef REPRO_HAVE_NPYRANDOM
-    {"tpu_admit_batch",
-     (PyCFunction)(void (*)(void))speedups_tpu_admit_batch, METH_FASTCALL,
-     "tpu_admit_batch(capsule, arrivals, det, first_line, last_line, "
-     "finishes, bank_busy, nbanks, pipe_busy, sigma, floor, spike_prob, "
-     "spike_ns, hold, bank_wait_acc, busy_acc) "
-     "-> (pipe_busy, bank_wait_acc, busy_acc)\n"
-     "Serial tail of TranslationUnit.admit_batch: jitter draws "
-     "(bit-identical to Generator.normal/random/exponential), pipeline "
-     "recurrence and bank occupancy, without re-entering Python per "
-     "descriptor."},
-#endif
-    {NULL, NULL, 0, NULL},
-};
-
 static struct PyModuleDef speedups_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._speedups",
     .m_doc = "C accelerator for the repro.sim event kernel.",
     .m_size = -1,
-    .m_methods = speedups_functions,
 };
 
 PyMODINIT_FUNC

@@ -38,7 +38,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.rnic.batch as batch
-import repro.rnic.translation as translation
 from repro.host import Cluster
 from repro.rnic import cx4, cx5, cx6
 from repro.sim.event import PyEventCore
@@ -55,11 +54,12 @@ try:
 except ImportError:
     _speedups = None
 
-#: (event core, TPU serial tail) per engine, as in the cohort oracle.
+#: The event core per engine: the pure-Python one, and the C one when
+#: the extension is built.
 ENGINES = [
-    pytest.param((PyEventCore, None), id="python"),
+    pytest.param(PyEventCore, id="python"),
     pytest.param(
-        (getattr(_speedups, "EventCore", None), translation._C_TPU_TAIL),
+        getattr(_speedups, "EventCore", None),
         id="c",
         marks=pytest.mark.skipif(_speedups is None,
                                  reason="_speedups not built")),
@@ -224,18 +224,16 @@ def run(sim_class, case, enabled):
             second.tobytes(), again), taken, client.rnic.counters
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_closed_loop_matches_scalar_probe(engine):
-    core, tail = engine
+@pytest.mark.parametrize("core", ENGINES)
+def test_closed_loop_matches_scalar_probe(core):
     sim_class = make_simulator_class(core)
     tally = Counter()
 
     @settings(max_examples=300, deadline=None)
     @given(case=cases)
     def check(case):
-        with mock.patch.object(translation, "_C_TPU_TAIL", tail):
-            scalar, _, _ = run(sim_class, case, False)
-            planned, taken, counters = run(sim_class, case, True)
+        scalar, _, _ = run(sim_class, case, False)
+        planned, taken, counters = run(sim_class, case, True)
         tally["taken"] += taken
         tally.update(counters.batch_fallbacks)
         assert planned == scalar

@@ -44,12 +44,12 @@ try:
 except ImportError:
     _speedups = None
 
-#: (event core, TPU serial tail) per engine: the pure-Python pair, and
-#: the C pair when the extension is built.
+#: The event core per engine: the pure-Python one, and the C one when
+#: the extension is built.
 ENGINES = [
-    pytest.param((PyEventCore, None), id="python"),
+    pytest.param(PyEventCore, id="python"),
     pytest.param(
-        (getattr(_speedups, "EventCore", None), translation._C_TPU_TAIL),
+        getattr(_speedups, "EventCore", None),
         id="c",
         marks=pytest.mark.skipif(_speedups is None,
                                  reason="_speedups not built")),
@@ -168,9 +168,8 @@ def run(sim_class, case, enabled):
     return observe(cluster, server, client, cqes)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_planner_matches_scalar_pipeline(engine):
-    core, tail = engine
+@pytest.mark.parametrize("core", ENGINES)
+def test_planner_matches_scalar_pipeline(core):
     sim_class = make_simulator_class(core)
     tally = Counter()
     real = batch.try_fast_path
@@ -184,8 +183,7 @@ def test_planner_matches_scalar_pipeline(engine):
     @settings(max_examples=60, deadline=None)
     @given(case=cases)
     def check(case):
-        with mock.patch.object(translation, "_C_TPU_TAIL", tail), \
-                mock.patch.object(rnic_mod, "try_fast_path", spy):
+        with mock.patch.object(rnic_mod, "try_fast_path", spy):
             scalar = run(sim_class, case, False)
             fast = run(sim_class, case, True)
         assert fast == scalar

@@ -64,3 +64,42 @@ def test_window_means_handles_empty_input(count, period):
     means = window_means([], 0.0, period, count)
     assert means.shape == (count,)
     assert (means == 0.0).all()
+
+
+def window_means_loop(samples, start, period, count):
+    """The per-sample loop ``window_means`` replaced: the oracle."""
+    sums = np.zeros(count)
+    counts = np.zeros(count)
+    for ts, value in samples:
+        idx = int((ts - start) // period)
+        if 0 <= idx < count:
+            sums[idx] += value
+            counts[idx] += 1
+    means = np.empty(count)
+    previous = 0.0
+    for i in range(count):
+        if counts[i] > 0:
+            previous = sums[i] / counts[i]
+        means[i] = previous
+    return means
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    count=st.integers(min_value=1, max_value=40),
+    period=st.floats(min_value=1e-3, max_value=1e4),
+    start=st.floats(min_value=-1e6, max_value=1e6),
+    samples=st.lists(st.tuples(
+        st.one_of(st.floats(min_value=-2.0, max_value=45.0),
+                  st.integers(min_value=-2, max_value=45).map(float)),
+        st.floats(min_value=-1e9, max_value=1e9)), max_size=120),
+)
+def test_window_means_matches_the_sample_loop(count, period, start,
+                                              samples):
+    """Byte-equal to the loop: per-window sums in sample order, empty
+    windows forward-filled, window edges included (whole multiples of
+    the period)."""
+    frame = [(start + offset * period, value) for offset, value in samples]
+    got = window_means(frame, start, period, count)
+    assert got.tobytes() == window_means_loop(frame, start, period,
+                                              count).tobytes()

@@ -11,9 +11,7 @@ scalar path must produce exactly what it always did.
 Every test runs against each available engine core (the pure-Python
 event core and, when built, the C extension) via
 :func:`repro.sim.kernel.make_simulator_class`; one subprocess test
-additionally pins the ``REPRO_SIM_ENGINE=python`` configuration, which
-also routes the translation unit's serial tail through its pure-Python
-twin.
+additionally pins the ``REPRO_SIM_ENGINE=python`` configuration.
 """
 
 import hashlib
@@ -355,9 +353,9 @@ class TestPrecheckAgreement:
 
 
 def test_python_engine_configuration_is_identical():
-    """The full REPRO_SIM_ENGINE=python configuration (pure-Python event
-    core *and* pure-Python translation serial tail) produces the same
-    scalar/batched agreement, in a pinned subprocess."""
+    """The REPRO_SIM_ENGINE=python configuration (the pure-Python event
+    core) produces the same scalar/batched agreement, in a pinned
+    subprocess."""
     code = (
         "import repro.rnic.batch as batch\n"
         "from repro.sim.kernel import KERNEL_ENGINE\n"

@@ -211,3 +211,20 @@ class TestJitter:
         for i in range(200):
             lat, _ = service_of(unit, 64 * i)
             assert lat > 0.0
+
+
+class TestCheckpoint:
+    def test_restoring_twice_gives_the_same_unit(self):
+        """A checkpoint stays intact after a restore: admits on the
+        restored unit must not write into the checkpoint's bank list."""
+        unit = TranslationUnit(cx5(), rng=np.random.default_rng(5))
+        unit.admit(0.0, "mr", 0, 64)
+        state = unit.checkpoint()
+        runs = []
+        for _ in range(2):
+            unit.restore(state)
+            finishes = [unit.admit(unit._pipe_busy, "mr", offset, 64)[0]
+                        for offset in (64, 128, 0)]
+            runs.append((finishes, list(unit._bank_busy)))
+        assert runs[0] == runs[1]
+        assert state[1] != runs[0][1]

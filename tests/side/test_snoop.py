@@ -1,9 +1,12 @@
 """Tests for the disaggregated-memory snooping attack (Figure 13)."""
 
+import copy
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.side.snoop as snoop
 from repro.analysis import normalized_cross_correlation
@@ -107,6 +110,27 @@ class TestDecisionDraws:
         np.testing.assert_array_equal(got[1], want[1])
         assert replayed.bit_generator.state == by_call.bit_generator.state
         assert replayed.random() == by_call.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
+           slots=st.integers(min_value=0, max_value=400),
+           duty=st.floats(min_value=0.0, max_value=1.0),
+           rate=st.one_of(st.sampled_from([0.0, 0.25, 0.999, 1.0]),
+                          st.floats(min_value=0.0, max_value=1.0)),
+           carry=st.booleans())
+    def test_raw_replay_matches_public_calls_anywhere(self, seed, slots,
+                                                      duty, rate, carry):
+        """Any slot count, duty and ambient rate, with and without a
+        buffered uint32: the same draws and the same generator state."""
+        replayed = np.random.default_rng(seed)
+        if carry:
+            replayed.integers(0, snoop.STRAY_LINES)
+        by_call = copy.deepcopy(replayed)
+        got = snoop._decisions_from_raw(replayed, slots, duty, rate)
+        want = snoop._decisions_by_call(by_call, slots, duty, rate)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert replayed.bit_generator.state == by_call.bit_generator.state
 
     def test_forced_fallback_gives_identical_traces(self):
         fast = TraceSynthesizer(seed=4)

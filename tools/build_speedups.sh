@@ -1,8 +1,6 @@
 #!/usr/bin/env bash
 # Build the optional C accelerator, repro.sim._speedups, in place.  It
-# exports two things: EventCore, the event-kernel heap and dispatch
-# loop, and tpu_admit_batch, the translation unit's serial cohort tail
-# (only when NumPy's C random API is found, see below).
+# exports EventCore, the event-kernel heap and dispatch loop.
 #
 #   tools/build_speedups.sh             # build src/repro/sim/_speedups.*.so
 #   tools/build_speedups.sh --check     # exit 0 iff the built module imports
@@ -36,36 +34,6 @@ if ! command -v cc >/dev/null 2>&1; then
     exit 1
 fi
 
-# NumPy's C random API (distributions.h + libnpyrandom.a) powers the
-# TPU cohort-drain entry point (tpu_admit_batch): jitter draws in C
-# that are bit-identical to Generator.normal()/random()/exponential().
-# Optional — without it the extension still builds and translation
-# falls back to its pure-Python loop.
-NPY_FLAGS=""
-npy_probe="$("$PYTHON" - 2>/dev/null <<'EOF'
-import os
-try:
-    import numpy
-except ImportError:
-    raise SystemExit(1)
-inc = numpy.get_include()
-lib = os.path.join(os.path.dirname(numpy.__file__),
-                   "random", "lib", "libnpyrandom.a")
-hdr = os.path.join(inc, "numpy", "random", "distributions.h")
-if os.path.exists(lib) and os.path.exists(hdr):
-    print(inc)
-    print(lib)
-EOF
-)"
-if [ -n "$npy_probe" ]; then
-    npy_include="$(printf '%s\n' "$npy_probe" | sed -n 1p)"
-    npy_lib="$(printf '%s\n' "$npy_probe" | sed -n 2p)"
-    NPY_FLAGS="-DREPRO_HAVE_NPYRANDOM -I$npy_include"
-else
-    npy_lib=""
-    echo "build_speedups: numpy C random API not found; tpu_admit_batch disabled" >&2
-fi
-
 if [ "${1:-}" = "--check" ]; then
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" "$PYTHON" - <<'EOF'
 import sys
@@ -82,11 +50,10 @@ if [ "${1:-}" = "--sanitize" ]; then
     # Instrumented build: never skipped, never left ambiguous — the
     # caller is about to LD_PRELOAD the ASan runtime and run tests.
     set -x
-    # shellcheck disable=SC2086
     cc -O1 -g -fPIC -shared -fsanitize=address,undefined \
         -fno-sanitize-recover=undefined \
         -Wall -Wextra -Wno-unused-parameter \
-        -I"$include_dir" $NPY_FLAGS "$SRC" $npy_lib -lm -o "$out"
+        -I"$include_dir" "$SRC" -lm -o "$out"
     set +x
     echo "build_speedups: built SANITIZED $out"
     echo "build_speedups: rebuild without --sanitize before benchmarking"
@@ -102,8 +69,7 @@ if [ -e "$out" ] && [ "$out" -nt "$SRC" ] \
 fi
 
 set -x
-# shellcheck disable=SC2086
 cc -O2 -fPIC -shared -Wall -Wextra -Wno-unused-parameter \
-    -I"$include_dir" $NPY_FLAGS "$SRC" $npy_lib -lm -o "$out"
+    -I"$include_dir" "$SRC" -lm -o "$out"
 set +x
 echo "build_speedups: built $out"

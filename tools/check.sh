@@ -39,8 +39,8 @@
 #                      (tools/build_speedups.sh --sanitize), the
 #                      cross-engine equivalence suite, the batched
 #                      fast-path equivalence suite, the cohort-planner
-#                      oracle (random cohorts through the C EventCore
-#                      and tpu_admit_batch), the closed-loop oracle
+#                      oracle (random cohorts through the C EventCore),
+#                      the closed-loop oracle
 #                      (the C EventCore firing the probe reads resumed
 #                      after a planned run) and the flight-lifetime
 #                      test (every scalar stage) run under it, then the
@@ -128,8 +128,8 @@ elif [ -n "$asan_rt" ] && [ -e "$asan_rt" ] \
     echo "== sanitizer smoke: ASan+UBSan engine equivalence (blocking) =="
     tools/build_speedups.sh --sanitize || fail=1
     # the batch-equivalence suite and the cohort-planner oracle drive
-    # the C EventCore and the tpu_admit_batch serial tail with planned
-    # cohorts (the oracle with random ones), the closed-loop oracle
+    # the C EventCore with planned cohorts (the oracle with random
+    # ones), the closed-loop oracle
     # has the C EventCore fire the reads a planned probe run resumes,
     # and the flight-lifetime test has it dispatch every scalar stage
     # (retries, RNR NAKs, flushes), so all four run sanitized here
