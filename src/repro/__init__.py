@@ -13,7 +13,7 @@ The package mirrors the paper's structure:
   Section VI side-channel attacks on a distributed database and a
   Sherman-style disaggregated-memory B+ tree;
 * :mod:`repro.defense` / :mod:`repro.baselines` — the Table I defenses
-  and the Pythia / PCIe-contention baselines;
+  and the Pythia baseline;
 * :mod:`repro.experiments` — drivers regenerating every table/figure.
 
 Quick taste::

@@ -1,18 +1,13 @@
 """Real-world application substrates the side channels attack.
 
-* :mod:`kvstore` — a one-sided RDMA key-value store (the "in-memory
-  database or key-value store" the server of Figure 2 hosts);
 * :mod:`shuffle_join` — distributed-database shuffle and join operators
   whose network phases produce Figure 12's fingerprints;
 * :mod:`sherman` — a write-optimized distributed B+ tree on
   disaggregated memory, modelled after SHERMAN (the Section VI-B
   victim), with one-sided searches, CAS locking and a 64 B KV leaf
-  layout;
-* :mod:`rpc` — a SEND/RECV request-response service over a shared
-  receive queue (the two-sided workload class).
+  layout.
 """
 
-from repro.apps.kvstore import KVStoreClient, KVStoreServer
 from repro.apps.shuffle_join import (
     DatabaseNode,
     JoinOperator,
@@ -20,17 +15,12 @@ from repro.apps.shuffle_join import (
     OperatorSchedule,
 )
 from repro.apps.sherman import ShermanClient, ShermanMemoryServer
-from repro.apps.rpc import RPCClient, RPCServer
 
 __all__ = [
-    "KVStoreServer",
-    "KVStoreClient",
     "DatabaseNode",
     "ShuffleOperator",
     "JoinOperator",
     "OperatorSchedule",
     "ShermanMemoryServer",
     "ShermanClient",
-    "RPCServer",
-    "RPCClient",
 ]

@@ -3,19 +3,13 @@
 * :mod:`pythia` — Pythia's persistent (cache-eviction) covert channel
   over the RNIC's MPT cache (Tsai et al., USENIX Security'19): the
   state of the art Ragnar claims 3.2x over, and the attack that
-  :class:`~repro.defense.CacheGuard` catches;
-* :mod:`kim_pcie` — Kim & Hur's PCIe-contention side channel (ICTC'22):
-  coarse on/off activity detection, demonstrating footnote 4's "not
-  fine-grained enough" (it cannot recover addresses).
+  :class:`~repro.defense.CacheGuard` catches.
 """
 
 from repro.baselines.pythia import PythiaChannel, PythiaConfig, find_eviction_set
-from repro.baselines.kim_pcie import KimPCIeProbe, PCIeActivityResult
 
 __all__ = [
     "PythiaChannel",
     "PythiaConfig",
     "find_eviction_set",
-    "KimPCIeProbe",
-    "PCIeActivityResult",
 ]

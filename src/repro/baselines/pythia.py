@@ -146,45 +146,6 @@ class PythiaChannel:
             duration_ns=duration,
         )
 
-    def side_channel_oracle(self, trials: int = 40, seed: int = 0) -> float:
-        """Pythia's original use: a remote oracle for "did the victim
-        touch MR X recently?".
-
-        Protocol per trial: the attacker evicts the target MR's MPT
-        entry with the eviction set, waits a window in which the victim
-        may or may not read the MR, then times a probe read — warm
-        means the victim touched it.  Returns detection accuracy over
-        random victim behaviour.
-        """
-        if trials <= 0:
-            raise ValueError("trials must be positive")
-        cfg = self.config
-        cluster, attacker_conn, victim_conn, target_mr, eviction_mrs = (
-            self._build(seed)
-        )
-        rng = cluster.sim.random.stream("pythia.oracle")
-
-        # calibrate hit/miss probe latencies
-        self._read(attacker_conn, target_mr, cfg.probe_size)   # warm
-        hit_latency = self._read(attacker_conn, target_mr, cfg.probe_size)
-        for mr in eviction_mrs:
-            self._read(attacker_conn, mr, cfg.probe_size)
-        miss_latency = self._read(attacker_conn, target_mr, cfg.probe_size)
-        threshold = 0.5 * (hit_latency + miss_latency)
-
-        correct = 0
-        for _ in range(trials):
-            for mr in eviction_mrs:                  # evict
-                self._read(attacker_conn, mr, cfg.probe_size)
-            victim_touched = bool(rng.random() < 0.5)
-            if victim_touched:
-                self._read(victim_conn, target_mr, cfg.probe_size)
-            cluster.run_for(cfg.settle_ns)
-            probe = self._read(attacker_conn, target_mr, cfg.probe_size)
-            guessed = probe < threshold
-            correct += int(guessed == victim_touched)
-        return correct / trials
-
     def cache_telemetry(self, bits, seed: int = 0) -> dict:
         """Run a transmission and report the MPT cache's counters —
         the evidence :class:`~repro.defense.CacheGuard` keys on.

@@ -30,7 +30,7 @@ which is exactly why every detector above misses them.
 
 from repro.defense.profile import TenantProfile, Verdict
 from repro.defense.pfc import Grain1Detector
-from repro.defense.harmonic import HarmonicDetector, HarmonicIsolation
+from repro.defense.harmonic import HarmonicDetector
 from repro.defense.cache_guard import CacheGuard
 from repro.defense.noise import with_noise_mitigation
 from repro.defense.detectors import (
@@ -49,7 +49,6 @@ __all__ = [
     "Verdict",
     "Grain1Detector",
     "HarmonicDetector",
-    "HarmonicIsolation",
     "CacheGuard",
     "Detection",
     "DetectorBank",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.defense.profile import TenantProfile, Verdict
 from repro.rnic.spec import RNICSpec
-from repro.sim.units import SECONDS, gbps
+from repro.sim.units import SECONDS
 
 
 class HarmonicDetector:
@@ -95,41 +95,3 @@ class HarmonicDetector:
                            f"tiny-write flood at {tiny_pps:.2e} pps "
                            f"(Grain-II availability signature)")
         return Verdict(self.name, False)
-
-
-class HarmonicIsolation:
-    """HARMONIC's enforcement half: rate-police flagged tenants.
-
-    Detection alone only names the bully; the NSDI'24 system's point is
-    *performance isolation* — flagged tenants are throttled to a small
-    bandwidth budget so victims recover.  ``police`` inspects each
-    tenant's profile and caps the fluid flows of flagged tenants in
-    place, then triggers reallocation on the NIC.
-
-    The Table I consequence falls out naturally: Ragnar's senders are
-    never flagged, so they are never throttled.
-    """
-
-    def __init__(self, detector: HarmonicDetector,
-                 cap_bps: float = gbps(1.0)) -> None:
-        if cap_bps <= 0:
-            raise ValueError("cap must be positive")
-        self.detector = detector
-        self.cap_bps = cap_bps
-
-    def police(self, rnic, tenants: dict) -> dict[str, Verdict]:
-        """``tenants`` maps tenant name -> (TenantProfile, [FluidFlow]).
-
-        Returns the verdicts; flagged tenants' flows are capped to a
-        per-tenant share of ``cap_bps``.
-        """
-        verdicts: dict[str, Verdict] = {}
-        for tenant, (profile, flows) in tenants.items():
-            verdict = self.detector.inspect(profile)
-            verdicts[tenant] = verdict
-            if verdict.flagged and flows:
-                share = self.cap_bps / len(flows)
-                for flow in flows:
-                    flow.demand_bps = min(flow.demand_bps, share)
-                    rnic.update_fluid_flow(flow)
-        return verdicts

@@ -81,36 +81,6 @@ class OnlineCounterDefense:
                              trace.values)
         return service.verdict(trace.key)
 
-    def watch_all(self, traces: Sequence[CounterTrace]) -> OnlineVerdict:
-        """Watch several series for one tenant (e.g. eviction rate AND
-        byte rate); the earliest alarm across series wins.
-
-        "Earliest" is judged in *absolute* sim time: each verdict's
-        ``detection_latency_ns`` is relative to its own trace's window
-        start, so comparing latencies directly would prefer a late
-        alarm on a late-starting series over an earlier alarm on an
-        earlier one whenever the windows don't align.  Ties on the
-        absolute alarm time break deterministically on
-        ``(detector name, counter key)`` so a reordering of the input
-        traces can never change the verdict.
-        """
-        if not traces:
-            raise ValueError("need at least one trace")
-        verdicts = [self.watch(trace) for trace in traces]
-        flagged = [(trace, verdict)
-                   for trace, verdict in zip(traces, verdicts)
-                   if verdict.flagged]
-        if not flagged:
-            return verdicts[0]
-
-        def first_alarm(pair: tuple[CounterTrace, OnlineVerdict]):
-            trace, verdict = pair
-            assert verdict.detection_latency_ns is not None
-            return (trace.times_ns[0] + verdict.detection_latency_ns,
-                    verdict.detector, trace.key)
-
-        return min(flagged, key=first_alarm)[1]
-
 
 def sample_counts(times_ns: Sequence[float], window_start: float,
                   window_end: float, intervals: int

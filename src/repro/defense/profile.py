@@ -12,11 +12,6 @@ import dataclasses
 from repro.sim.units import SECONDS, bytes_to_bits
 from repro.verbs.enums import Opcode
 
-#: Map of the snapshot keys produced by ``NICCounters.snapshot`` to
-#: opcodes, for profile reconstruction from counter deltas.
-_OPCODE_KEYS = {f"op_{op.value.lower()}": op for op in Opcode}
-
-
 @dataclasses.dataclass(frozen=True)
 class TenantProfile:
     """Aggregated observables for one tenant over an observation window."""
@@ -114,57 +109,6 @@ class TenantProfile:
             opcode_counts=opcode_counts,
             msg_size_counts=msg_size_counts,
             qp_count=len(list(qps)) or 1,
-            mr_count=mr_count,
-            pd_count=pd_count,
-        )
-
-    @classmethod
-    def from_counter_delta(
-        cls,
-        tenant: str,
-        before: dict,
-        after: dict,
-        duration_ns: float,
-        qp_count: int = 1,
-        mr_count: int = 1,
-        pd_count: int = 1,
-        mean_msg_size: int | None = None,
-    ) -> "TenantProfile":
-        """Build a profile from two ``NICCounters.snapshot`` dicts.
-
-        In deployments each tenant owns an SR-IOV virtual function whose
-        counters the host polls — this is that defender view.  Message
-        sizes are not in the hardware counters; the defender estimates
-        a mean from bytes/messages unless told otherwise.
-        """
-        opcode_counts = {}
-        total_messages = 0
-        for key, opcode in _OPCODE_KEYS.items():
-            delta = after.get(key, 0) - before.get(key, 0)
-            if delta > 0:
-                opcode_counts[opcode] = delta
-                total_messages += delta
-        bytes_per_tc = {}
-        for tc in range(8):
-            key = f"tx_prio{tc}_bytes"
-            delta = after.get(key, 0) - before.get(key, 0)
-            if delta > 0:
-                bytes_per_tc[tc] = delta
-        if mean_msg_size is None:
-            total_bytes = sum(bytes_per_tc.values())
-            mean_msg_size = (
-                max(total_bytes // total_messages, 1) if total_messages else 0
-            )
-        msg_size_counts = (
-            {int(mean_msg_size): total_messages} if total_messages else {}
-        )
-        return cls(
-            tenant=tenant,
-            duration_ns=duration_ns,
-            bytes_per_tc=bytes_per_tc,
-            opcode_counts=opcode_counts,
-            msg_size_counts=msg_size_counts,
-            qp_count=qp_count,
             mr_count=mr_count,
             pd_count=pd_count,
         )

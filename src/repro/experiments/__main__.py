@@ -8,8 +8,8 @@ Usage::
     python -m repro.experiments --all --jobs 4 --timeout 600 --resume
 
 Each experiment prints its paper-style table and writes it under the
-output directory.  Runtimes range from sub-second (table1) to a couple
-of minutes (fig13 at full scale).
+output directory.  Runtimes range from sub-second (table1) to about
+25 s (fig13 at full scale, on a 2-vCPU Xeon).
 
 Experiments are *isolated*: a crash in one captures its traceback
 (written next to the results as ``<name>.error.txt`` plus a structured
@@ -250,8 +250,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="output directory (default: results/)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--full", action="store_true",
-                        help="paper-scale workloads (Figure 13's 6720 "
-                             "traces etc.); expect tens of minutes")
+                        help="paper-scale workloads (Figure 13: 6,715 "
+                             "traces, 17 x 395, as 17 does not divide the "
+                             "paper's 6,720); --all --full takes about "
+                             "40 s on a 2-vCPU Xeon")
     parser.add_argument("--smoke", action="store_true",
                         help="shrunk payloads for CI-speed runs (only "
                              "experiments that support it scale down)")

@@ -2,7 +2,8 @@
 
 (a) demo traces from the full pipeline for a few victim addresses;
 (b) ResNet-1d 17-way recovery accuracy on a synthesized dataset
-    (paper: 6720 traces, 95.6 %).
+    (paper: 6720 traces, 95.6 %).  ``--full`` synthesizes 6,715 traces,
+    395 per class: 6,720 is not a multiple of the 17 classes.
 """
 
 from __future__ import annotations

@@ -37,7 +37,8 @@ from repro.experiments.timing import wallclock
 
 #: Paper-scale parameter overrides used by ``--full``.  The defaults
 #: trade some statistical weight for runtime; ``--full`` restores the
-#: paper's magnitudes (e.g. Figure 13's 6720-trace dataset).
+#: paper's magnitudes (e.g. Figure 13's dataset: 6,715 traces, the
+#: balanced count nearest the paper's 6,720, which 17 does not divide).
 FULL_SCALE: dict[str, dict] = {
     "table5": dict(payload_bits=1024),
     "fig5": dict(samples=400),

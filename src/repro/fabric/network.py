@@ -19,11 +19,10 @@ import numpy as np
 class LinkFault:
     """Dynamic per-link fault process consulted on every frame.
 
-    The base class is the identity fault (never drops, adds nothing).
-    Concrete processes — Gilbert–Elliott bursty loss, loss/latency
-    schedules, link flaps — live in :mod:`repro.faults.models`; the
-    fabric only defines the contract so lower layers stay independent
-    of the fault-injection subsystem.
+    The base class is the identity fault (never drops, never goes down).
+    Concrete processes — Gilbert–Elliott bursty loss, link flaps — live
+    in :mod:`repro.faults.models`; the fabric only defines the contract
+    so lower layers stay independent of the fault-injection subsystem.
 
     Determinism contract: ``drop`` may consume random draws but ONLY
     from the generator passed in (a named ``sim.random`` stream), and
@@ -36,10 +35,6 @@ class LinkFault:
     def drop(self, now: float, rng: np.random.Generator) -> bool:
         """Whether a frame crossing the link at ``now`` is lost."""
         return False
-
-    def extra_latency_ns(self, now: float) -> float:
-        """Additional one-way propagation delay at ``now``."""
-        return 0.0
 
     def down(self, now: float) -> bool:
         """Whether the link is administratively down at ``now``
@@ -143,8 +138,8 @@ class Network:
     @property
     def has_faults(self) -> bool:
         """True while any endpoint carries a dynamic fault process.
-        Fault processes make loss and path delay time-dependent, so the
-        batched descriptor fast path routes around them entirely."""
+        Fault processes make loss time-dependent, so the batched
+        descriptor fast path routes around them entirely."""
         return bool(self._faults)
 
     def frame_lost(
@@ -170,15 +165,3 @@ class Network:
             if fault is not None and (fault.down(now) or fault.drop(now, rng)):
                 return True
         return False
-
-    def path_extra_ns(self, src: Hashable, dst: Hashable, now: float) -> float:
-        """Fault-injected extra one-way latency on the ``src -> dst``
-        path at ``now`` (0 when no latency faults are installed)."""
-        if src is dst or not self._faults:
-            return 0.0
-        extra = 0.0
-        for endpoint in (src, dst):
-            fault = self._faults.get(endpoint)
-            if fault is not None:
-                extra += fault.extra_latency_ns(now)
-        return extra

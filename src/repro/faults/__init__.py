@@ -7,14 +7,7 @@ transport's RNR NAK path.  All randomness flows through named
 ``sim.random`` streams so fault-injected runs replay bit-identically.
 """
 
-from repro.faults.models import (
-    CompositeFault,
-    GilbertElliott,
-    LatencySchedule,
-    LinkFlap,
-    LossSchedule,
-    PiecewiseSchedule,
-)
+from repro.faults.models import GilbertElliott, LinkFlap
 from repro.faults.plan import (
     SCENARIOS,
     FaultPlan,
@@ -26,15 +19,11 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "CompositeFault",
     "FaultPlan",
     "GilbertElliott",
-    "LatencySchedule",
     "LinkFlap",
-    "LossSchedule",
     "PauseStorm",
     "PauseStormInjector",
-    "PiecewiseSchedule",
     "RnrPressure",
     "RnrPressureClient",
     "SCENARIOS",

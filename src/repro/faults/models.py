@@ -1,13 +1,12 @@
 """Deterministic per-link fault models.
 
 Each model subclasses :class:`repro.fabric.network.LinkFault` and is
-consulted by the fabric on every frame (``drop``/``down``) and every
-transit-time computation (``extra_latency_ns``).  All models honour the
-LinkFault determinism contract: randomness comes only from the
-``np.random.Generator`` passed into ``drop`` (a named ``sim.random``
-stream), internal state is a pure function of the draw sequence, and
-``reset`` restores the initial state so one instance can serve several
-bit-identical replays.
+consulted by the fabric on every frame (``drop``/``down``).  All models
+honour the LinkFault determinism contract: randomness comes only from
+the ``np.random.Generator`` passed into ``drop`` (a named
+``sim.random`` stream), internal state is a pure function of the draw
+sequence, and ``reset`` restores the initial state so one instance can
+serve several bit-identical replays.
 
 The models are small on purpose — robustness experiments compose them
 through :class:`repro.faults.plan.FaultPlan` rather than growing one
@@ -16,7 +15,6 @@ monolithic fault class.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 
 import numpy as np
@@ -87,72 +85,6 @@ class GilbertElliott(LinkFault):
         return bool(loss > 0.0 and rng.random() < loss)
 
 
-@dataclasses.dataclass(frozen=True)
-class PiecewiseSchedule:
-    """A right-continuous step function of simulated time.
-
-    ``points`` is a sequence of ``(start_ns, value)`` breakpoints; the
-    value at ``now`` is the one of the latest breakpoint at or before
-    ``now``, or ``default`` before the first breakpoint.  Used to drive
-    time-varying loss rates and latency inflation without consuming any
-    randomness.
-    """
-
-    points: tuple[tuple[float, float], ...] = ()
-    default: float = 0.0
-
-    def __post_init__(self) -> None:
-        starts = [start for start, _ in self.points]
-        if starts != sorted(starts):
-            raise ValueError("schedule breakpoints must be sorted by time")
-
-    def value_at(self, now: float) -> float:
-        index = bisect.bisect_right([s for s, _ in self.points], now)
-        if index == 0:
-            return self.default
-        return self.points[index - 1][1]
-
-
-@dataclasses.dataclass
-class LossSchedule(LinkFault):
-    """Time-varying Bernoulli frame loss driven by a schedule.
-
-    Unlike :class:`GilbertElliott`, losses are independent frame to
-    frame; only the *rate* changes over time.  No draw is consumed
-    while the scheduled rate is zero, so a schedule that is zero
-    everywhere is draw-for-draw identical to no fault at all.
-    """
-
-    schedule: PiecewiseSchedule = dataclasses.field(
-        default_factory=PiecewiseSchedule
-    )
-
-    def drop(self, now: float, rng: np.random.Generator) -> bool:
-        loss = self.schedule.value_at(now)
-        _check_probability("scheduled loss", loss)
-        return bool(loss > 0.0 and rng.random() < loss)
-
-
-@dataclasses.dataclass
-class LatencySchedule(LinkFault):
-    """Time-varying extra one-way propagation delay (ns).
-
-    Models congestion epochs or a rerouted path: every frame crossing
-    the link while the schedule is positive arrives later by the
-    scheduled amount.  Purely deterministic — consumes no randomness.
-    """
-
-    schedule: PiecewiseSchedule = dataclasses.field(
-        default_factory=PiecewiseSchedule
-    )
-
-    def extra_latency_ns(self, now: float) -> float:
-        extra = self.schedule.value_at(now)
-        if extra < 0.0:
-            raise ValueError(f"scheduled latency must be >= 0, got {extra!r}")
-        return extra
-
-
 @dataclasses.dataclass
 class LinkFlap(LinkFault):
     """Periodic administrative link flaps.
@@ -179,32 +111,3 @@ class LinkFlap(LinkFault):
             return False
         return (now - self.first_down_ns) % self.period_ns < self.down_ns
 
-
-@dataclasses.dataclass
-class CompositeFault(LinkFault):
-    """Several fault processes acting on one link at once.
-
-    A frame is lost if *any* part drops it (every part is still
-    consulted, in order, so the draw sequence does not depend on which
-    part fired); extra latencies add; the link is down if any part says
-    so.
-    """
-
-    parts: tuple[LinkFault, ...] = ()
-
-    def reset(self) -> None:
-        for part in self.parts:
-            part.reset()
-
-    def drop(self, now: float, rng: np.random.Generator) -> bool:
-        lost = False
-        for part in self.parts:
-            if part.drop(now, rng):
-                lost = True
-        return lost
-
-    def extra_latency_ns(self, now: float) -> float:
-        return sum(part.extra_latency_ns(now) for part in self.parts)
-
-    def down(self, now: float) -> bool:
-        return any(part.down(now) for part in self.parts)

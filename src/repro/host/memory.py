@@ -1,7 +1,7 @@
 """A flat, byte-addressable host memory with a bump allocator.
 
 MRs are registered over ranges of this memory; RDMA data movement in the
-engines reads/writes real bytes here, so applications (KV store, B+
+engines reads/writes real bytes here, so applications (the Sherman B+
 tree) observe genuine one-sided semantics.
 """
 

@@ -2,8 +2,8 @@
 
 Each rule walks the linked :class:`ProjectIndex` rather than a single
 AST, so a finding can say *how* a site is reachable ("via run_task ->
-table1.run -> OpenLoopClient.start"), and a sanctioned reset two
-modules away can clear a shard-safety flag here.
+table1.run -> PythiaChannel.cache_telemetry"), and a sanctioned reset
+two modules away can clear a shard-safety flag here.
 
 Rule catalogue (see docs/LINT.md for the narrative version):
 

@@ -177,9 +177,9 @@ class ParamFates:
 class FunctionFacts:
     """Everything the analyses need about one function or method."""
 
-    qualname: str            # repro.traffic.OpenLoopClient.start
+    qualname: str            # repro.telemetry.monitor.CounterSampler.start
     name: str                # start
-    cls: str = ""            # OpenLoopClient ('' for module functions)
+    cls: str = ""            # CounterSampler ('' for module functions)
     line: int = 1
     params: list[str] = dataclasses.field(default_factory=list)
     calls: list[CallFact] = dataclasses.field(default_factory=list)

@@ -2,8 +2,10 @@
 
 The paper trains a ResNet18 on 6720 traces of 257 ULI samples to do
 17-way classification of the victim's access address (95.6 % test
-accuracy).  Offline reproduction cannot use PyTorch, so this package
-implements the needed pieces directly on NumPy:
+accuracy); ``--full`` trains on 6,715 (17 classes × 395, the nearest
+balanced count, since 6,720 is not a multiple of 17).  Offline
+reproduction cannot use PyTorch, so this package implements the needed
+pieces directly on NumPy:
 
 * :mod:`layers` — Conv1d (im2col), BatchNorm1d, ReLU, Dense, pooling,
   each with explicit forward/backward;

@@ -204,28 +204,6 @@ class TraceFrame:
         return (np.asarray(times, dtype=np.float64),
                 np.asarray(values, dtype=np.float64))
 
-    def instant_rate(self, bucket_ns: float,
-                     category_component: Optional[str] = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Instants-per-bucket time series (e.g. kernel dispatch rate).
-
-        ``category_component`` filters on the instant's component.
-        Returns (bucket start times, counts).
-        """
-        if bucket_ns <= 0:
-            raise ValueError(f"bucket must be positive, got {bucket_ns}")
-        times = [ts for ts, comp, _, _ in self.instants
-                 if category_component is None or comp == category_component]
-        if not times:
-            return (np.asarray([], dtype=np.float64),
-                    np.asarray([], dtype=np.float64))
-        arr = np.asarray(times, dtype=np.float64)
-        start = float(arr.min())
-        buckets = np.floor((arr - start) / bucket_ns).astype(np.int64)
-        counts = np.bincount(buckets).astype(np.float64)
-        edges = start + bucket_ns * np.arange(counts.size, dtype=np.float64)
-        return edges, counts
-
     # ------------------------------------------------------------------
     # Occupancy (queue depth) and utilization
     # ------------------------------------------------------------------

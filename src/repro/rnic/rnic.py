@@ -106,8 +106,7 @@ class RNIC(Engine):
     def _transit_ns(self, dst: "RNIC") -> float:
         if self.network is None or dst is self:
             return 0.0
-        return (self.network.transit_ns(self, dst)
-                + self.network.path_extra_ns(self, dst, self.sim.now))
+        return self.network.transit_ns(self, dst)
 
     def _frame_lost(self, src: "RNIC", dst: "RNIC") -> bool:
         """One frame's fate on the ``src -> dst`` path right now —

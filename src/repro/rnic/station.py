@@ -14,9 +14,7 @@ that heavy bulk traffic visibly lengthens probe latencies.
 ``admit()`` is on the per-packet hot path (every pipeline stage of every
 message), so the class is slotted and the inflation multiplier is cached
 when the background utilization changes rather than recomputed per
-admit.  Batch samplers (fluid/telemetry steady-state sweeps) should use
-:meth:`ServiceStation.admit_many`, which vectorizes the same recurrence
-with NumPy.
+admit.
 """
 
 from __future__ import annotations
@@ -80,42 +78,6 @@ class ServiceStation:
         self.served += 1
         self.busy_ns += effective
         self.wait_ns += start - now
-        return finish
-
-    def admit_many(
-        self, arrivals: np.ndarray, service_ns: np.ndarray
-    ) -> np.ndarray:
-        """Serve a batch of requests; returns per-request finish times.
-
-        Equivalent to ``[admit(t, s) for t, s in zip(arrivals,
-        service_ns)]`` (arrivals must be non-decreasing, as they are in
-        any event-ordered caller) but vectorized: the FIFO recurrence
-        ``finish[i] = max(arrival[i], finish[i-1]) + effective[i]``
-        collapses to a running maximum over ``cumsum(effective)`` —
-        ``finish = cummax(arrival - shifted_cumsum) + cumsum``.
-        """
-        arrivals = np.asarray(arrivals, dtype=np.float64)
-        service = np.asarray(service_ns, dtype=np.float64)
-        if arrivals.shape != service.shape or arrivals.ndim != 1:
-            raise ValueError(
-                f"arrivals/service_ns must be matching 1-D arrays, got "
-                f"{arrivals.shape} and {service.shape}")
-        if service.size == 0:
-            return np.empty(0, dtype=np.float64)
-        if np.any(service < 0):
-            raise ValueError("service time must be non-negative")
-        effective = service * self._inflation
-        cum = np.cumsum(effective)
-        # start[i] = max(arrivals[i], finish[i-1]); seed with the
-        # current busy horizon so the batch queues behind earlier work.
-        floor = np.maximum(arrivals, self._busy_until)
-        starts_minus_cum = np.maximum.accumulate(floor - (cum - effective))
-        finish = starts_minus_cum + cum
-        starts = starts_minus_cum + (cum - effective)
-        self._busy_until = float(finish[-1])
-        self.served += int(service.size)
-        self.busy_ns += float(cum[-1])
-        self.wait_ns += float(np.sum(starts - arrivals))
         return finish
 
     def batch_state(self) -> tuple[float, float, float, float]:

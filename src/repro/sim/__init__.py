@@ -1,14 +1,12 @@
 """Discrete-event simulation kernel used by every substrate in ``repro``.
 
 The kernel is deliberately small: a monotonic nanosecond clock, a binary
-heap of scheduled callbacks, cooperative generator-based processes, and
-seedable random streams.  All RNIC, fabric and host models are built as
-callbacks/processes on top of this module.
+heap of scheduled callbacks and seedable random streams.  All RNIC,
+fabric and host models are built as callbacks on top of this module.
 """
 
 from repro.sim.event import PyEventCore
 from repro.sim.kernel import KERNEL_ENGINE, Simulator, SimulationError
-from repro.sim.process import Process, Timeout, Waiter
 from repro.sim.random import RandomStreams
 from repro.sim.units import (
     GBPS,
@@ -31,9 +29,6 @@ __all__ = [
     "PyEventCore",
     "Simulator",
     "SimulationError",
-    "Process",
-    "Timeout",
-    "Waiter",
     "RandomStreams",
     "NANOSECONDS",
     "MICROSECONDS",

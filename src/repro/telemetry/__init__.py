@@ -6,16 +6,13 @@
   NIC counters, yielding bps/pps series (the defender's Grain-I view);
 * :class:`ULIProbe` — the paper's Unit Latency Increase instrument
   (Section IV-C): pipelined one-sided reads at a fixed queue depth,
-  reporting ``Lat_total / (len_sq + 1)`` per completion;
-* :class:`StationProbeTrain` — fluid-layer what-if probe train through
-  one service station, vectorized via ``ServiceStation.admit_many``.
+  reporting ``Lat_total / (len_sq + 1)`` per completion.
 """
 
 from repro.telemetry.monitor import (
     BandwidthMonitor,
     CounterSampler,
     Sample,
-    StationProbeTrain,
 )
 from repro.telemetry.uli import ULIProbe, ProbeTarget
 
@@ -23,7 +20,6 @@ __all__ = [
     "BandwidthMonitor",
     "CounterSampler",
     "Sample",
-    "StationProbeTrain",
     "ULIProbe",
     "ProbeTarget",
 ]

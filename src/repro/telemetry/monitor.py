@@ -5,12 +5,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-import numpy as np
-
 from repro.obs import runtime as _obs
 from repro.rnic.bandwidth import FluidFlow
 from repro.rnic.rnic import RNIC
-from repro.rnic.station import ServiceStation
 from repro.sim.kernel import Simulator
 from repro.sim.units import MILLISECONDS, SECONDS
 
@@ -82,47 +79,6 @@ class BandwidthMonitor:
     @property
     def times(self) -> list[float]:
         return [s.time for s in self.samples]
-
-
-class StationProbeTrain:
-    """Fluid-layer what-if sweep of one discrete service station.
-
-    Answers "what latency series would a back-to-back probe train see
-    through this station right now?" without perturbing the station or
-    scheduling any events: the train runs through a scratch clone that
-    carries the live station's busy horizon and background utilization,
-    and the whole FIFO recurrence is evaluated in one vectorized
-    :meth:`~repro.rnic.station.ServiceStation.admit_many` call.  This
-    is the Grain-II view of queueing: a deterministic steady-state
-    response, complementing the event-driven :class:`ULIProbe`.
-    """
-
-    def __init__(self, station: ServiceStation, probe_ns: float = 64.0) -> None:
-        if probe_ns <= 0:
-            raise ValueError(f"probe service time must be positive, got {probe_ns}")
-        self.station = station
-        self.probe_ns = probe_ns
-
-    def sweep(
-        self, start: float, count: int, gap_ns: float
-    ) -> np.ndarray:
-        """Latencies of ``count`` probes spaced ``gap_ns`` apart from
-        ``start``; the live station is left untouched."""
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        if gap_ns < 0:
-            raise ValueError(f"gap must be non-negative, got {gap_ns}")
-        live = self.station
-        clone = ServiceStation(f"{live.name}.probe-train")
-        clone.set_background_utilization(live.background_utilization)
-        clone.stall_until(live.busy_until)
-        arrivals = start + gap_ns * np.arange(count, dtype=np.float64)
-        service = np.full(count, self.probe_ns, dtype=np.float64)
-        finish = clone.admit_many(arrivals, service)
-        return finish - arrivals
-
-    def mean_latency(self, start: float, count: int, gap_ns: float) -> float:
-        return float(np.mean(self.sweep(start, count, gap_ns)))
 
 
 class CounterSampler:

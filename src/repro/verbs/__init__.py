@@ -30,7 +30,6 @@ from repro.verbs.mr import MemoryRegion
 from repro.verbs.pd import ProtectionDomain
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.qp import QPCapabilities, QueuePair
-from repro.verbs.srq import SharedReceiveQueue
 from repro.verbs.context import Context
 from repro.verbs.engine import Engine, ImmediateEngine
 
@@ -56,7 +55,6 @@ __all__ = [
     "CompletionQueue",
     "QueuePair",
     "QPCapabilities",
-    "SharedReceiveQueue",
     "Context",
     "Engine",
     "ImmediateEngine",

@@ -71,11 +71,6 @@ class Context:
         self.cqs.append(cq)
         return cq
 
-    def create_srq(self, capacity: int = 1024) -> "SharedReceiveQueue":
-        from repro.verbs.srq import SharedReceiveQueue
-
-        return SharedReceiveQueue(capacity, handle=next(self._cq_handles))
-
     def reg_mr(
         self,
         pd: ProtectionDomain,
@@ -112,7 +107,6 @@ class Context:
         qp_type: QPType = QPType.RC,
         cap: Optional[QPCapabilities] = None,
         traffic_class: int = 0,
-        srq=None,
     ) -> QueuePair:
         if pd.context is not self:
             raise ResourceError("PD belongs to a different context")
@@ -124,7 +118,6 @@ class Context:
             recv_cq=recv_cq if recv_cq is not None else send_cq,
             cap=cap if cap is not None else QPCapabilities(),
             traffic_class=traffic_class,
-            srq=srq,
         )
         self.qps.append(qp)
         return qp

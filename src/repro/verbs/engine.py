@@ -114,7 +114,7 @@ def execute_data_movement(qp: "QueuePair", wr: SendWR) -> WCStatus:
     opcode = wr.opcode
 
     if opcode is Opcode.SEND:
-        # An empty receive queue (QP or SRQ) is the RNR condition: the
+        # An empty receive queue is the RNR condition: the
         # responder NAKs with "receiver not ready" and the requester
         # retries on its rnr_retry budget (the RNIC engine drives that
         # loop; this synchronous layer reports the exhausted outcome).

@@ -18,7 +18,6 @@ from repro.verbs.wr import RecvWR, SendWR, WorkCompletion, make_completion
 if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.cq import CompletionQueue
     from repro.verbs.pd import ProtectionDomain
-    from repro.verbs.srq import SharedReceiveQueue
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,7 +51,6 @@ class QueuePair:
         recv_cq: "CompletionQueue",
         cap: QPCapabilities,
         traffic_class: int = 0,
-        srq: "SharedReceiveQueue | None" = None,
     ) -> None:
         self.pd = pd
         self.context = pd.context
@@ -62,7 +60,6 @@ class QueuePair:
         self.recv_cq = recv_cq
         self.cap = cap
         self.traffic_class = traffic_class
-        self.srq = srq
         self.state = QPState.RESET
         self.remote_qp: Optional["QueuePair"] = None
         self._outstanding_send = 0
@@ -345,10 +342,6 @@ class QueuePair:
 
     def post_recv(self, wr: RecvWR) -> None:
         """``ibv_post_recv``: queue a receive buffer."""
-        if self.srq is not None:
-            raise QPStateError(
-                f"QP {self.qp_num} uses an SRQ; post to the SRQ instead"
-            )
         if self._destroyed:
             raise ResourceError(f"QP {self.qp_num} destroyed")
         if self.state in (QPState.RESET, QPState.ERR):
@@ -359,9 +352,7 @@ class QueuePair:
 
     def take_recv(self) -> RecvWR:
         """Engine-side: consume the head receive buffer for an inbound
-        SEND — from the SRQ when the QP shares one."""
-        if self.srq is not None:
-            return self.srq.take()
+        SEND."""
         if not self._recv_queue:
             raise QueueFullError(f"QP {self.qp_num} receive queue empty (RNR)")
         return self._recv_queue.pop(0)

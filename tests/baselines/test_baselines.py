@@ -1,9 +1,8 @@
-"""Tests for the Pythia and Kim-PCIe baselines."""
+"""Tests for the Pythia baseline."""
 
 import pytest
 
 from repro.baselines import (
-    KimPCIeProbe,
     PythiaChannel,
     PythiaConfig,
     find_eviction_set,
@@ -74,24 +73,3 @@ class TestPythiaChannel:
         with pytest.raises(ValueError):
             PythiaChannel(cx5()).transmit([])
 
-
-class TestKimPCIe:
-    def test_detects_activity(self):
-        result = KimPCIeProbe(cx5()).detect_activity([1, 0, 1, 1, 0, 0, 1, 0])
-        assert result.detection_accuracy >= 0.875
-        assert result.separation > 0
-
-    def test_cannot_recover_addresses(self):
-        """Footnote 4: PCIe contention is not fine-grained enough —
-        address recovery sits at chance (Ragnar's gets 95 %+)."""
-        candidates = list(range(0, 1025, 64))
-        accuracy = KimPCIeProbe(cx5()).address_recovery_accuracy(
-            candidates, trials=34, seed=1
-        )
-        assert accuracy < 3.0 / len(candidates)
-
-    def test_phase_validation(self):
-        with pytest.raises(ValueError):
-            KimPCIeProbe(cx5()).detect_activity([])
-        with pytest.raises(ValueError):
-            KimPCIeProbe(cx5()).address_recovery_accuracy([0], trials=0)

@@ -1,25 +1,16 @@
-"""Detector edge cases: degenerate baselines, restart behaviour,
-multi-series combination, and sampling-window boundaries.
+"""Detector edge cases: degenerate baselines, restart behaviour and
+sampling-window boundaries.
 
-The first two tests are regression tests for real bugs:
-
-* the EWMA *dead zone* — an idle tenant's zero-variance, zero-mean
-  warm-up collapsed the alarm band to exactly 0.0, and a ``band > 0``
-  guard then suppressed the alarm on the very first level shift while
-  that sample polluted the baseline;
-* ``watch_all`` picked its "earliest" alarm by comparing per-trace
-  ``detection_latency_ns`` values, which are relative to each trace's
-  own window start — wrong whenever series start at different times,
-  and nondeterministic on ties.
+The first tests are regression tests for a real bug: the EWMA *dead
+zone* — an idle tenant's zero-variance, zero-mean warm-up collapsed the
+alarm band to exactly 0.0, and a ``band > 0`` guard then suppressed the
+alarm on the very first level shift while that sample polluted the
+baseline.
 """
 
 import pytest
 
-from repro.defense import (
-    CounterTrace,
-    OnlineCounterDefense,
-    sample_counts,
-)
+from repro.defense import sample_counts
 from repro.defense.detectors import (
     CusumDetector,
     DetectorBank,
@@ -32,13 +23,6 @@ from repro.defense.detectors import (
 
 def _series(values):
     return [float(i) for i in range(len(values))], [float(v) for v in values]
-
-
-def _trace(values, tenant="t0", key="k", start=1000.0, step=1000.0):
-    return CounterTrace(
-        tenant=tenant, key=key,
-        times_ns=tuple(start + step * i for i in range(len(values))),
-        values=tuple(float(v) for v in values))
 
 
 # ----------------------------------------------------------------------
@@ -122,43 +106,6 @@ def test_cusum_post_alarm_restart_retriggers_periodically():
                      if detector.observe(float(ts), value)]
     assert alarm_indices == [10, 13, 16, 19, 22, 25, 28, 31]
     assert detector.finish().flags == 8
-
-
-# ----------------------------------------------------------------------
-# watch_all combination (regression)
-# ----------------------------------------------------------------------
-def test_watch_all_judges_absolute_time_not_relative_latency():
-    """Series windows that start at different times: the series whose
-    alarm fires first on the shared sim clock must win, even when the
-    other's *relative* latency is smaller."""
-    defense = OnlineCounterDefense()
-    # alarms at its 17th sample: absolute ts 117_000, latency 16_000
-    late_window = _trace([100.0] * 16 + [900.0] * 16,
-                         tenant="late-window", key="late",
-                         start=101_000.0)
-    # alarms at its 25th sample: absolute ts 25_000, latency 24_000
-    early_window = _trace([100.0] * 24 + [900.0] * 8,
-                          tenant="early-window", key="early",
-                          start=1_000.0)
-    late = defense.watch(late_window)
-    early = defense.watch(early_window)
-    assert late.detection_latency_ns < early.detection_latency_ns
-    verdict = defense.watch_all([late_window, early_window])
-    assert verdict.tenant == "early-window"
-    assert verdict.detection_latency_ns == pytest.approx(24_000.0)
-
-
-def test_watch_all_tie_breaks_deterministically_on_key():
-    """Identical series in identical windows alarm at the same absolute
-    time with the same detector; the counter key must break the tie
-    the same way regardless of input order."""
-    defense = OnlineCounterDefense()
-    values = [100.0] * 16 + [900.0] * 16
-    first = _trace(values, tenant="tenant-a", key="aaa_bytes")
-    second = _trace(values, tenant="tenant-b", key="bbb_bytes")
-    forward = defense.watch_all([first, second])
-    backward = defense.watch_all([second, first])
-    assert forward.tenant == backward.tenant == "tenant-a"
 
 
 # ----------------------------------------------------------------------

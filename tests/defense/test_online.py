@@ -6,7 +6,6 @@ import pytest
 from repro.defense import (
     CounterTrace,
     OnlineCounterDefense,
-    OnlineVerdict,
     sample_counts,
 )
 from repro.defense.detectors import EwmaDetector
@@ -54,19 +53,6 @@ def test_fresh_detectors_per_watch():
     defense = OnlineCounterDefense()
     assert defense.watch(_trace([100.0] * 16 + [900.0] * 16)).flagged
     assert not defense.watch(_trace([500.0] * 64)).flagged
-
-
-def test_watch_all_earliest_alarm_wins():
-    defense = OnlineCounterDefense()
-    late = _trace([100.0] * 24 + [900.0] * 8, key="late")
-    early = _trace([100.0] * 10 + [900.0] * 22, key="early")
-    verdict = defense.watch_all([late, early])
-    assert verdict.flagged
-    assert verdict.detection_latency_ns == pytest.approx(10000.0)
-    quiet = defense.watch_all([_trace([500.0] * 32)])
-    assert isinstance(quiet, OnlineVerdict) and not quiet.flagged
-    with pytest.raises(ValueError):
-        defense.watch_all([])
 
 
 def test_custom_detector_suite():

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.faults import (
-    CompositeFault,
-    GilbertElliott,
-    LatencySchedule,
-    LinkFlap,
-    LossSchedule,
-    PiecewiseSchedule,
-)
+from repro.faults import GilbertElliott, LinkFlap
 
 
 class TestGilbertElliott:
@@ -76,71 +69,6 @@ class TestGilbertElliott:
                 == one_draw.bit_generator.state["state"]["state"])
 
 
-class TestPiecewiseSchedule:
-    def test_unsorted_breakpoints_rejected(self):
-        with pytest.raises(ValueError):
-            PiecewiseSchedule(points=((10.0, 1.0), (5.0, 2.0)))
-
-    def test_right_continuous_lookup(self):
-        sched = PiecewiseSchedule(points=((10.0, 0.1), (20.0, 0.3)),
-                                  default=0.0)
-        assert sched.value_at(0.0) == 0.0
-        assert sched.value_at(9.999) == 0.0
-        assert sched.value_at(10.0) == 0.1     # boundary takes the new value
-        assert sched.value_at(19.999) == 0.1
-        assert sched.value_at(20.0) == 0.3
-        assert sched.value_at(1e9) == 0.3
-
-    def test_empty_schedule_is_default(self):
-        assert PiecewiseSchedule(default=0.25).value_at(123.0) == 0.25
-
-
-class TestLossSchedule:
-    def test_zero_rate_consumes_no_draws(self):
-        fault = LossSchedule(schedule=PiecewiseSchedule(
-            points=((100.0, 0.5),)))
-        rng = np.random.default_rng(0)
-        untouched = np.random.default_rng(0)
-        assert fault.drop(0.0, rng) is False
-        assert (rng.bit_generator.state["state"]["state"]
-                == untouched.bit_generator.state["state"]["state"])
-
-    def test_scheduled_epoch_loses_frames(self):
-        fault = LossSchedule(schedule=PiecewiseSchedule(
-            points=((100.0, 1.0),)))
-        rng = np.random.default_rng(0)
-        assert fault.drop(100.0, rng) is True
-
-    def test_invalid_scheduled_rate_raises(self):
-        fault = LossSchedule(schedule=PiecewiseSchedule(
-            points=((0.0, 1.5),)))
-        with pytest.raises(ValueError):
-            fault.drop(0.0, np.random.default_rng(0))
-
-
-class TestLatencySchedule:
-    def test_extra_latency_follows_schedule(self):
-        fault = LatencySchedule(schedule=PiecewiseSchedule(
-            points=((50.0, 200.0), (150.0, 0.0))))
-        assert fault.extra_latency_ns(0.0) == 0.0
-        assert fault.extra_latency_ns(60.0) == 200.0
-        assert fault.extra_latency_ns(151.0) == 0.0
-
-    def test_negative_scheduled_latency_raises(self):
-        fault = LatencySchedule(schedule=PiecewiseSchedule(
-            points=((0.0, -5.0),)))
-        with pytest.raises(ValueError):
-            fault.extra_latency_ns(1.0)
-
-    def test_consumes_no_randomness(self):
-        fault = LatencySchedule()
-        rng = np.random.default_rng(0)
-        untouched = np.random.default_rng(0)
-        assert fault.drop(0.0, rng) is False
-        assert (rng.bit_generator.state["state"]["state"]
-                == untouched.bit_generator.state["state"]["state"])
-
-
 class TestLinkFlap:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -161,37 +89,3 @@ class TestLinkFlap:
         assert flap.down(1500.0)
         assert not flap.down(1600.0)
 
-
-class TestCompositeFault:
-    def test_all_parts_consulted_in_order(self):
-        """Every part sees the frame even after an earlier part dropped
-        it, so the draw sequence never depends on outcomes."""
-        first = GilbertElliott(p_enter_bad=0.0, loss_good=1.0)
-        second = GilbertElliott(p_enter_bad=0.0, loss_good=1.0)
-        composite = CompositeFault(parts=(first, second))
-        rng = np.random.default_rng(0)
-        assert composite.drop(0.0, rng) is True
-        # four draws happened: (transition, loss) for each part
-        four = np.random.default_rng(0)
-        for _ in range(4):
-            four.random()
-        assert (rng.bit_generator.state["state"]["state"]
-                == four.bit_generator.state["state"]["state"])
-
-    def test_latencies_add_and_down_is_any(self):
-        composite = CompositeFault(parts=(
-            LatencySchedule(schedule=PiecewiseSchedule(points=((0.0, 10.0),))),
-            LatencySchedule(schedule=PiecewiseSchedule(points=((0.0, 5.0),))),
-            LinkFlap(first_down_ns=0.0, period_ns=100.0, down_ns=50.0),
-        ))
-        assert composite.extra_latency_ns(1.0) == 15.0
-        assert composite.down(10.0)
-        assert not composite.down(60.0)
-
-    def test_reset_propagates(self):
-        part = GilbertElliott(p_enter_bad=1.0, loss_bad=1.0)
-        composite = CompositeFault(parts=(part,))
-        composite.drop(0.0, np.random.default_rng(0))
-        assert part._bad
-        composite.reset()
-        assert not part._bad

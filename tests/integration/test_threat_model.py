@@ -5,80 +5,9 @@ using it, and an attacker client that only issues its own reads — with
 the secret crossing between them purely as contention.
 """
 
-import numpy as np
-import pytest
-
-from repro.apps.kvstore import KVStoreClient, KVStoreServer, SLOT_SIZE
-from repro.covert.lockstep import PipelinedReader
-from repro.host import Cluster
 from repro.rnic import FluidFlow, cx5
 from repro.sim.units import MILLISECONDS
-from repro.telemetry import ProbeTarget
 from repro.verbs.enums import Opcode
-
-
-class TestKVStoreHotKeyDetection:
-    """Section VI's motivation: access-pattern snooping on a KV store —
-    the attacker recovers WHICH key the victim hammers."""
-
-    def run_attack(self, secret_index: int, seed: int = 0,
-                   rounds: int = 6) -> int:
-        cluster = Cluster(seed=seed)
-        server_host = cluster.add_host("server", spec=cx5())
-        victim_host = cluster.add_host("victim", spec=cx5())
-        attacker_host = cluster.add_host("attacker", spec=cx5())
-
-        store = KVStoreServer(server_host, num_slots=1024)
-        candidates = [f"user-{i}".encode() for i in range(8)]
-        for key in candidates:
-            store.load(key, b"profile-data")
-
-        # victim: pipelined GETs at its secret key's slot
-        victim_conn = cluster.connect(victim_host, server_host, max_send_wr=2)
-        secret_key = candidates[secret_index]
-        secret_offset = store.slot_of(secret_key) * SLOT_SIZE
-        victim_target = ProbeTarget(store.mr, secret_offset, 64)
-        victim = PipelinedReader(victim_conn, lambda: victim_target, depth=2)
-        victim.start()
-
-        # attacker: short probe bursts per candidate (with drains so
-        # each burst's head directly follows a victim access), repeated
-        # round-robin to cancel drift
-        attacker_conn = cluster.connect(attacker_host, server_host,
-                                        max_send_wr=2)
-        cluster.run_for(200_000)  # let the victim reach steady state
-
-        def burst(offset: int, samples: int = 5) -> float:
-            for _ in range(2):
-                attacker_conn.post_read(store.mr, offset, 64)
-            ulis = []
-            while len(ulis) < samples:
-                wc = attacker_conn.await_completions(1)[0]
-                ulis.append(wc.unit_latency_increase)
-                attacker_conn.post_read(store.mr, offset, 64)
-            attacker_conn.await_completions(2)
-            return float(np.mean(ulis))
-
-        offsets = [store.slot_of(key) * SLOT_SIZE for key in candidates]
-        scores = np.zeros(len(candidates))
-        for _ in range(rounds):
-            for index, offset in enumerate(offsets):
-                scores[index] += burst(offset)
-        victim.stop()
-        # KV slots scatter across 2 KB descriptor segments, so the
-        # strongest coupling here is segment affinity: the victim's
-        # slot probes FASTER (no segment thrash) while in the paper's
-        # single-file setup the in-zone probes are slower.  Either way
-        # the secret is the outlier.
-        deviation = np.abs(scores - np.median(scores))
-        return int(np.argmax(deviation))
-
-    def test_recovers_the_hot_key(self):
-        hits = sum(
-            int(self.run_attack(secret, seed=secret + 1) == secret)
-            for secret in (0, 3, 6)
-        )
-        assert hits >= 2  # the contention outlier localizes the hot slot
 
 
 class TestFingerprintingUnderBackgroundTenants:
@@ -104,38 +33,3 @@ class TestFingerprintingUnderBackgroundTenants:
         result = attacker.run(schedule, seed=11)
         assert result.detection_rate == 1.0
 
-
-class TestAttackDuringLiveRPCService:
-    def test_intra_mr_channel_coexists_with_rpc_tenant(self):
-        """A two-sided RPC service runs on the shared server while the
-        covert channel operates — the mixed-workload reality of a
-        multi-tenant host."""
-        from repro.apps.rpc import RPCServer
-        from repro.covert.intra_mr import IntraMRChannel, IntraMRConfig
-        from repro.covert import random_bits
-        from repro.covert.uli_channel import _Session
-
-        channel = IntraMRChannel(cx5(), IntraMRConfig.best_for("CX-5"))
-        bits = random_bits(48, seed=2)
-
-        # run a session manually so we can attach the RPC tenant
-        session = _Session(channel, seed=3)
-        server_host = session.cluster.hosts["server"]
-        rpc_host = session.cluster.add_host("rpc-client", spec=cx5())
-        rpc = RPCServer(session.cluster, server_host)
-        rpc_client = rpc.accept(rpc_host)
-        rpc.start()
-
-        inter = session.warm_up(channel.config.warmup_completions)
-        period = channel.config.samples_per_bit * inter
-        frame = channel.config.preamble + bits
-        start = session.run_frame(frame, period, tail_ns=1.5 * period)
-        decoded = channel._demodulate(
-            session.receiver.samples_after(start), start, period, frame
-        )[len(channel.config.preamble):]
-
-        from repro.covert import bit_error_rate
-
-        assert bit_error_rate(bits, decoded) < 0.25
-        # the RPC service still works afterwards
-        assert rpc_client.call(b"still alive") == b"still alive"

@@ -3,9 +3,6 @@
 Each test pins the *behaviour* the fix bought, so reintroducing the
 bug fails here even if the lint rule is later relaxed:
 
-* RAG101 on ``repro.traffic``: the clients' default RNG was
-  ``default_rng(0)`` — every experiment seed got the same workload.
-  Now it derives from the cluster's named streams.
 * RAG101 on ``repro.experiments.mitigation``: ``run_partition(seed)``
   dropped its seed on the floor when constructing translation units.
 * RAG104 on ``repro.side.fingerprint`` / ``repro.covert.
@@ -13,46 +10,7 @@ bug fails here even if the lint rule is later relaxed:
   handles, leaving a live event in the queue after the run.
 """
 
-import numpy as np
-
-from repro.host import Cluster
 from repro.lint.flow import run_flow
-from repro.rnic import cx5
-from repro.traffic import ClosedLoopClient, OpenLoopClient
-
-
-def make_conn(seed):
-    cluster = Cluster(seed=seed)
-    server = cluster.add_host("server", spec=cx5())
-    client = cluster.add_host("client", spec=cx5())
-    conn = cluster.connect(client, server, max_send_wr=8)
-    mr = server.reg_mr(2 * 1024 * 1024)
-    return cluster, conn, mr
-
-
-class TestTrafficDefaultRngFollowsTheClusterSeed:
-    def draws(self, client_cls, seed, **kwargs):
-        _, conn, mr = make_conn(seed)
-        client = client_cls(conn, mr, **kwargs)
-        return tuple(client.rng.random(8))
-
-    def test_closed_loop_differs_across_seeds(self):
-        assert self.draws(ClosedLoopClient, 1, depth=4) != \
-            self.draws(ClosedLoopClient, 2, depth=4)
-
-    def test_closed_loop_replays_within_a_seed(self):
-        assert self.draws(ClosedLoopClient, 3, depth=4) == \
-            self.draws(ClosedLoopClient, 3, depth=4)
-
-    def test_open_loop_differs_across_seeds(self):
-        assert self.draws(OpenLoopClient, 1, rate_per_sec=1e5) != \
-            self.draws(OpenLoopClient, 2, rate_per_sec=1e5)
-
-    def test_explicit_rng_still_wins(self):
-        _, conn, mr = make_conn(0)
-        rng = np.random.default_rng(123)
-        client = ClosedLoopClient(conn, mr, depth=4, rng=rng)
-        assert client.rng is rng
 
 
 class TestMitigationThreadsItsSeed:

@@ -114,17 +114,6 @@ def test_uli_series_midpoints_and_periods():
         8000.0, rel=0.3)
 
 
-def test_instant_rate_buckets():
-    records = [TraceEvent("d", PHASE_INSTANT, 10.0 * i, "sim0").to_dict()
-               for i in range(10)]
-    frame = TraceFrame(records)
-    edges, counts = frame.instant_rate(50.0)
-    assert counts.sum() == 10
-    assert list(counts) == [5.0, 5.0]
-    with pytest.raises(ValueError):
-        frame.instant_rate(0.0)
-
-
 def test_resample_uniform_zero_order_hold():
     times = np.asarray([0.0, 1.0, 9.0])
     values = np.asarray([2.0, 4.0, 8.0])

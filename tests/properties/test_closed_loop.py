@@ -3,7 +3,8 @@
 ``ULIProbe.measure`` with the planners switched off
 (``batch.FAST_PATH_ENABLED = False``, what ``REPRO_RNIC_BATCH=0``
 sets) is the definition: a depth-*d* loop of RDMA Reads through the
-per-message closure pipeline, re-posting on every completion.  Each
+scalar pipeline (one ``_Flight`` per WQE), re-posting on every
+completion.  Each
 example builds two identical clusters and measures the same random
 probe on both; one hands the run to
 :func:`repro.rnic.closed_loop.try_closed_loop`, the other does not.
@@ -229,7 +230,9 @@ def test_closed_loop_matches_scalar_probe(core):
     sim_class = make_simulator_class(core)
     tally = Counter()
 
-    @settings(max_examples=300, deadline=None)
+    # derandomized: the tally below is a verdict on a fixed example set,
+    # not on whichever 300 examples a fresh seed happens to draw
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=cases)
     def check(case):
         scalar, _, _ = run(sim_class, case, False)

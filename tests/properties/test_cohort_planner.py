@@ -1,9 +1,9 @@
 """Differential oracle for the batched verbs cohort planner.
 
 ``RNIC.post_send_batch`` with the planner disabled is the definition:
-the per-message closure pipeline.  Each example builds two identical
-clusters, posts the same one or two random cohorts to both and runs to
-drain after each; one cluster takes the fast path
+the scalar pipeline, one ``_Flight`` per WQE.  Each example builds two
+identical clusters, posts the same one or two random cohorts to both
+and runs to drain after each; one cluster takes the fast path
 (:func:`repro.rnic.batch.try_fast_path`), the other runs with
 ``batch.FAST_PATH_ENABLED = False``.  Everything either path may change
 must agree bit for bit: CQEs, NIC counters, all eight stations, the

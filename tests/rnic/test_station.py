@@ -64,60 +64,3 @@ def test_reset():
     assert st.busy_until == 0.0
     assert st.served == 0
 
-
-class TestAdmitMany:
-    def test_matches_scalar_admits(self):
-        import numpy as np
-
-        rng = np.random.default_rng(3)
-        arrivals = np.sort(rng.uniform(0.0, 5000.0, size=200))
-        service = rng.uniform(1.0, 120.0, size=200)
-
-        scalar = ServiceStation("scalar")
-        scalar.set_background_utilization(0.3)
-        expected = np.array(
-            [scalar.admit(t, s) for t, s in zip(arrivals, service)]
-        )
-
-        batched = ServiceStation("batched")
-        batched.set_background_utilization(0.3)
-        got = batched.admit_many(arrivals, service)
-
-        assert np.allclose(got, expected)
-        assert batched.busy_until == pytest.approx(scalar.busy_until)
-        assert batched.served == scalar.served
-        assert batched.busy_ns == pytest.approx(scalar.busy_ns)
-        assert batched.wait_ns == pytest.approx(scalar.wait_ns)
-
-    def test_queues_behind_existing_work(self):
-        import numpy as np
-
-        st = ServiceStation("pcie")
-        st.admit(0.0, 1000.0)  # busy until t=1000
-        finish = st.admit_many(
-            np.array([10.0, 20.0]), np.array([100.0, 100.0])
-        )
-        assert finish[0] == pytest.approx(1100.0)
-        assert finish[1] == pytest.approx(1200.0)
-
-    def test_empty_batch(self):
-        import numpy as np
-
-        st = ServiceStation("pcie")
-        out = st.admit_many(np.array([]), np.array([]))
-        assert out.size == 0
-        assert st.served == 0
-
-    def test_shape_mismatch_rejected(self):
-        import numpy as np
-
-        st = ServiceStation("pcie")
-        with pytest.raises(ValueError):
-            st.admit_many(np.array([1.0, 2.0]), np.array([1.0]))
-
-    def test_negative_service_rejected(self):
-        import numpy as np
-
-        st = ServiceStation("pcie")
-        with pytest.raises(ValueError):
-            st.admit_many(np.array([0.0]), np.array([-1.0]))

@@ -177,63 +177,3 @@ def test_counter_sampler_selected_keys():
     cluster.run_for(3 * MILLISECONDS)
     assert all(set(r) == {"time", "tx_bps"} for r in sampler.rates)
 
-
-class TestStationProbeTrain:
-    def test_sweep_does_not_perturb_station(self):
-        from repro.rnic import ServiceStation
-        from repro.telemetry import StationProbeTrain
-
-        st = ServiceStation("wire_tx")
-        st.set_background_utilization(0.4)
-        st.admit(0.0, 500.0)
-        before = (st.busy_until, st.served, st.busy_ns, st.wait_ns)
-        train = StationProbeTrain(st, probe_ns=64.0)
-        train.sweep(start=100.0, count=50, gap_ns=10.0)
-        assert (st.busy_until, st.served, st.busy_ns, st.wait_ns) == before
-
-    def test_sweep_matches_scalar_station(self):
-        import numpy as np
-
-        from repro.rnic import ServiceStation
-        from repro.telemetry import StationProbeTrain
-
-        st = ServiceStation("wire_tx")
-        st.set_background_utilization(0.25)
-        st.admit(0.0, 300.0)
-
-        train = StationProbeTrain(st, probe_ns=64.0)
-        got = train.sweep(start=50.0, count=20, gap_ns=40.0)
-
-        ref = ServiceStation("ref")
-        ref.set_background_utilization(0.25)
-        ref.stall_until(st.busy_until)
-        expected = [
-            ref.admit(50.0 + 40.0 * i, 64.0) - (50.0 + 40.0 * i)
-            for i in range(20)
-        ]
-        assert np.allclose(got, expected)
-
-    def test_saturated_train_latency_grows(self):
-        from repro.rnic import ServiceStation
-        from repro.telemetry import StationProbeTrain
-
-        st = ServiceStation("wire_tx")
-        train = StationProbeTrain(st, probe_ns=100.0)
-        # gap shorter than service: queue builds, latency ramps
-        lat = train.sweep(start=0.0, count=50, gap_ns=10.0)
-        assert lat[-1] > lat[0]
-
-    def test_validation(self):
-        import pytest
-
-        from repro.rnic import ServiceStation
-        from repro.telemetry import StationProbeTrain
-
-        st = ServiceStation("wire_tx")
-        with pytest.raises(ValueError):
-            StationProbeTrain(st, probe_ns=0.0)
-        train = StationProbeTrain(st)
-        with pytest.raises(ValueError):
-            train.sweep(0.0, 0, 10.0)
-        with pytest.raises(ValueError):
-            train.sweep(0.0, 5, -1.0)

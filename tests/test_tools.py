@@ -27,5 +27,5 @@ def test_api_docs_checked_in_and_fresh_enough():
     # every top-level package appears
     for package in ("repro.sim", "repro.verbs", "repro.rnic", "repro.covert",
                     "repro.side", "repro.ml", "repro.apps", "repro.defense",
-                    "repro.baselines", "repro.traffic", "repro.viz"):
+                    "repro.baselines", "repro.viz"):
         assert f"`{package}" in text, package
