@@ -35,27 +35,6 @@ def service_of(unit, offset, size=64, mr="mr0", gap=1e6):
     return finish - now, bd
 
 
-class TestGeometry:
-    def test_bank_mapping_repeats_every_2048(self):
-        unit = make_unit()
-        assert unit.bank_of(0) == unit.bank_of(2048) == unit.bank_of(4096)
-        assert unit.bank_of(64) == unit.bank_of(2048 + 64)
-        assert unit.bank_of(0) != unit.bank_of(64)
-
-    def test_lines_touched_spans(self):
-        unit = make_unit()
-        assert list(unit.lines_touched(0, 64)) == [0]
-        assert list(unit.lines_touched(0, 65)) == [0, 1]
-        assert list(unit.lines_touched(60, 8)) == [0, 1]
-        assert len(list(unit.lines_touched(0, 1024))) == 16
-
-    def test_segment_of(self):
-        unit = make_unit()
-        assert unit.segment_of(0) == 0
-        assert unit.segment_of(2047) == 0
-        assert unit.segment_of(2048) == 1
-
-
 class TestAlignmentPenalties:
     def test_unaligned8_slower_than_aligned(self):
         unit = make_unit()
@@ -178,14 +157,6 @@ class TestPipelineSerialization:
         # second request arrives immediately; must wait for the pipe
         f2, _ = unit.admit(0.0, "mr", 512, 64)
         assert f2 >= f1
-
-    def test_reset_history_clears_state(self):
-        unit = make_unit()
-        unit.admit(0.0, "mrA", 0, 64)
-        unit.reset_history()
-        _, bd = unit.admit(0.0, "mrB", 0, 64, want_breakdown=True)
-        assert bd.mr_switch == 0.0
-        assert bd.bank_wait == 0.0
 
 
 class TestJitter:

@@ -32,7 +32,8 @@
 #                      uninterrupted reference run
 #                      (tools/chaos_resume_smoke.py, docs/RUNTIME.md)
 #   9. speedups      — ADVISORY: build the C event-kernel accelerator
-#                      (repro.sim falls back to pure Python without it)
+#                      (repro.sim falls back to pure Python without it);
+#                      a .so this script built is removed on exit
 #  10. sanitizers    — BLOCKING when cc+libasan are available (skipped
 #                      with a notice otherwise, and under --fast): the
 #                      accelerator is rebuilt with ASan+UBSan
@@ -63,6 +64,13 @@
 set -u
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+# stage 9 builds the C accelerator in place; unless one was there
+# already, remove it on exit, so later runs in the tree keep the
+# pure-Python engine they had before
+if ! compgen -G "src/repro/sim/_speedups.*.so" >/dev/null; then
+    trap 'rm -f src/repro/sim/_speedups.*.so' EXIT
+fi
 
 fast=0
 [ "${1:-}" = "--fast" ] && fast=1
