@@ -371,6 +371,36 @@ def test_bulk_cache_replay_matches_access(shape, resident, codes, later,
     assert bulk.checkpoint() == oracle.checkpoint()
 
 
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from([(4, 2), (8, 2), (6, 3), (2048, 8)]),
+       rows=st.lists(st.tuples(
+           st.lists(st.integers(min_value=0, max_value=30), max_size=8),
+           st.lists(st.integers(min_value=0, max_value=30), max_size=40)),
+           min_size=1, max_size=5),
+       later=st.lists(st.integers(min_value=0, max_value=30), max_size=4))
+def test_bulk_cache_replay_of_several_caches(shape, rows, later):
+    """``access_rows`` on several caches at once — some holding keys,
+    some empty, rows of any length, the same codes in several rows —
+    against ``access`` in order on each cache alone."""
+    bulk, oracle = ([SetAssocCache(*shape) for _ in rows] for _ in range(2))
+    for (resident, _), *pair in zip(rows, bulk, oracle):
+        for cache in pair:
+            for code in resident:
+                cache.access(code)
+    codes = np.array([code for _, row in rows for code in row],
+                     dtype=np.int64)
+    bounds = np.cumsum([0] + [len(row) for _, row in rows])
+    missed = caches.access_rows(bulk, codes, bounds, np.ndarray.tolist,
+                                caches.int_sets)
+    expected = [not cache.access(code)
+                for cache, (_, row) in zip(oracle, rows) for code in row]
+    assert missed.tolist() == expected
+    for cache, twin in zip(bulk, oracle):
+        assert [cache.access(code) for code in later] == \
+            [twin.access(code) for code in later]
+        assert cache.checkpoint() == twin.checkpoint()
+
+
 def test_pair_hash_matches_the_interpreter():
     """The bulk MTT set index is ``hash((mr, segment)) % sets``."""
     assert caches.pair_hash_exact()

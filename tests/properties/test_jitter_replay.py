@@ -2,9 +2,11 @@
 
 ``_jitter_by_call`` (numpy's public ``standard_normal``/``random``/
 ``exponential`` calls, one request at a time) is the definition;
-``_jitter_from_raw`` must give the same bytes and leave the generator
-in the same full state, uint32 buffer included — from any stream
-position, for any spike rate, and when its first over-draw runs short.
+``_jitter_from_raw`` (one stream) and ``draw_jitter_rows`` (several,
+replayed in lockstep) must give the same bytes and leave every
+generator in the same full state, uint32 buffer included — from any
+stream position, for any spike rate, and when the first over-draw runs
+short.
 """
 
 import copy
@@ -63,6 +65,44 @@ def test_replay_matches_public_calls(seed, n, sigma, floor, spike_prob,
     with mock.patch.object(jitter, "_budget", budget):
         results = replay_and_call(rng, n, sigma, floor, spike_prob)
     assert_same(*results)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=40),
+    counts=st.lists(st.integers(0, 300), min_size=40, max_size=40),
+    sigma=st.floats(0.0, 50.0),
+    floor=st.floats(-100.0, 5.0),
+    spike_prob=st.one_of(st.sampled_from([0.0, 0.01, 1.0]),
+                         st.floats(0.0, 1.0)),
+    warmup=st.integers(0, 1000),
+    short=st.booleans(),
+)
+def test_rows_replay_matches_public_calls(seeds, counts, sigma, floor,
+                                          spike_prob, warmup, short):
+    """Up to 40 streams at once (more than two blocks of
+    ``CHUNK_ROWS``), some with a buffered uint32 and some with no
+    requests; with a one-word budget every row runs short, so a short
+    row may end any block."""
+    rngs = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(warmup)
+        if seed & 1:
+            rng.integers(0, 2**16)
+        rngs.append(rng)
+    twins = copy.deepcopy(rngs)
+    counts = counts[:len(rngs)]
+    budget = (lambda count, prob: 1) if short else jitter._budget
+    with mock.patch.object(jitter, "_budget", budget):
+        got = jitter.draw_jitter_rows(rngs, counts, sigma, floor,
+                                      spike_prob, 400.0)
+    expected = np.concatenate([
+        jitter._jitter_by_call(twin, n, sigma, floor, spike_prob, 400.0)
+        for twin, n in zip(twins, counts)])
+    assert got.tobytes() == expected.tobytes()
+    for rng, twin in zip(rngs, twins):
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def word_positions(rng, count, predicate):
