@@ -345,32 +345,6 @@ class ShermanClient:
         self._write(leaf_offset, leaf.header.pack())
         return True
 
-    def delete(self, key: int) -> bool:
-        """Remove ``key`` from its leaf (no rebalancing, as in Sherman)."""
-        leaf_offset, _ = self._descend(key)
-        self._lock(leaf_offset)
-        leaf = LeafNode.unpack(self._load_raw(leaf_offset))
-        before = len(leaf.entries)
-        leaf.entries = [e for e in leaf.entries if e.key != key]
-        self._write_unlocked(leaf_offset, leaf.pack())
-        return len(leaf.entries) < before
-
-    def range_scan(self, low: int, high: int) -> list[tuple[int, bytes]]:
-        """All (key, value) pairs with ``low <= key < high``."""
-        if low >= high:
-            return []
-        leaf_offset, _ = self._descend(low)
-        out: list[tuple[int, bytes]] = []
-        for _ in range(10_000):
-            leaf = LeafNode.unpack(self._load_raw(leaf_offset))
-            for entry in leaf.entries:
-                if low <= entry.key < high:
-                    out.append((entry.key, entry.value))
-            if leaf.header.high_key >= high or not leaf.header.right_sibling:
-                return out
-            leaf_offset = leaf.header.right_sibling
-        raise TreeError("range scan exceeded the leaf-chain bound")
-
     # ------------------------------------------------------------------
     # Victim-side helpers for the snooping experiment
     # ------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Experiment registry and the single-experiment task runner.
 
 This module holds everything the command-line driver and the
-``--jobs N`` process pool share.  The pool pickles :func:`run_task` by
-qualified name, so it must live in an importable module (not in
-``__main__``, which spawn re-imports under a different name).
+``--jobs N`` process pool share.  The pool pickles :func:`run_task` and
+the runner it is handed by qualified name, so both must live in
+importable modules (not in ``__main__``, which spawn re-imports under a
+different name).
 
 Determinism contract: one experiment run in a fresh worker process must
 produce byte-identical output to the same experiment run serially in a
@@ -28,7 +29,6 @@ import traceback
 from typing import Callable, Optional
 
 from repro import obs
-from repro.runtime.failures import TaskFailure
 from repro.experiments import faults, fig4, fig5, fig12, fig13, mitigation
 from repro.experiments import pythia_cmp, stealth, table1, table5, uli_linearity
 from repro.experiments.fig6_7_8 import run_fig6, run_fig7, run_fig8
@@ -103,17 +103,6 @@ class TaskOutcome:
     #: Extra artifacts written next to the table (traces, metrics,
     #: profiles), as printable path strings.
     extras: list[str] = dataclasses.field(default_factory=list)
-    #: Attempts consumed (1 on first-try success).
-    attempts: int = 1
-    #: Exception class name of the last crash ("" on success).
-    error_type: str = ""
-    #: Per-attempt retry notices, buffered here instead of printed from
-    #: pool workers so the driver can emit them in deterministic
-    #: submission order (they used to interleave on stderr).
-    attempt_logs: list[str] = dataclasses.field(default_factory=list)
-    #: Structured failure record (see docs/RUNTIME.md's taxonomy);
-    #: None on success.
-    failure: Optional[TaskFailure] = None
 
     @property
     def ok(self) -> bool:
@@ -165,29 +154,27 @@ def _write_profile(profiler: cProfile.Profile, collector: _CollectorClock,
 
 def run_task(
     name: str,
+    runner: Callable,
     seed: int,
     smoke: bool,
     full: bool,
-    retries: int,
     out: str,
-    registry: Optional[dict[str, Callable]] = None,
     trace: bool = False,
     metrics: bool = False,
     profile: bool = False,
     trace_sample: int = 1,
     report: bool = False,
 ) -> TaskOutcome:
-    """Run one registered experiment end to end: invoke (with retries),
-    render, save.  Printing is left to the caller so that parallel runs
-    emit output in deterministic submission order.
+    """Run one experiment end to end: invoke ``runner``, render, save.
+    Printing is left to the caller so that parallel runs emit output in
+    deterministic submission order.
 
-    ``registry`` defaults to the module-level :data:`REGISTRY`; the CLI
-    passes its own (patchable) view through for the serial path, while
-    pool workers fall back to the default — a custom registry of local
-    functions would not survive pickling anyway.
+    ``runner`` is the experiment's entry in the caller's registry; a
+    pool worker receives it pickled by qualified name.  A crash is
+    captured as the outcome's ``error`` traceback instead of raised.
 
     ``trace``/``metrics`` install a fresh :mod:`repro.obs` session
-    around each attempt and export ``<name>.trace.jsonl`` /
+    around the run and export ``<name>.trace.jsonl`` /
     ``<name>.trace.json`` / ``<name>.metrics.json`` next to the table;
     ``trace_sample=N`` records 1-in-N kernel dispatch events (exactly
     accounted — see :attr:`repro.obs.Tracer.sampled_out`) to keep
@@ -196,62 +183,34 @@ def run_task(
     ``report`` renders the run's artifacts to ``<name>.report.md`` via
     :func:`repro.obs.render_report`.
     """
-    runner = (REGISTRY if registry is None else registry)[name]
     kwargs = dict(FULL_SCALE.get(name, {})) if full else {}
     started = wallclock()
-    result = None
-    error_text = ""
-    error_type = ""
-    attempts_used = 0
-    attempt_logs: list[str] = []
     extras: list[str] = []
-    for attempt in range(retries + 1):
-        attempts_used = attempt + 1
-        # a fresh obs session per attempt: a crashed attempt's partial
-        # trace must not leak into the retry's export
-        session = obs.install(trace=trace, metrics=metrics,
-                              trace_sample_rate=trace_sample) \
-            if (trace or metrics) else None
-        profiler = cProfile.Profile() if profile else None
-        collector = _CollectorClock()
+    session = obs.install(trace=trace, metrics=metrics,
+                          trace_sample_rate=trace_sample) \
+        if (trace or metrics) else None
+    profiler = cProfile.Profile() if profile else None
+    collector = _CollectorClock()
+    try:
         try:
-            try:
-                if profiler is not None:
-                    gc.callbacks.append(collector)
-                    profiler.enable()
-                result = _invoke(runner, seed, smoke, kwargs)
-            finally:
-                if profiler is not None:
-                    profiler.disable()
-                    gc.callbacks.remove(collector)
-            if session is not None:
-                extras = [str(p) for p in session.export(out, name)]
             if profiler is not None:
-                extras.append(_write_profile(profiler, collector, out, name))
-            break
-        except Exception as error:  # ragnar-lint: disable=RAG004 — runner isolation: one crashing experiment must not abort the batch; the traceback is captured, written to the output dir and reported in the exit summary
-            error_text = traceback.format_exc()
-            error_type = type(error).__name__
-            if attempt < retries:
-                # buffered, not printed: pool workers sharing stderr
-                # used to interleave these lines mid-table
-                attempt_logs.append(
-                    f"[{name}: attempt {attempt + 1} crashed "
-                    f"({error_type}); retrying]")
+                gc.callbacks.append(collector)
+                profiler.enable()
+            result = _invoke(runner, seed, smoke, kwargs)
         finally:
-            if session is not None:
-                obs.uninstall()
-    if result is None:
-        failure = TaskFailure(
-            kind="crash",
-            message=error_text.strip().splitlines()[-1],
-            exc_type=error_type, traceback=error_text,
-            attempts=attempts_used)
-        return TaskOutcome(
-            name=name, error=error_text, elapsed=wallclock() - started,
-            attempts=attempts_used, error_type=error_type,
-            attempt_logs=attempt_logs, failure=failure,
-        )
+            if profiler is not None:
+                profiler.disable()
+                gc.callbacks.remove(collector)
+        if session is not None:
+            extras = [str(p) for p in session.export(out, name)]
+        if profiler is not None:
+            extras.append(_write_profile(profiler, collector, out, name))
+    except Exception:  # ragnar-lint: disable=RAG004 — runner isolation: one crashing experiment must not abort the batch; the traceback is captured, written to the output dir and reported in the exit summary
+        return TaskOutcome(name=name, error=traceback.format_exc(),
+                           elapsed=wallclock() - started)
+    finally:
+        if session is not None:
+            obs.uninstall()
     table = result.format_table()
     path = result.save(out)
     if report:
@@ -265,5 +224,4 @@ def run_task(
     return TaskOutcome(
         name=name, table=table, path=str(path),
         elapsed=wallclock() - started, extras=extras,
-        attempts=attempts_used, attempt_logs=attempt_logs,
     )

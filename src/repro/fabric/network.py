@@ -131,10 +131,6 @@ class Network:
         fault.reset()
         self._faults[endpoint] = fault
 
-    def fault_of(self, endpoint: Hashable) -> LinkFault | None:
-        """The dynamic fault process installed on an endpoint's link."""
-        return self._faults.get(endpoint)
-
     @property
     def has_faults(self) -> bool:
         """True while any endpoint carries a dynamic fault process.

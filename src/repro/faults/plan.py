@@ -279,12 +279,6 @@ class FaultPlan:
     pause_storm: Optional[PauseStorm] = None
     rnr_pressure: Optional[RnrPressure] = None
 
-    @property
-    def is_clean(self) -> bool:
-        """True when the plan injects nothing (the baseline scenario)."""
-        return (self.endpoint_fault is None and self.server_fault is None
-                and self.pause_storm is None and self.rnr_pressure is None)
-
     def install(
         self,
         cluster: Cluster,

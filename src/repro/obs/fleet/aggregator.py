@@ -2,8 +2,8 @@
 
 After a batch, :func:`write_fleet_artifacts` builds the fleet view once,
 from the per-task ``<name>.metrics.json`` files in sorted task-name
-order: ``fleet_metrics.json``, the merged whole-run snapshot.  Serial,
-``--jobs N``, rerun and ``--resume`` runs of the same seed produce
+order: ``fleet_metrics.json``, the merged whole-run snapshot.  Serial
+runs, ``--jobs N`` runs and reruns of the same seed produce
 byte-identical fleet metrics — the same discipline as every other run
 artifact (tests/experiments/test_fleet_parallel.py).
 """

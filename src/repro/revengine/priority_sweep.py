@@ -134,10 +134,3 @@ class PrioritySweep:
                         )
                     )
         return results
-
-    @staticmethod
-    def outcome_histogram(results: Iterable[CompetitionResult]) -> dict[str, int]:
-        hist: dict[str, int] = {NO_DROP: 0, SLIGHT_DROP: 0, HALF_DROP: 0, INCREASE: 0}
-        for result in results:
-            hist[result.outcome] += 1
-        return hist

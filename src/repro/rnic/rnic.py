@@ -232,13 +232,6 @@ class RNIC(Engine):
         del self._fluid_flows[flow.flow_id]
         self._reallocate()
 
-    def update_fluid_flow(self, flow: FluidFlow) -> None:
-        """Recompute allocations after a registered flow's parameters
-        changed in place (e.g. a policer capped its demand)."""
-        if flow.flow_id not in self._fluid_flows:
-            raise ValueError(f"flow {flow.flow_id} not registered")
-        self._reallocate()
-
     def configure_ets(self, weights: Optional[dict[int, float]]) -> None:
         """Apply an ETS (DWRR) configuration — the ``mlnx_qos`` call of
         the paper's setup.  ``None`` removes the configuration."""

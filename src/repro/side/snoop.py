@@ -27,11 +27,9 @@ Two capture paths:
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import dataclasses
 import functools
-import multiprocessing
 from typing import Optional
 
 import numpy as np
@@ -246,6 +244,11 @@ class TraceSynthesizer:
                 for label in labels
             ]
         else:
+            # imported here: the serial build, and every import of this
+            # module, stay clear of multiprocessing
+            import concurrent.futures
+            import multiprocessing
+
             context = multiprocessing.get_context("spawn")
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(jobs, len(CANDIDATE_OFFSETS)),

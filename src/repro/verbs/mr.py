@@ -56,15 +56,6 @@ class MemoryRegion:
         """True if [addr, addr+length) lies inside the MR."""
         return self.addr <= addr and addr + length <= self.end
 
-    def offset_of(self, addr: int) -> int:
-        """Offset of ``addr`` relative to the MR base (the paper's
-        *absolute address offset*)."""
-        if not self.contains(addr, 0):
-            raise RemoteAccessError(
-                f"address {addr:#x} outside MR [{self.addr:#x}, {self.end:#x})"
-            )
-        return addr - self.addr
-
     def check_remote(self, addr: int, length: int, required: AccessFlags) -> None:
         """Validate a one-sided access: bounds and permission flags."""
         if self._destroyed:

@@ -1,8 +1,8 @@
 """Terminal visualization helpers.
 
 Everything in this reproduction runs offline, so the "figures" are
-ASCII/Unicode renderings: sparklines for bandwidth traces, bar charts
-for sweep results, and heatmaps for confusion matrices.  Used by the
+ASCII/Unicode renderings: sparklines for bandwidth traces and
+heatmaps for confusion matrices.  Used by the
 examples and handy in a REPL::
 
     >>> from repro.viz import sparkline
@@ -43,25 +43,6 @@ def sparkline(values: Sequence[float], width: int = 72) -> str:
         ])
     scaled = (_normalize(arr) * (len(_BLOCKS) - 1)).round().astype(int)
     return "".join(_BLOCKS[i] for i in scaled)
-
-
-def bar_chart(labels: Sequence[str], values: Sequence[float],
-              width: int = 40, unit: str = "") -> str:
-    """Horizontal bar chart with aligned labels and values."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must pair up")
-    if not labels:
-        return ""
-    arr = np.asarray(values, dtype=np.float64)
-    peak = float(arr.max()) if arr.size else 0.0
-    label_width = max(len(str(label)) for label in labels)
-    lines = []
-    for label, value in zip(labels, arr):
-        filled = int(round(width * value / peak)) if peak > 0 else 0
-        bar = "#" * filled
-        lines.append(f"{str(label):>{label_width}} | {bar:<{width}} "
-                     f"{value:,.4g}{unit}")
-    return "\n".join(lines)
 
 
 def heatmap(matrix, row_label: str = "true", col_label: str = "pred") -> str:

@@ -53,13 +53,6 @@ class TestBasicOps:
         _, _, (client,) = make_tree()
         assert client.update(10, b"x") is False
 
-    def test_delete(self):
-        _, _, (client,) = make_tree()
-        client.insert(5, b"v")
-        assert client.delete(5) is True
-        assert client.search(5) is None
-        assert client.delete(5) is False
-
     def test_key_bounds_rejected(self):
         _, _, (client,) = make_tree()
         with pytest.raises(ValueError):
@@ -104,21 +97,6 @@ class TestSplits:
             for k in ordering:
                 client.insert(k, b"x")
             assert all(client.search(k) == b"x" for k in range(1, 200))
-
-
-class TestRangeScan:
-    def test_scan_across_leaves(self):
-        _, _, (client,) = make_tree()
-        for k in range(1, 100):
-            client.insert(k, str(k).encode())
-        result = client.range_scan(20, 50)
-        assert [k for k, _ in result] == list(range(20, 50))
-
-    def test_scan_empty_range(self):
-        _, _, (client,) = make_tree()
-        client.insert(5, b"v")
-        assert client.range_scan(10, 10) == []
-        assert client.range_scan(6, 9) == []
 
 
 class TestMultiClient:
@@ -186,15 +164,3 @@ def test_property_inserted_keys_are_found(keys):
         assert client.search(k) == (k % 251).to_bytes(1, "little")
     absent = max(keys) + 1
     assert client.search(absent) is None
-
-
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.integers(min_value=1, max_value=500),
-                min_size=2, max_size=80, unique=True))
-def test_property_range_scan_is_sorted_and_complete(keys):
-    _, _, (client,) = make_tree()
-    for k in keys:
-        client.insert(k, b"v")
-    scan = client.range_scan(1, 501)
-    assert [k for k, _ in scan] == sorted(keys)

@@ -1,18 +1,16 @@
-"""Failure classification and reporting in the experiment CLI.
+"""Failure reporting in the experiment CLI.
 
-Covers the structured ``<name>.error.json`` sidecar, buffered
-attempt-log ordering, ``_invoke`` signature-dispatch edge cases, the
-``--retries`` exhaustion summary, and the supervised ``--timeout`` /
-``--max-failures`` paths.
+Covers ``_invoke`` signature-dispatch edge cases and a ``--jobs`` batch
+whose worker dies without a Python exception.
 """
 
-import json
+import os
 
 import pytest
 
 from repro.experiments.__main__ import main
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import _invoke, run_task
+from repro.experiments.runner import _invoke
 
 
 def ok_result(name="ok"):
@@ -75,124 +73,32 @@ class TestInvokeDispatch:
         assert seen == {"payload_bits": 1024}
 
 
-class TestErrorSidecar:
-    def test_crash_writes_structured_sidecar(self, registry, tmp_path,
-                                             capsys):
-        def boom(seed=0):
-            raise ValueError("look for me")
-
-        registry({"boom": boom})
-        assert main(["boom", "--retries", "1",
-                     "--out", str(tmp_path)]) == 1
-        capsys.readouterr()
-        sidecar = json.loads((tmp_path / "boom.error.json").read_text())
-        assert sidecar["name"] == "boom"
-        assert sidecar["kind"] == "crash"
-        assert sidecar["exc_type"] == "ValueError"
-        assert sidecar["attempts"] == 2
-        assert sidecar["error_file"] == "boom.error.txt"
-        # the traceback lives in the .txt, not duplicated in the json
-        assert "traceback" not in sidecar
-        assert "look for me" in (tmp_path / "boom.error.txt").read_text()
-
-    def test_timeout_classified_in_sidecar(self, tmp_path, capsys):
-        # a real experiment under an unmeetable deadline: the worker is
-        # killed and the sidecar records the timeout classification
-        assert main(["table1", "--timeout", "0.05",
-                     "--out", str(tmp_path)]) == 1
-        capsys.readouterr()
-        sidecar = json.loads((tmp_path / "table1.error.json").read_text())
-        assert sidecar["kind"] == "timeout"
-        assert "deadline" in sidecar["message"]
-
-    def test_no_sidecar_on_success(self, registry, tmp_path, capsys):
-        registry({"fine": lambda seed=0: ok_result("fine")})
-        assert main(["fine", "--out", str(tmp_path)]) == 0
-        assert not (tmp_path / "fine.error.json").exists()
+def _succeed(seed=0):
+    return ok_result("good")
 
 
-class TestAttemptLogBuffering:
-    def test_run_task_buffers_instead_of_printing(self, tmp_path, capsys):
-        calls = []
-
-        def flaky(seed=0):
-            calls.append(seed)
-            if len(calls) < 2:
-                raise RuntimeError("transient")
-            return ok_result("flaky")
-
-        outcome = run_task("flaky", 0, False, False, 1, str(tmp_path),
-                           registry={"flaky": flaky})
-        # nothing printed from inside the task...
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == ""
-        # ...the notice is buffered on the outcome instead
-        assert outcome.ok
-        assert outcome.attempts == 2
-        assert outcome.attempt_logs == [
-            "[flaky: attempt 1 crashed (RuntimeError); retrying]"]
-
-    def test_notices_emitted_in_submission_order(self, registry, tmp_path,
-                                                 capsys):
-        state = {"a": 0, "b": 0}
-
-        def make(name):
-            def runner(seed=0):
-                state[name] += 1
-                if state[name] < 2:
-                    raise RuntimeError(f"{name} transient")
-                return ok_result(name)
-
-            return runner
-
-        registry({"a": make("a"), "b": make("b")})
-        assert main(["--all", "--retries", "1",
-                     "--out", str(tmp_path)]) == 0
-        err_lines = [line for line in
-                     capsys.readouterr().err.splitlines() if line]
-        assert err_lines == [
-            "[a: attempt 1 crashed (RuntimeError); retrying]",
-            "[b: attempt 1 crashed (RuntimeError); retrying]"]
+def _raise(seed=0):
+    raise ValueError("raised in a worker")
 
 
-class TestRetriesExhausted:
-    def test_exhaustion_reports_attempts_and_exits_nonzero(
-            self, registry, tmp_path, capsys):
-        def hopeless(seed=0):
-            raise RuntimeError("always fails")
+def _die(seed=0):
+    os._exit(1)
 
-        registry({"hopeless": hopeless, "fine": lambda seed=0:
-                  ok_result("fine")})
-        assert main(["--all", "--retries", "2",
+
+class TestDeadWorker:
+    def test_dead_worker_is_reported_not_fatal(self, registry, tmp_path,
+                                               capsys):
+        # module-level runners, so the spawn pool can pickle them; the
+        # good one is submitted first, so it has finished before the
+        # dying one starts (one fresh worker per task, FIFO queue)
+        registry({"good": _succeed, "boom": _raise, "dead": _die})
+        assert main(["--all", "--jobs", "2",
                      "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert "[hopeless: FAILED after 3 attempt(s)" in err
-        assert "1 of 2 experiments failed (1 completed): hopeless" in err
-
-
-class TestCircuitBreaker:
-    def test_serial_circuit_breaker_skips_and_reports(self, registry,
-                                                      tmp_path, capsys):
-        ran = []
-
-        def boom(seed=0):
-            raise RuntimeError("first failure")
-
-        def fine(seed=0):
-            ran.append(seed)
-            return ok_result("fine")
-
-        registry({"boom": boom, "later1": fine, "later2": fine})
-        assert main(["--all", "--max-failures", "1",
-                     "--out", str(tmp_path)]) == 1
-        assert ran == []   # everything after the trip was skipped
-        err = capsys.readouterr().err
-        assert "circuit breaker" in err
-        assert "2 skipped by the --max-failures circuit breaker: " \
-               "later1, later2" in err
-        manifest = json.loads(
-            (tmp_path / "run_manifest.json").read_text())
-        statuses = {name: entry["status"]
-                    for name, entry in manifest["tasks"].items()}
-        assert statuses == {"boom": "failed", "later1": "skipped",
-                            "later2": "skipped"}
+        assert "raised in a worker" in \
+            (tmp_path / "boom.error.txt").read_text()
+        assert "BrokenProcessPool" in \
+            (tmp_path / "dead.error.txt").read_text()
+        assert f"[dead: FAILED -> {tmp_path / 'dead.error.txt'}]" in err
+        assert "2 of 3 experiments failed (1 completed): boom, dead" in err
+        assert (tmp_path / "good.txt").exists()

@@ -2,7 +2,8 @@
 
 ``fleet_metrics.json`` is built once, after the batch, from the
 committed per-task metrics in sorted task order — so a serial run, a
-``--jobs`` run, a rerun and a ``--resume`` run must agree byte-for-byte.
+``--jobs`` run and a rerun into a used output directory must agree
+byte-for-byte.
 """
 
 import json
@@ -21,19 +22,17 @@ class TestFleetParallel:
         ser = tmp_path / "serial"
         par = tmp_path / "parallel"
         rerun = tmp_path / "rerun"
-        resumed = tmp_path / "resumed"
-        # a partial table5-only run, so the resume leg merges one
-        # verified-resumed task with one that runs now
+        # a partial table5-only run first, so the rerun overwrites one
+        # task's metrics and writes the other's fresh
         assert main(["table5", "--smoke", "--fleet-metrics",
-                     "--out", str(resumed)]) == 0
+                     "--out", str(rerun)]) == 0
         capsys.readouterr()
         for out, jobs in ((ser, []), (par, ["--jobs", "2"]),
-                          (rerun, ["--jobs", "2"]),
-                          (resumed, ["--jobs", "2", "--resume"])):
+                          (rerun, ["--jobs", "2"])):
             assert main([*EXPERIMENTS, *jobs, "--out", str(out)]) == 0
             capsys.readouterr()
         serial_bytes = (ser / "fleet_metrics.json").read_bytes()
-        for out in (par, rerun, resumed):
+        for out in (par, rerun):
             assert (out / "fleet_metrics.json").read_bytes() == serial_bytes
         # the faults run's injected retransmits reach the merged view
         merged = json.loads(serial_bytes)
@@ -55,7 +54,6 @@ class TestFleetParallel:
                                                       capsys, monkeypatch):
         assert main([*EXPERIMENTS, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        # the serial path reads the patchable module REGISTRY
         monkeypatch.setattr("repro.experiments.__main__.REGISTRY",
                             {**REGISTRY, "faults": _boom})
         assert main([*EXPERIMENTS, "--out", str(tmp_path)]) == 1

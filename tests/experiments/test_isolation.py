@@ -2,8 +2,7 @@
 
 A crashing experiment must not abort the batch: its traceback is
 captured to ``<out>/<name>.error.txt``, the remaining experiments
-still run, ``--retries`` re-attempts before giving up, and the exit
-status plus a summary report the failures.
+still run, and the exit status plus a summary report the failures.
 """
 
 import pytest
@@ -65,41 +64,6 @@ class TestCrashIsolation:
         registry({"fine": lambda seed=0: ok_result()})
         assert main(["--all", "--out", str(tmp_path)]) == 0
         assert not list(tmp_path.glob("*.error.txt"))
-
-    def test_retries_rescue_a_flaky_experiment(self, registry, tmp_path,
-                                               capsys):
-        attempts = []
-
-        def flaky(seed=0):
-            attempts.append(seed)
-            if len(attempts) < 2:
-                raise RuntimeError("first attempt fails")
-            return ok_result("flaky")
-
-        registry({"flaky": flaky})
-        exit_code = main(["flaky", "--retries", "1", "--out",
-                          str(tmp_path)])
-        assert exit_code == 0
-        assert len(attempts) == 2
-        assert not (tmp_path / "flaky.error.txt").exists()
-
-    def test_retries_exhausted_still_fails(self, registry, tmp_path,
-                                           capsys):
-        attempts = []
-
-        def hopeless(seed=0):
-            attempts.append(seed)
-            raise RuntimeError("always fails")
-
-        registry({"hopeless": hopeless})
-        assert main(["hopeless", "--retries", "2", "--out",
-                     str(tmp_path)]) == 1
-        assert len(attempts) == 3
-
-    def test_negative_retries_rejected(self, registry, tmp_path):
-        registry({"fine": lambda seed=0: ok_result()})
-        with pytest.raises(SystemExit):
-            main(["fine", "--retries", "-1", "--out", str(tmp_path)])
 
 
 class TestSignatureDispatch:

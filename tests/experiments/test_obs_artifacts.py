@@ -2,8 +2,8 @@
 
 The end-to-end observability contract: running an experiment with the
 obs flags writes schema-valid trace/metrics files next to the table,
-the Chrome trace is loadable, and a crashed attempt's partial trace
-never leaks into a retry's export.
+the Chrome trace is loadable, and a crashed run exports nothing and
+leaves no session behind.
 """
 
 import gc
@@ -60,10 +60,15 @@ def _cycles(seed=0):
     return ExperimentResult(experiment="cycles", title="t", rows=[{"v": 1}])
 
 
+def _tiny_table5(seed=0):
+    """Table V with a 16-bit payload: the CLI path, kept fast."""
+    return table5.run(payload_bits=16, seed=seed)
+
+
 def test_profile_opens_with_the_collector_line(tmp_path):
     callbacks = list(gc.callbacks)
-    outcome = run_task("cycles", 0, False, False, 0, str(tmp_path),
-                       registry={"cycles": _cycles}, profile=True)
+    outcome = run_task("cycles", _cycles, 0, False, False, str(tmp_path),
+                       profile=True)
     assert outcome.ok, outcome.error
     first = (tmp_path / "cycles.prof.txt").read_text().splitlines()[0]
     match = re.fullmatch(
@@ -82,8 +87,8 @@ def test_crashed_profiled_attempt_removes_the_collector_hook(tmp_path):
     def boom(seed=0):
         raise RuntimeError("dead")
 
-    outcome = run_task("boom", 0, False, False, 1, str(tmp_path),
-                       registry={"boom": boom}, profile=True)
+    outcome = run_task("boom", boom, 0, False, False, str(tmp_path),
+                       profile=True)
     assert not outcome.ok
     assert gc.callbacks == callbacks
 
@@ -94,9 +99,7 @@ def test_table5_trace_is_chrome_loadable(tmp_path):
     codec's spans (a tiny payload keeps the test fast; the CLI path is
     identical)."""
     outcome = run_task(
-        "table5", 0, False, False, 0, str(tmp_path),
-        registry={"table5": lambda seed=0: table5.run(payload_bits=16,
-                                                      seed=seed)},
+        "table5", _tiny_table5, 0, False, False, str(tmp_path),
         trace=True, metrics=True,
     )
     assert outcome.ok, outcome.error
@@ -114,38 +117,12 @@ def test_table5_trace_is_chrome_loadable(tmp_path):
     assert validate_path(tmp_path / "table5.metrics.json") == []
 
 
-def test_retry_gets_a_fresh_session(tmp_path):
-    """A crashed attempt's partial trace must not leak into the
-    retry's export."""
-    calls = []
-
-    def flaky(seed=0):
-        from repro.sim import Simulator
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        calls.append(seed)
-        if len(calls) == 1:
-            raise RuntimeError("first attempt dies after tracing")
-        from repro.experiments.result import ExperimentResult
-        return ExperimentResult(experiment="flaky", title="t",
-                                rows=[{"v": 1}])
-
-    outcome = run_task("flaky", 0, False, False, 1, str(tmp_path),
-                       registry={"flaky": flaky}, trace=True)
-    assert outcome.ok
-    lines = (tmp_path / "flaky.trace.jsonl").read_text().splitlines()
-    # exactly the second attempt's one dispatch record
-    assert len(lines) == 1
-    assert obs.session() is None
-
-
 def test_failed_run_exports_nothing(tmp_path):
     def boom(seed=0):
         raise RuntimeError("dead")
 
-    outcome = run_task("boom", 0, False, False, 0, str(tmp_path),
-                       registry={"boom": boom}, trace=True, metrics=True)
+    outcome = run_task("boom", boom, 0, False, False, str(tmp_path),
+                       trace=True, metrics=True)
     assert not outcome.ok
     assert outcome.extras == []
     assert not (tmp_path / "boom.trace.jsonl").exists()
@@ -154,9 +131,7 @@ def test_failed_run_exports_nothing(tmp_path):
 
 def test_report_flag_renders_markdown_next_to_the_table(tmp_path):
     outcome = run_task(
-        "table5", 0, False, False, 0, str(tmp_path),
-        registry={"table5": lambda seed=0: table5.run(payload_bits=16,
-                                                      seed=seed)},
+        "table5", _tiny_table5, 0, False, False, str(tmp_path),
         trace=True, metrics=True, report=True,
     )
     assert outcome.ok, outcome.error
@@ -176,13 +151,11 @@ def test_cli_report_flag(tmp_path):
 
 
 def test_trace_sample_writes_fewer_dispatch_records(tmp_path):
-    registry = {"table5": lambda seed=0: table5.run(payload_bits=16,
-                                                    seed=seed)}
-    full = run_task("table5", 0, False, False, 0,
-                    str(tmp_path / "full"), registry=registry, trace=True)
-    sampled = run_task("table5", 0, False, False, 0,
-                       str(tmp_path / "sampled"), registry=registry,
-                       trace=True, trace_sample=100)
+    full = run_task("table5", _tiny_table5, 0, False, False,
+                    str(tmp_path / "full"), trace=True)
+    sampled = run_task("table5", _tiny_table5, 0, False, False,
+                       str(tmp_path / "sampled"), trace=True,
+                       trace_sample=100)
     assert full.ok and sampled.ok
 
     def dispatch_count(path):

@@ -37,11 +37,6 @@ class TestCatalogue:
     def test_lookups_are_independent_plans(self):
         assert get_scenario("bursty-loss") is not get_scenario("bursty-loss")
 
-    def test_clean_plan_is_clean(self):
-        assert get_scenario("clean").is_clean
-        assert not get_scenario("bursty-loss").is_clean
-        assert not get_scenario("rnr-pressure").is_clean
-
     def test_expected_catalogue_members(self):
         assert {"clean", "bursty-loss", "pause-storm",
                 "rnr-pressure", "link-flap"} <= set(SCENARIOS)
@@ -52,26 +47,26 @@ class TestInstall:
         cluster, server, client = make_cluster()
         plan = FaultPlan(name="loss", endpoint_fault=GilbertElliott)
         plan.install(cluster, server=server, endpoints=[client])
-        installed = cluster.network.fault_of(client.rnic)
+        installed = cluster.network._faults.get(client.rnic)
         assert isinstance(installed, GilbertElliott)
         # a second install arms a different instance (no shared state)
         plan.install(cluster, server=server, endpoints=[client])
-        assert cluster.network.fault_of(client.rnic) is not installed
+        assert cluster.network._faults.get(client.rnic) is not installed
 
     def test_server_fault_lands_on_server_link(self):
         cluster, server, client = make_cluster()
         plan = FaultPlan(name="loss", server_fault=GilbertElliott)
         plan.install(cluster, server=server, endpoints=[client])
-        assert cluster.network.fault_of(server.rnic) is not None
-        assert cluster.network.fault_of(client.rnic) is None
+        assert cluster.network._faults.get(server.rnic) is not None
+        assert cluster.network._faults.get(client.rnic) is None
 
     def test_clean_plan_installs_nothing(self):
         cluster, server, client = make_cluster()
         before = cluster.sim.events_fired
         get_scenario("clean").install(cluster, server=server,
                                       endpoints=[client])
-        assert cluster.network.fault_of(server.rnic) is None
-        assert cluster.network.fault_of(client.rnic) is None
+        assert cluster.network._faults.get(server.rnic) is None
+        assert cluster.network._faults.get(client.rnic) is None
         assert cluster.sim.events_fired == before
 
     def test_install_without_server_degrades(self):

@@ -121,7 +121,6 @@ class TestMultiClientTreeConsistency:
                 client.insert(key, b"v")
                 live.add(key)
             else:
-                client.delete(key)
-                live.discard(key)
+                client.update(key, b"w")
         stats = validate_tree(server)
         assert stats.entries == len(live)

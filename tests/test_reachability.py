@@ -30,8 +30,6 @@ SCRIPT_DIRS = ("tools", "benchmarks", "perfbench", "examples")
 
 #: Modules no import statement reaches on purpose, each with its reason.
 ALLOWED_UNREACHED = {
-    "repro.runtime.bench":
-        "subprocess entry point: tools/bench_gate.py runs it with python -m",
     "repro.apps.sherman.validate":
         "test oracle: the Sherman tree tests check invariants with it",
 }

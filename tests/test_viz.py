@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.viz import annotate_position, bar_chart, heatmap, sparkline
+from repro.viz import annotate_position, heatmap, sparkline
 
 
 class TestSparkline:
@@ -26,27 +26,6 @@ class TestSparkline:
     def test_extremes_use_full_range(self):
         line = sparkline([0, 100])
         assert line[0] == " " and line[-1] == "@"
-
-
-class TestBarChart:
-    def test_alignment_and_values(self):
-        chart = bar_chart(["alpha", "b"], [10.0, 5.0], width=10)
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        assert lines[0].index("|") == lines[1].index("|")
-        assert "##########" in lines[0]
-        assert "#####" in lines[1]
-
-    def test_mismatched_inputs(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_empty(self):
-        assert bar_chart([], []) == ""
-
-    def test_zero_values(self):
-        chart = bar_chart(["a"], [0.0])
-        assert "#" not in chart
 
 
 class TestHeatmap:

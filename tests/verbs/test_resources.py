@@ -77,15 +77,6 @@ class TestMemoryRegion:
         keys = {ctx.reg_mr(pd, 64).rkey for _ in range(10)}
         assert len(keys) == 10
 
-    def test_offset_of(self):
-        ctx = Context()
-        pd = ctx.alloc_pd()
-        mr = ctx.reg_mr(pd, 4096)
-        assert mr.offset_of(mr.addr) == 0
-        assert mr.offset_of(mr.addr + 257) == 257
-        with pytest.raises(RemoteAccessError):
-            mr.offset_of(mr.addr - 1)
-
     def test_check_remote_bounds(self):
         ctx = Context()
         pd = ctx.alloc_pd()

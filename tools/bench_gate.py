@@ -29,14 +29,11 @@ facade over the same engine core, interleaved on the same machine,
 and FAILS when the disabled-path overhead exceeds ``--obs-tolerance``
 (default 2 %).  The tracing-enabled rate is reported as advisory
 context (tracing is expected to cost real time; only the *off* switch
-must be free).  A third baseline-free gate budgets the supervised
-experiment runtime (:mod:`repro.runtime`) at ``--runtime-tolerance``
-(default 2 %) over the bare spawn pool it replaced on the
-``--jobs`` path.  Baselines are machine-relative
-and should be *conservative floors* — the worst min a healthy build
-produces on that machine, not a lucky quiet-box run — or the gate
-flaps on load noise.  Refresh with ``--update-baseline`` when the
-benchmarking hardware changes.
+must be free).  Baselines are machine-relative and should be
+*conservative floors* — the worst min a healthy build produces on that
+machine, not a lucky quiet-box run — or the gate flaps on load noise.
+Refresh with ``--update-baseline`` when the benchmarking hardware
+changes.
 
 The full pytest-benchmark variants live in
 ``benchmarks/bench_simulator_throughput.py``; this script keeps the
@@ -47,9 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
-import subprocess
 import sys
 import time
 
@@ -392,47 +387,6 @@ def obs_gate(report: dict, tolerance: float) -> int:
     return 0
 
 
-# ----------------------------------------------------------------------
-# Supervised-runtime overhead (baseline-free, paired on this machine)
-# ----------------------------------------------------------------------
-def bench_runtime_overhead() -> dict:
-    """Time the supervised runtime against the bare spawn pool it
-    replaced on the experiments ``--jobs`` path.
-
-    Runs :mod:`repro.runtime.bench` as a subprocess so the spawn
-    children re-import that light module rather than this script (which
-    would drag numpy and the whole simulator into every worker and
-    swamp the measurement with import time).
-    """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    output = subprocess.run(
-        [sys.executable, "-m", "repro.runtime.bench"],
-        env=env, capture_output=True, text=True, check=True, timeout=600,
-    ).stdout
-    return json.loads(output)
-
-
-def runtime_gate(report: dict, tolerance: float) -> int:
-    """Fail when the supervisor costs more than the budget over the
-    bare pool.  Baseline-free: both sides ran interleaved in the same
-    subprocess, so no committed reference is needed."""
-    section = report["runtime"]
-    overhead = section["overhead"]
-    verdict = "ok" if overhead <= tolerance else "FAIL"
-    print(f"  supervised-runtime overhead: {overhead:.2%} "
-          f"({section['supervised_s'] * 1e3:,.0f} ms vs bare pool "
-          f"{section['bare_pool_s'] * 1e3:,.0f} ms, "
-          f"{section['tasks']} tasks / {section['jobs']} jobs) "
-          f"[budget {tolerance:.0%}: {verdict}]")
-    if verdict == "FAIL":
-        print(f"bench_gate: the supervised runtime costs more than "
-              f"{tolerance:.0%} over the bare process pool")
-        return 1
-    return 0
-
-
 def run_benches() -> dict:
     report = {"engine": KERNEL_ENGINE, "benches": {}}
     for name, bench in BENCHES.items():
@@ -448,7 +402,6 @@ def run_benches() -> dict:
               f"({rate:,.0f} ops/s, {rate / PRE_PR_OPS_PER_S[name]:.1f}x "
               f"pre-rework)")
     report["obs"] = bench_obs_overhead()
-    report["runtime"] = bench_runtime_overhead()
     return report
 
 
@@ -497,10 +450,6 @@ def main(argv=None) -> int:
     parser.add_argument("--obs-tolerance", type=float, default=0.02,
                         help="allowed tracing-disabled observability "
                              "overhead on event dispatch (default: 0.02)")
-    parser.add_argument("--runtime-tolerance", type=float, default=0.02,
-                        help="allowed supervised-runtime overhead over "
-                             "the bare process pool on the --jobs path "
-                             "(default: 0.02)")
     parser.add_argument("--no-gate", action="store_true",
                         help="emit the report without comparing")
     parser.add_argument("--update-baseline", action="store_true",
@@ -525,8 +474,6 @@ def main(argv=None) -> int:
         parser.error("--tolerance must be in (0, 1)")
     if not 0.0 < args.obs_tolerance < 1.0:
         parser.error("--obs-tolerance must be in (0, 1)")
-    if not 0.0 < args.runtime_tolerance < 1.0:
-        parser.error("--runtime-tolerance must be in (0, 1)")
 
     print(f"bench_gate: engine={KERNEL_ENGINE}")
     report = run_benches()
@@ -545,8 +492,7 @@ def main(argv=None) -> int:
     if args.no_gate:
         return 0
     status = gate(report, args.baseline, args.tolerance)
-    return (status | obs_gate(report, args.obs_tolerance)
-            | runtime_gate(report, args.runtime_tolerance))
+    return status | obs_gate(report, args.obs_tolerance)
 
 
 if __name__ == "__main__":

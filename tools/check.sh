@@ -26,15 +26,10 @@
 #                      (tests/obs/golden/table5.report.md), then
 #                      `python -m repro.obs diff` of the run against
 #                      itself (must exit 0)
-#   8. crash-resume  — BLOCKING (skipped under --fast): SIGKILL a
-#                      --jobs sweep mid-flight, --resume it, and diff
-#                      the artifacts byte-for-byte against an
-#                      uninterrupted reference run
-#                      (tools/chaos_resume_smoke.py, docs/RUNTIME.md)
-#   9. speedups      — ADVISORY: build the C event-kernel accelerator
+#   8. speedups      — ADVISORY: build the C event-kernel accelerator
 #                      (repro.sim falls back to pure Python without it);
 #                      a .so this script built is removed on exit
-#  10. sanitizers    — BLOCKING when cc+libasan are available (skipped
+#   9. sanitizers    — BLOCKING when cc+libasan are available (skipped
 #                      with a notice otherwise, and under --fast): the
 #                      accelerator is rebuilt with ASan+UBSan
 #                      (tools/build_speedups.sh --sanitize), the
@@ -46,26 +41,24 @@
 #                      after a planned run) and the flight-lifetime
 #                      test (every scalar stage) run under it, then the
 #                      optimized .so is restored before the bench gate
-#  11. fleet smoke   — BLOCKING: the post-batch fleet pass
+#  10. fleet smoke   — BLOCKING: the post-batch fleet pass
 #                      (docs/OBSERVABILITY.md "Fleet metrics"): a
 #                      two-experiment --jobs 2 run with --fleet-metrics,
 #                      fleet_metrics.json schema-validated and its
 #                      "Fleet metrics" section rendered into the run
 #                      report
-#  12. bench gate    — BLOCKING: simulator throughput vs the committed
+#  11. bench gate    — BLOCKING: simulator throughput vs the committed
 #                      baseline (docs/PERF.md); fails on a >20 %
 #                      event-dispatch regression (skips on engine
-#                      mismatch), a >2 % tracing-disabled
-#                      observability overhead, or a >2 % supervised-
-#                      runtime overhead over the bare pool; each run
-#                      is archived to benchmarks/history/ for report
-#                      trend lines
-#  13. pytest tier-1 — BLOCKING: the full unit/integration suite
+#                      mismatch) or a >2 % tracing-disabled
+#                      observability overhead; each run is archived to
+#                      benchmarks/history/ for report trend lines
+#  12. pytest tier-1 — BLOCKING: the full unit/integration suite
 set -u
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-# stage 9 builds the C accelerator in place; unless one was there
+# stage 8 builds the C accelerator in place; unless one was there
 # already, remove it on exit, so later runs in the tree keep the
 # pure-Python engine they had before
 if ! compgen -G "src/repro/sim/_speedups.*.so" >/dev/null; then
@@ -117,13 +110,6 @@ python -m repro.obs report "$insight_out" --out "$insight_out/run.report.md" || 
 diff -u tests/obs/golden/table5.report.md "$insight_out/run.report.md" \
     || { echo "-- run report drifted from the committed golden (regenerate via docs/OBSERVABILITY.md)"; fail=1; }
 python -m repro.obs diff "$insight_out" "$insight_out" || fail=1
-
-if [ "$fast" -eq 1 ]; then
-    echo "== crash-resume smoke: skipped (--fast) =="
-else
-    echo "== crash-resume smoke (blocking) =="
-    python tools/chaos_resume_smoke.py --workdir "$(mktemp -d)" || fail=1
-fi
 
 echo "== C event-kernel build (advisory) =="
 tools/build_speedups.sh || echo "-- C accelerator unavailable; pure-Python kernel in use"
