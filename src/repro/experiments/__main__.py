@@ -20,13 +20,9 @@ per experiment, so results and tables are byte-identical to a serial
 run and stdout stays in submission order.  A worker that dies without a
 Python exception breaks the pool: that experiment, and any the broken
 pool could not run, are reported as failed the same way, with no
-respawn and no retry (docs/RUNTIME.md).
-
-``--fleet-metrics`` builds the fleet view once, after the batch, from
-the per-task ``<name>.metrics.json`` files of the experiments that
-completed in this invocation: one merged ``fleet_metrics.json``
-(docs/OBSERVABILITY.md, "Fleet metrics").  It is byte-identical between
-serial and ``--jobs`` runs of the same seed.
+respawn and no retry (docs/RUNTIME.md).  Each of their error files
+opens with one line naming them all, since any one of them may be the
+one whose worker died.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ import sys
 import traceback
 
 from repro.experiments.runner import REGISTRY, TaskOutcome, run_task
-from repro.obs.fleet import write_fleet_artifacts
 
 
 def _report(outcome: TaskOutcome, out: str,
@@ -66,14 +61,15 @@ def _task_args(name: str, args) -> tuple:
     from the module REGISTRY (which tests may patch)."""
     return (name, REGISTRY[name], args.seed, args.smoke, args.full,
             args.out, args.trace, args.metrics, args.profile,
-            args.trace_sample, args.report)
+            args.trace_sample)
 
 
 def _run_pool(names: list[str], args):
     """Yield each experiment's outcome in submission order, run on a
     spawn pool with one fresh worker per experiment.  A worker that
     dies breaks the pool; the experiments it takes down are reported
-    as failed with the ``BrokenProcessPool`` traceback."""
+    as failed with the ``BrokenProcessPool`` traceback, under one line
+    that names them all: the traceback cannot tell which one died."""
     import concurrent.futures
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool
@@ -85,30 +81,25 @@ def _run_pool(names: list[str], args):
     ) as pool:
         futures = [pool.submit(run_task, *_task_args(name, args))
                    for name in names]
+        note = ""
         for name, future in zip(names, futures):
             try:
                 outcome = future.result()
             except BrokenProcessPool as error:
-                outcome = TaskOutcome(name=name, error="".join(
+                if not note:
+                    # the broken pool fails every pending future; wait
+                    # until it has, then name all of them
+                    concurrent.futures.wait(futures)
+                    down = [other for other, done in zip(names, futures)
+                            if isinstance(done.exception(),
+                                          BrokenProcessPool)]
+                    note = ("a worker died and broke the pool, taking "
+                            f"down {', '.join(down)}; any one of them may "
+                            "be the one whose worker died: rerun them "
+                            "with --jobs 1 to find it\n")
+                outcome = TaskOutcome(name=name, error=note + "".join(
                     traceback.format_exception(error)))
             yield outcome
-
-
-def _finalize_fleet(out: str, names: list[str]) -> None:
-    """The post-batch fleet pass: build ``fleet_metrics.json``
-    deterministically from the committed ``<name>.metrics.json`` files
-    of ``names`` (sorted task order) — so serial and ``--jobs`` runs of
-    one seed end byte-identical.  ``names`` must hold only tasks that
-    completed in this invocation: a failed task's metrics file is a
-    stale earlier run's."""
-    result = write_fleet_artifacts(out, names)
-    if result is None:
-        print("[fleet: no per-task metrics found; nothing to merge]",
-              file=sys.stderr)
-        return
-    wrote = ", ".join(path.name for path in result["paths"])
-    print(f"[fleet: merged {len(result['tasks'])} task(s) -> {wrote}]",
-          file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -149,15 +140,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--metrics", action="store_true",
                         help="collect the repro.obs metrics registry and "
                              "write <name>.metrics.json")
-    parser.add_argument("--fleet-metrics", action="store_true",
-                        help="after the batch, merge the metrics of "
-                             "every experiment that completed into a "
-                             "deterministic fleet_metrics.json "
-                             "(implies --metrics)")
-    parser.add_argument("--report", action="store_true",
-                        help="render each experiment's artifacts to a "
-                             "deterministic <name>.report.md "
-                             "(python -m repro.obs report)")
     parser.add_argument("--profile", action="store_true",
                         help="wrap each experiment in cProfile and write "
                              "<name>.prof.txt (wall-clock profiling; "
@@ -169,8 +151,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--trace-sample must be a positive integer")
     if args.trace_sample > 1:
         args.trace = True
-    if args.fleet_metrics:
-        args.metrics = True
 
     if args.list:
         for name in REGISTRY:
@@ -190,10 +170,6 @@ def main(argv: list[str] | None = None) -> int:
         outcomes = (run_task(*_task_args(name, args)) for name in names)
     for outcome in outcomes:
         _report(outcome, args.out, failures)
-
-    if args.fleet_metrics:
-        _finalize_fleet(args.out,
-                        [name for name in names if name not in failures])
 
     if failures:
         print(f"{len(failures)} of {len(names)} experiments failed "

@@ -163,7 +163,6 @@ def run_task(
     metrics: bool = False,
     profile: bool = False,
     trace_sample: int = 1,
-    report: bool = False,
 ) -> TaskOutcome:
     """Run one experiment end to end: invoke ``runner``, render, save.
     Printing is left to the caller so that parallel runs emit output in
@@ -179,9 +178,7 @@ def run_task(
     ``trace_sample=N`` records 1-in-N kernel dispatch events (exactly
     accounted — see :attr:`repro.obs.Tracer.sampled_out`) to keep
     long traced runs cheap; ``profile`` wraps the run in cProfile and
-    a ``gc.callbacks`` collector clock and writes ``<name>.prof.txt``;
-    ``report`` renders the run's artifacts to ``<name>.report.md`` via
-    :func:`repro.obs.render_report`.
+    a ``gc.callbacks`` collector clock and writes ``<name>.prof.txt``.
     """
     kwargs = dict(FULL_SCALE.get(name, {})) if full else {}
     started = wallclock()
@@ -213,14 +210,6 @@ def run_task(
             obs.uninstall()
     table = result.format_table()
     path = result.save(out)
-    if report:
-        import pathlib
-
-        from repro.obs.insight.report import render_report
-
-        report_path = pathlib.Path(out) / f"{name}.report.md"
-        report_path.write_text(render_report(out, names=[name]))
-        extras.append(str(report_path))
     return TaskOutcome(
         name=name, table=table, path=str(path),
         elapsed=wallclock() - started, extras=extras,

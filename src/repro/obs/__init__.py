@@ -9,13 +9,9 @@ Three pieces, assembled by :mod:`repro.obs.runtime`:
 * :mod:`repro.obs.exporters` — JSONL and Chrome trace-event writers
   plus the validators behind ``python -m repro.obs validate``.
 * :mod:`repro.obs.insight` — the analysis layer over exported
-  artifacts: :class:`TraceFrame` indexing, ``python -m repro.obs
-  report`` and ``python -m repro.obs diff``.  The report's counter
-  verdicts come from the online detectors in
-  :mod:`repro.defense.detectors`.
-* :mod:`repro.obs.fleet` — the post-batch fleet pass: deterministic
-  merging of per-task metric snapshots into ``fleet_metrics.json``
-  (``--fleet-metrics``).
+  artifacts: :class:`TraceFrame` indexing and ``python -m repro.obs
+  report``.  The report's counter verdicts come from the online
+  detectors in :mod:`repro.defense.detectors`.
 
 Everything is disabled by default; ``install(trace=..., metrics=...)``
 turns it on for the current process (the experiments CLI does this for
@@ -32,16 +28,7 @@ from .exporters import (
     write_jsonl,
     write_metrics_json,
 )
-from .fleet import (
-    merge_snapshots,
-    write_fleet_artifacts,
-)
-from .insight import (
-    DiffResult,
-    TraceFrame,
-    diff_runs,
-    render_report,
-)
+from .insight import TraceFrame, render_report
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .runtime import (
     ObsSession,
@@ -58,7 +45,6 @@ from .tracer import TraceEvent, Tracer
 
 __all__ = [
     "Counter",
-    "DiffResult",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -67,10 +53,8 @@ __all__ = [
     "TraceFrame",
     "Tracer",
     "attach_simulator",
-    "diff_runs",
     "engine_tracer",
     "install",
-    "merge_snapshots",
     "render_report",
     "register_rnic",
     "registry",
@@ -83,7 +67,6 @@ __all__ = [
     "validate_paths",
     "validate_trace_jsonl",
     "write_chrome_trace",
-    "write_fleet_artifacts",
     "write_jsonl",
     "write_metrics_json",
 ]

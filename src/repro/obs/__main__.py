@@ -1,19 +1,15 @@
-"""CLI: validate, report on, and diff observability artifacts.
+"""CLI: validate and report on observability artifacts.
 
 ::
 
     python -m repro.obs validate out/table5.trace.jsonl \
         out/table5.trace.json out/table5.metrics.json
     python -m repro.obs report out/ --out out/run.report.md
-    python -m repro.obs diff results_a/ results_b/ --tolerance 0.2
 
 ``validate`` exits 1 and prints each problem when any file fails its
-schema (the ``tools/check.sh`` obs smoke stage); it understands the
-fleet pass's ``fleet_metrics.json`` too.  ``report`` renders a
+schema (the ``tools/check.sh`` obs smoke stage).  ``report`` renders a
 deterministic markdown run report (same seed ⇒ same bytes; the check.sh
-insight stage diffs it against a committed golden).  ``diff`` compares two run directories
-with configurable tolerances and exits nonzero on regression, so CI
-can gate on run-to-run drift.
+insight stage diffs it against a committed golden).
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ import pathlib
 import sys
 
 from .exporters import validate_path
-from .insight.diff import diff_runs
 from .insight.report import DEFAULT_TOP, render_report
 
 
@@ -60,18 +55,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_diff(args) -> int:
-    try:
-        result = diff_runs(args.run_a, args.run_b,
-                           tolerance=args.tolerance,
-                           bench_tolerance=args.bench_tolerance)
-    except FileNotFoundError as error:
-        print(f"repro.obs: {error}", file=sys.stderr)
-        return 2
-    print(result.render(), end="")
-    return 0 if result.ok else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs", description=__doc__.splitlines()[0]
@@ -97,23 +80,9 @@ def main(argv=None) -> int:
                         help=f"slow spans to list (default {DEFAULT_TOP})")
     report.set_defaults(func=_cmd_report)
 
-    diff = sub.add_parser(
-        "diff", help="compare two run directories; nonzero on regression")
-    diff.add_argument("run_a", type=pathlib.Path)
-    diff.add_argument("run_b", type=pathlib.Path)
-    diff.add_argument("--tolerance", type=float, default=0.2,
-                      help="relative metric-drift tolerance (default 0.2)")
-    diff.add_argument("--bench-tolerance", type=float, default=0.2,
-                      help="allowed fractional bench ops/s drop "
-                           "(default 0.2)")
-    diff.set_defaults(func=_cmd_diff)
-
     args = parser.parse_args(argv)
     if args.command == "report" and args.top < 1:
         parser.error("--top must be positive")
-    if args.command == "diff" and not (
-            0.0 < args.tolerance < 1.0 and 0.0 < args.bench_tolerance < 1.0):
-        parser.error("tolerances must be in (0, 1)")
     return args.func(args)
 
 

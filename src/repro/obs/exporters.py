@@ -200,9 +200,8 @@ def _check_histogram_row(row: dict, where: str, errors: list) -> None:
 
 
 def validate_metrics_json(path) -> list:
-    """Structural + per-row check of a metrics snapshot file (per-task
-    ``<name>.metrics.json`` or the merged ``fleet_metrics.json``, which
-    has the same shape).  Error messages carry the flattened record
+    """Structural + per-row check of a metrics snapshot file
+    (``<name>.metrics.json``).  Error messages carry the flattened record
     index (sorted component, then sorted metric name — the snapshot's
     own serialization order) so a failing record in a large snapshot is
     findable by position, not just by name."""
@@ -249,12 +248,8 @@ def validate_metrics_json(path) -> list:
 
 def validate_path(path) -> list:
     """Dispatch on filename: ``*.trace.jsonl`` / ``*.trace.json`` /
-    ``*.metrics.json`` (the names :meth:`ObsSession.export` writes) plus
-    the fleet pass's ``fleet_metrics.json``."""
+    ``*.metrics.json`` (the names :meth:`ObsSession.export` writes)."""
     name = pathlib.Path(path).name
-    if name == "fleet_metrics.json":
-        # the merged fleet snapshot has exactly the per-task shape
-        return validate_metrics_json(path)
     if name.endswith(".trace.jsonl"):
         return validate_trace_jsonl(path)
     if name.endswith(".trace.json"):
@@ -262,7 +257,7 @@ def validate_path(path) -> list:
     if name.endswith(".metrics.json"):
         return validate_metrics_json(path)
     return [f"{path}: unrecognized artifact name (expected *.trace.jsonl, "
-            f"*.trace.json, *.metrics.json or fleet_metrics.json)"]
+            "*.trace.json or *.metrics.json)"]
 
 
 def validate_paths(paths: Sequence) -> list:

@@ -46,12 +46,14 @@ def discover_runs(run_dir: pathlib.Path,
                   names: Optional[Sequence[str]] = None) -> list[str]:
     """Experiment names present in a run directory, from any artifact
     the runner writes (``<name>.txt`` / ``.trace.jsonl`` /
-    ``.metrics.json`` / ``.error.txt``)."""
+    ``.trace.json`` / ``.metrics.json`` / ``.error.txt`` /
+    ``.prof.txt``).  A report is not one of them: ``report D --out
+    D/run.report.md`` must not add an experiment ``run`` to D."""
     found = set()
     for path in run_dir.iterdir():
         stem = path.name
         for suffix in (".trace.jsonl", ".trace.json", ".metrics.json",
-                       ".error.txt", ".report.md", ".prof.txt", ".txt"):
+                       ".error.txt", ".prof.txt", ".txt"):
             if stem.endswith(suffix):
                 found.add(stem[: -len(suffix)])
                 break
@@ -163,8 +165,7 @@ def _trace_sections(frame: TraceFrame, top: int) -> list[str]:
     return lines
 
 
-def _metrics_section(path: pathlib.Path,
-                     heading: str = "### Metrics snapshot") -> list[str]:
+def _metrics_section(path: pathlib.Path) -> list[str]:
     payload = json.loads(path.read_text())
     if not isinstance(payload, dict) or not payload:
         return []
@@ -186,21 +187,8 @@ def _metrics_section(path: pathlib.Path,
             rows.append([f"`{component}`", f"`{name}`", kind, value])
     if not rows:
         return []
-    return ["", heading, "",
+    return ["", "### Metrics snapshot", "",
             *_table(["component", "metric", "type", "value"], rows)]
-
-
-def _fleet_section(run_dir: pathlib.Path) -> list[str]:
-    """The whole-run fleet view: the merged snapshot, preferred over
-    repeating every per-experiment table."""
-    fleet = run_dir / "fleet_metrics.json"
-    if not fleet.exists():
-        return []
-    return ["", "## Fleet metrics", "",
-            "Merged across every experiment's metrics snapshot "
-            "(`fleet_metrics.json`); per-experiment snapshot "
-            "tables are omitted in its favor.",
-            *_metrics_section(fleet, heading="### Merged snapshot")]
 
 
 def _history_section(history_dir: pathlib.Path) -> list[str]:
@@ -267,9 +255,8 @@ def render_report(run_dir, names: Optional[Sequence[str]] = None,
         if trace.exists():
             lines.extend(_trace_sections(TraceFrame.load(trace), top=top))
         metrics = run_dir / f"{name}.metrics.json"
-        if metrics.exists() and not (run_dir / "fleet_metrics.json").exists():
+        if metrics.exists():
             lines.extend(_metrics_section(metrics))
-    lines.extend(_fleet_section(run_dir))
     if history_dir is not None:
         history_dir = pathlib.Path(history_dir)
         if history_dir.is_dir():

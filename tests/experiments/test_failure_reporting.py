@@ -5,6 +5,7 @@ whose worker dies without a Python exception.
 """
 
 import os
+import time
 
 import pytest
 
@@ -85,6 +86,13 @@ def _die(seed=0):
     os._exit(1)
 
 
+def _slow(seed=0):
+    # still asleep when its neighbour's worker dies, so the broken pool
+    # takes it down although it would have succeeded
+    time.sleep(60)
+    return ok_result("slow")
+
+
 class TestDeadWorker:
     def test_dead_worker_is_reported_not_fatal(self, registry, tmp_path,
                                                capsys):
@@ -97,8 +105,27 @@ class TestDeadWorker:
         err = capsys.readouterr().err
         assert "raised in a worker" in \
             (tmp_path / "boom.error.txt").read_text()
-        assert "BrokenProcessPool" in \
-            (tmp_path / "dead.error.txt").read_text()
+        dead_error = (tmp_path / "dead.error.txt").read_text()
+        assert "BrokenProcessPool" in dead_error
+        assert dead_error.splitlines()[0] == _broken_pool_line("dead")
         assert f"[dead: FAILED -> {tmp_path / 'dead.error.txt'}]" in err
         assert "2 of 3 experiments failed (1 completed): boom, dead" in err
         assert (tmp_path / "good.txt").exists()
+
+        # a good experiment running beside the dying one goes down with
+        # it; both error files name both, as either may be the culprit
+        registry({"dead": _die, "good": _slow})
+        both = tmp_path / "both"
+        assert main(["--all", "--jobs", "2", "--out", str(both)]) == 1
+        assert "2 of 2 experiments failed (0 completed): dead, good" in \
+            capsys.readouterr().err
+        for name in ("dead", "good"):
+            text = (both / f"{name}.error.txt").read_text()
+            assert text.splitlines()[0] == _broken_pool_line("dead, good")
+            assert "BrokenProcessPool" in text
+
+
+def _broken_pool_line(down: str) -> str:
+    return (f"a worker died and broke the pool, taking down {down}; any "
+            "one of them may be the one whose worker died: rerun them "
+            "with --jobs 1 to find it")

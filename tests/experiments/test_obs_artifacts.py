@@ -129,25 +129,14 @@ def test_failed_run_exports_nothing(tmp_path):
     assert obs.session() is None
 
 
-def test_report_flag_renders_markdown_next_to_the_table(tmp_path):
-    outcome = run_task(
-        "table5", _tiny_table5, 0, False, False, str(tmp_path),
-        trace=True, metrics=True, report=True,
-    )
-    assert outcome.ok, outcome.error
-    report = tmp_path / "table5.report.md"
-    assert str(report) in outcome.extras
-    text = report.read_text()
-    assert text.startswith("# repro run report")
-    assert "## table5" in text
-    assert "### Span latency" in text
-
-
-def test_cli_report_flag(tmp_path):
-    code = main(["table5", "--smoke", "--trace", "--report",
-                 "--out", str(tmp_path)])
-    assert code == 0
-    assert (tmp_path / "table5.report.md").exists()
+def test_faults_retransmits_reach_the_metrics_snapshot(tmp_path, capsys):
+    """The faults experiment's rnr-pressure leg retransmits, and the
+    per-leg RNIC's counters land in ``faults.metrics.json``."""
+    assert main(["faults", "--smoke", "--metrics",
+                 "--out", str(tmp_path)]) == 0
+    snapshot = json.loads((tmp_path / "faults.metrics.json").read_text())
+    pressure = snapshot["rnic.faults.rnr-pressure.rnic"]
+    assert pressure["retransmits"]["value"] > 0
 
 
 def test_trace_sample_writes_fewer_dispatch_records(tmp_path):

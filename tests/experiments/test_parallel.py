@@ -55,14 +55,18 @@ class TestParallelRunner:
     def test_jobs_output_byte_identical_to_serial(self, tmp_path, capsys):
         ser = tmp_path / "serial"
         par = tmp_path / "parallel"
-        assert main([*FAST_EXPERIMENTS, "--out", str(ser)]) == 0
+        assert main([*FAST_EXPERIMENTS, "--metrics",
+                     "--out", str(ser)]) == 0
         serial_out = capsys.readouterr().out
-        assert main([*FAST_EXPERIMENTS, "--jobs", "4",
+        assert main([*FAST_EXPERIMENTS, "--metrics", "--jobs", "4",
                      "--out", str(par)]) == 0
         parallel_out = capsys.readouterr().out
 
+        # tables and <name>.metrics.json snapshots alike
         assert _dir_bytes(ser) == _dir_bytes(par)
-        assert _strip_timing(serial_out) == _strip_timing(parallel_out)
+        assert any(name.endswith(".metrics.json") for name in _dir_bytes(ser))
+        assert _strip_timing(serial_out.replace(str(ser), str(par))) == \
+            _strip_timing(parallel_out)
 
     def test_more_jobs_than_tasks(self, tmp_path, capsys):
         # worker count is clamped to the batch size; a wide pool on a

@@ -86,6 +86,16 @@ def test_discover_runs_and_names_filter(tmp_path):
     assert "## a" in report and "## b" not in report
 
 
+def test_report_written_into_its_run_dir_is_not_an_experiment(tmp_path):
+    # `report D --out D/run.report.md`, then render D again: the report
+    # file must not surface as a phantom experiment `run`
+    run = _make_run(tmp_path / "run")
+    first = render_report(run)
+    (run / "run.report.md").write_text(first)
+    assert discover_runs(run) == ["exp"]
+    assert render_report(run) == first
+
+
 def test_report_empty_run_dir(tmp_path):
     run = tmp_path / "empty"
     run.mkdir()

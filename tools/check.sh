@@ -23,9 +23,7 @@
 #   7. insight       — BLOCKING: a sampled-trace table5 run rendered
 #                      with `python -m repro.obs report` and diffed
 #                      byte-for-byte against the committed golden
-#                      (tests/obs/golden/table5.report.md), then
-#                      `python -m repro.obs diff` of the run against
-#                      itself (must exit 0)
+#                      (tests/obs/golden/table5.report.md)
 #   8. speedups      — ADVISORY: build the C event-kernel accelerator
 #                      (repro.sim falls back to pure Python without it);
 #                      a .so this script built is removed on exit
@@ -41,19 +39,13 @@
 #                      after a planned run) and the flight-lifetime
 #                      test (every scalar stage) run under it, then the
 #                      optimized .so is restored before the bench gate
-#  10. fleet smoke   — BLOCKING: the post-batch fleet pass
-#                      (docs/OBSERVABILITY.md "Fleet metrics"): a
-#                      two-experiment --jobs 2 run with --fleet-metrics,
-#                      fleet_metrics.json schema-validated and its
-#                      "Fleet metrics" section rendered into the run
-#                      report
-#  11. bench gate    — BLOCKING: simulator throughput vs the committed
+#  10. bench gate    — BLOCKING: simulator throughput vs the committed
 #                      baseline (docs/PERF.md); fails on a >20 %
 #                      event-dispatch regression (skips on engine
 #                      mismatch) or a >2 % tracing-disabled
 #                      observability overhead; each run is archived to
 #                      benchmarks/history/ for report trend lines
-#  12. pytest tier-1 — BLOCKING: the full unit/integration suite
+#  11. pytest tier-1 — BLOCKING: the full unit/integration suite
 set -u
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -109,7 +101,6 @@ python -m repro.experiments table5 --smoke --trace-sample 100 --metrics \
 python -m repro.obs report "$insight_out" --out "$insight_out/run.report.md" || fail=1
 diff -u tests/obs/golden/table5.report.md "$insight_out/run.report.md" \
     || { echo "-- run report drifted from the committed golden (regenerate via docs/OBSERVABILITY.md)"; fail=1; }
-python -m repro.obs diff "$insight_out" "$insight_out" || fail=1
 
 echo "== C event-kernel build (advisory) =="
 tools/build_speedups.sh || echo "-- C accelerator unavailable; pure-Python kernel in use"
@@ -138,15 +129,6 @@ elif [ -n "$asan_rt" ] && [ -e "$asan_rt" ] \
 else
     echo "== sanitizer smoke: skipped (no cc/libasan or no accelerator) =="
 fi
-
-echo "== fleet smoke (blocking) =="
-fleet_out="$(mktemp -d)"
-python -m repro.experiments table5 faults --smoke --jobs 2 \
-    --fleet-metrics --out "$fleet_out" || fail=1
-python -m repro.obs validate "$fleet_out/fleet_metrics.json" || fail=1
-python -m repro.obs report "$fleet_out" --out "$fleet_out/run.report.md" || fail=1
-grep -q '## Fleet metrics' "$fleet_out/run.report.md" \
-    || { echo "-- run report is missing the Fleet metrics section"; fail=1; }
 
 echo "== simulator benchmark gate (blocking) =="
 python tools/bench_gate.py --run-id "$(date -u +%Y%m%dT%H%M%SZ)" || fail=1
