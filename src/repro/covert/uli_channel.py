@@ -21,6 +21,15 @@ paper's few-percent error rates.
 
 Subclasses only define the two target sets and the receiver's
 background targets.
+
+A clean session — no ambient client, no fault process or injector, no
+observer — is planned whole by :class:`repro.rnic.closed_loop.Plan`:
+both readers' reads as one merged closed-loop recurrence from the
+session's quiescent start, the sender's target set switching at the
+frame's scheduled bit flips, committed at the end of the frame with
+the reads still in flight handed to the scalar pipeline.  Samples,
+counters and simulator state are the scalar session's bit for bit; any
+session the plan cannot prove exact runs on the scalar pipeline.
 """
 
 from __future__ import annotations
@@ -45,6 +54,8 @@ from repro.fabric.network import Link
 from repro.host.cluster import Cluster
 from repro.obs import runtime as _obs
 from repro.host.node import Host
+from repro.rnic.batch import Declined, count_fallback
+from repro.rnic.closed_loop import Plan
 from repro.rnic.spec import RNICSpec, cx5
 from repro.sim.units import MEBIBYTE, MICROSECONDS
 from repro.telemetry.uli import ProbeTarget
@@ -170,10 +181,21 @@ class AmbientClient:
 
 
 class _Session:
-    """One live channel session: cluster + both endpoint readers."""
+    """One live channel session: cluster + both endpoint readers.
+
+    A clean session is planned whole (:class:`repro.rnic.closed_loop.
+    Plan`): from its quiescent start, before either reader posts,
+    through :meth:`warm_up` to the end of :meth:`run_frame`, where the
+    plan is committed and the reads still in flight go to the scalar
+    pipeline.  Until then the cluster stays at the session start, and
+    :attr:`now` is the warm-up's cut.  An ambient tenant, a fault plan
+    that arms anything, an observer, or a tie the plan cannot order
+    declines it: the readers then start on the scalar pipeline and the
+    session replays from its start, with the same results."""
 
     def __init__(self, channel: "ULIChannelBase", seed: int) -> None:
         cfg = channel.config
+        self.channel = channel
         self.cluster = Cluster(seed=seed)
         server = self.cluster.add_host("server", spec=channel.spec)
         tx_host = self.cluster.add_host("covert-tx", spec=channel.spec,
@@ -189,72 +211,149 @@ class _Session:
             )
 
         rx_targets = channel.receiver_targets()
-        rx_cursor = [0]
-
-        def next_rx_target() -> ProbeTarget:
-            target = rx_targets[rx_cursor[0] % len(rx_targets)]
-            rx_cursor[0] += 1
-            return target
-
+        self._rx_targets = rx_targets
+        #: reads posted so far by the receiver and the sender (each
+        #: cycles through its target set by this count)
+        self._posts = [0, 0]
         self.current_bit = [0]
-        tx_cursor = [0]
-
-        def next_tx_target() -> ProbeTarget:
-            targets = channel.sender_targets(self.current_bit[0])
-            target = targets[tx_cursor[0] % len(targets)]
-            tx_cursor[0] += 1
-            return target
 
         # Under an armed fault plan the endpoints must survive failed
         # completions (retry-budget exhaustion shows up as an errored
         # CQE); a clean session keeps the loud fail-fast behaviour.
         survive = cfg.fault_plan is not None
-        self.receiver = PipelinedReader(rx_conn, next_rx_target,
+        self.receiver = PipelinedReader(rx_conn, self._next_rx_target,
                                         halt_on_error=survive)
         self.sender = PipelinedReader(
-            tx_conn, next_tx_target,
+            tx_conn, self._next_tx_target,
             depth=min(cfg.sender_depth, cfg.max_send_queue),
             halt_on_error=survive,
         )
-        self.receiver.start()
-        self.sender.start()
+        self._warmup = 0
+        self._cut = self.cluster.sim.now
+        self._plan: Optional[Plan] = None
+        try:
+            if cfg.ambient_depth > 0:
+                # the ambient client starts after the readers: its
+                # events would interleave with theirs
+                raise Declined("not_quiescent")
+            self._plan = Plan(
+                [(rx_conn, self.receiver.depth, lambda symbol: rx_targets,
+                  self.receiver._on_completion),
+                 (tx_conn, self.sender.depth, channel.sender_targets,
+                  self.sender._on_completion)])
+        except Declined as declined:
+            self._decline(declined.reason)
         self.ambient = None
         if cfg.ambient_depth > 0:
             self.ambient = AmbientClient(self.cluster, server, cfg)
             self.ambient.start()
 
+    def _next_rx_target(self) -> ProbeTarget:
+        target = self._rx_targets[self._posts[0] % len(self._rx_targets)]
+        self._posts[0] += 1
+        return target
+
+    def _next_tx_target(self) -> ProbeTarget:
+        targets = self.channel.sender_targets(self.current_bit[0])
+        target = targets[self._posts[1] % len(targets)]
+        self._posts[1] += 1
+        return target
+
+    @property
+    def now(self) -> float:
+        """The session's clock: the simulator's, or the warm-up's cut
+        while the plan holds the session."""
+        return self._cut if self._plan is not None else self.cluster.sim.now
+
+    def _decline(self, reason: str) -> None:
+        """Drop the plan, count why, and start both readers on the
+        scalar pipeline from the session start."""
+        if self._plan is not None:
+            self._plan.restore()
+            self._plan = None
+        count_fallback(self.receiver.conn.qp.context.engine.counters, reason)
+        for reader in (self.receiver, self.sender):
+            reader.samples.clear()
+            reader.completed = 0
+        self.receiver.start()
+        self.sender.start()
+
+    def _publish(self, counts: Sequence[int]) -> None:
+        """Hand each reader its planned completions up to ``counts``."""
+        for reader, flow, count in zip((self.receiver, self.sender),
+                                       self._plan.flows, counts):
+            post, comps, depth = flow.post, flow.comps, flow.depth
+            reader.samples.extend(
+                (0.5 * (post[j] + comps[j]),
+                 (comps[j] - post[j]) / (j + 1 if j < depth else depth))
+                for j in range(reader.completed, count))
+            reader.completed = count
+
     def warm_up(self, completions: int) -> float:
         """Run until the receiver has ``completions`` samples; returns
         the estimated inter-completion time."""
+        self._warmup = completions
+        if self._plan is not None:
+            try:
+                self._cut = self._plan.warm_up(completions)
+            except Declined as declined:
+                self._decline(declined.reason)
+            else:
+                self._publish(self._plan.published)
+        if self._plan is None:
+            self._step_to(completions)
+        warm = self.receiver.samples[-(completions // 2):]
+        return (warm[-1][0] - warm[0][0]) / (len(warm) - 1)
+
+    def _step_to(self, completions: int) -> None:
         while self.receiver.completed < completions:
             if self.receiver.halted:
                 raise RuntimeError("receiver failed during warm-up")
             if not self.cluster.sim.step():
                 raise RuntimeError("simulation drained during warm-up")
-        warm = self.receiver.samples[-(completions // 2):]
-        return (warm[-1][0] - warm[0][0]) / (len(warm) - 1)
+
+    def _finish(self, flips: list, until: float) -> bool:
+        """Commit the plan through ``until``; False if it declined (the
+        warm-up then replayed on the scalar pipeline)."""
+        plan = self._plan
+        try:
+            plan.finish(until, {1: flips})
+        except Declined as declined:
+            self._decline(declined.reason)
+            self._step_to(self._warmup)
+            return False
+        self._publish([len(flow.comps) for flow in plan.flows])
+        self._posts = [len(flow.post) for flow in plan.flows]
+        if flips:
+            self.current_bit[0] = flips[-1][1]
+        self._plan = None
+        self.receiver.conn.qp.context.engine.counters.lockstep_runs += 1
+        return True
 
     def run_frame(self, frame: list[int], period: float, tail_ns: float) -> float:
         """Schedule the sender's bit flips and run the frame; returns
         the frame start time."""
         sim = self.cluster.sim
-        start = sim.now + 2 * MICROSECONDS
-        obs = _obs.tracer_for(sim)
-
-        def set_bit(bit: int) -> None:
-            self.current_bit[0] = bit
-            if obs is not None:
-                obs.instant("covert.bit", category="covert",
-                            component="covert.tx", bit=bit)
-
-        for index, bit in enumerate(frame):
-            sim.schedule_at(start + index * period, set_bit, bit)
+        start = self.now + 2 * MICROSECONDS
         end = start + len(frame) * period
-        if obs is not None:
-            obs.span("covert.frame", start, len(frame) * period,
-                     category="covert", component="covert.tx",
-                     bits=len(frame), period_ns=period)
-        sim.run(until=end + tail_ns)
+        if self._plan is None or not self._finish(
+                [(start + index * period, bit)
+                 for index, bit in enumerate(frame)], end + tail_ns):
+            obs = _obs.tracer_for(sim)
+
+            def set_bit(bit: int) -> None:
+                self.current_bit[0] = bit
+                if obs is not None:
+                    obs.instant("covert.bit", category="covert",
+                                component="covert.tx", bit=bit)
+
+            for index, bit in enumerate(frame):
+                sim.schedule_at(start + index * period, set_bit, bit)
+            if obs is not None:
+                obs.span("covert.frame", start, len(frame) * period,
+                         category="covert", component="covert.tx",
+                         bits=len(frame), period_ns=period)
+            sim.run(until=end + tail_ns)
         self.sender.stop()
         self.receiver.stop()
         return start

@@ -15,24 +15,22 @@ Experiments are *isolated*: a crash in one writes its traceback next to
 the results as ``<name>.error.txt``, the remaining experiments still
 run, and the process exits nonzero with a failure summary.
 
-``--jobs N`` maps the batch over a spawn process pool, one fresh worker
-per experiment, so results and tables are byte-identical to a serial
-run and stdout stays in submission order.  A worker that dies without a
-Python exception breaks the pool: that experiment, and any the broken
-pool could not run, are reported as failed the same way, with no
-respawn and no retry (docs/RUNTIME.md).  Each of their error files
-opens with one line naming them all, since any one of them may be the
-one whose worker died.
+``--jobs N`` runs each experiment in a fresh spawn process, at most N
+at once, so results and tables are byte-identical to a serial run and
+stdout stays in submission order.  A process that dies without a
+Python exception fails its own experiment only, reported the same way
+with its exit code or signal, with no respawn and no retry
+(docs/RUNTIME.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import pathlib
+import signal
 import sys
-import traceback
 
-from repro.experiments.runner import REGISTRY, TaskOutcome, run_task
+from repro.experiments.runner import REGISTRY, TaskOutcome, run_task, send_task
 
 
 def _report(outcome: TaskOutcome, out: str,
@@ -65,41 +63,48 @@ def _task_args(name: str, args) -> tuple:
 
 
 def _run_pool(names: list[str], args):
-    """Yield each experiment's outcome in submission order, run on a
-    spawn pool with one fresh worker per experiment.  A worker that
-    dies breaks the pool; the experiments it takes down are reported
-    as failed with the ``BrokenProcessPool`` traceback, under one line
-    that names them all: the traceback cannot tell which one died."""
-    import concurrent.futures
+    """Yield each experiment's outcome in submission order, each run in
+    a fresh spawn process (at most ``args.jobs`` at once) that sends its
+    ``TaskOutcome`` back on a pipe.  A process that exits without
+    sending one fails its own experiment only, with its exit code or
+    signal as the error."""
     import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.connection import wait
 
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(args.jobs, len(names)),
-        mp_context=multiprocessing.get_context("spawn"),
-        max_tasks_per_child=1,
-    ) as pool:
-        futures = [pool.submit(run_task, *_task_args(name, args))
-                   for name in names]
-        note = ""
-        for name, future in zip(names, futures):
-            try:
-                outcome = future.result()
-            except BrokenProcessPool as error:
-                if not note:
-                    # the broken pool fails every pending future; wait
-                    # until it has, then name all of them
-                    concurrent.futures.wait(futures)
-                    down = [other for other, done in zip(names, futures)
-                            if isinstance(done.exception(),
-                                          BrokenProcessPool)]
-                    note = ("a worker died and broke the pool, taking "
-                            f"down {', '.join(down)}; any one of them may "
-                            "be the one whose worker died: rerun them "
-                            "with --jobs 1 to find it\n")
-                outcome = TaskOutcome(name=name, error=note + "".join(
-                    traceback.format_exception(error)))
-            yield outcome
+    spawn = multiprocessing.get_context("spawn")
+    waiting, running, done = list(names), {}, {}
+    for name in names:
+        while name not in done:
+            while waiting and len(running) < args.jobs:
+                task = waiting.pop(0)
+                reader, writer = spawn.Pipe(duplex=False)
+                process = spawn.Process(target=send_task, args=(
+                    writer, _task_args(task, args)), name=task)
+                process.start()
+                writer.close()
+                running[task] = (process, reader)
+            ready = wait([handle for process, reader in running.values()
+                          for handle in (process.sentinel, reader)])
+            for task, (process, reader) in list(running.items()):
+                if process.sentinel in ready or reader in ready:
+                    try:
+                        outcome = reader.recv()
+                    except EOFError:  # exited without sending one
+                        outcome = None
+                    process.join()
+                    reader.close()
+                    del running[task]
+                    done[task] = outcome if outcome is not None else \
+                        TaskOutcome(name=task,
+                                    error=_death(task, process.exitcode))
+        yield done.pop(name)
+
+
+def _death(name: str, code: int) -> str:
+    """The error text of an experiment whose process died silently."""
+    how = (f"was killed by signal {signal.Signals(-code).name}" if code < 0
+           else f"exited with code {code}")
+    return f"the process running {name} {how} without reporting an outcome\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,10 +1,10 @@
 """Experiment registry and the single-experiment task runner.
 
-This module holds everything the command-line driver and the
-``--jobs N`` process pool share.  The pool pickles :func:`run_task` and
-the runner it is handed by qualified name, so both must live in
-importable modules (not in ``__main__``, which spawn re-imports under a
-different name).
+This module holds everything the command-line driver and its
+``--jobs N`` processes share.  A spawn process unpickles
+:func:`send_task`, which runs :func:`run_task`, and the runner it is
+handed by qualified name, so all three must live in importable modules
+(not in ``__main__``, which spawn re-imports under a different name).
 
 Determinism contract: one experiment run in a fresh worker process must
 produce byte-identical output to the same experiment run serially in a
@@ -93,7 +93,7 @@ def _invoke(runner: Callable, seed: int, smoke: bool, kwargs: dict):
 
 @dataclasses.dataclass
 class TaskOutcome:
-    """What one experiment run produced, serial or in a pool worker."""
+    """What one experiment run produced, serial or in a --jobs process."""
 
     name: str
     table: Optional[str] = None      # rendered table (None on failure)
@@ -169,7 +169,7 @@ def run_task(
     deterministic submission order.
 
     ``runner`` is the experiment's entry in the caller's registry; a
-    pool worker receives it pickled by qualified name.  A crash is
+    ``--jobs`` process receives it pickled by qualified name.  A crash is
     captured as the outcome's ``error`` traceback instead of raised.
 
     ``trace``/``metrics`` install a fresh :mod:`repro.obs` session
@@ -214,3 +214,12 @@ def run_task(
         name=name, table=table, path=str(path),
         elapsed=wallclock() - started, extras=extras,
     )
+
+
+def send_task(writer, task_args: tuple) -> None:
+    """Run one experiment in a ``--jobs`` process; send its outcome.
+
+    The process's body: :func:`run_task`, its ``TaskOutcome`` sent back
+    on ``writer``."""
+    writer.send(run_task(*task_args))
+    writer.close()

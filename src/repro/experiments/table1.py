@@ -41,7 +41,7 @@ measured online column does not hold it on most seeds.  Over seeds
 on 12 seeds (2-4 and 6-14); only seed 0 matches the claim.  The
 priority channel is flagged on every seed.  This is a recorded
 finding, not a bound to tune: the detector thresholds and ``notes``
-are unchanged (ROADMAP item 6).
+are unchanged (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ def _uli_sender_profile(channel_name: str, seed: int
     session = _Session(channel, seed)
     inter_completion = session.warm_up(channel.config.warmup_completions)
     period = channel.config.samples_per_bit * inter_completion
-    start = session.cluster.sim.now
-    start_posted = session.sender.conn.qp.total_posted
+    start = session.now
+    start_completed = session.sender.completed
     frame_start = session.run_frame(list(bits), period, tail_ns=period)
     duration = session.cluster.sim.now - start
     sender_qp = session.sender.conn.qp
@@ -216,7 +216,9 @@ def _uli_sender_profile(channel_name: str, seed: int
     # attach the (steady-state, warm) cache telemetry the server sees
     profile = dataclasses_replace_cache(
         profile,
-        cache_accesses=max(sender_qp.total_posted - start_posted, 1),
+        # every completion in the frame re-posts: its posts are its
+        # completions
+        cache_accesses=max(session.sender.completed - start_completed, 1),
         cache_misses=mpt.misses,
         cache_evictions=mpt.evictions,
     )

@@ -107,6 +107,8 @@ FALLBACK_REASONS = (
     "cq_in_use",       # closed loop: stale CQEs or an on_completion hook
     "pcie_hazard",     # a CQE write could precede the last WQE fetch
     "tie",             # closed loop: an exact event-time tie it cannot order
+    "order",           # closed loop: a station's order is not provably merged
+    "horizon",         # lockstep: the warm-up plan ran past the frame's end
 )
 
 

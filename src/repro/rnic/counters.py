@@ -58,9 +58,12 @@ class NICCounters:
         #: simulated outcome is the same either way.
         self.batch_fast_cohorts = 0
         self.batch_fallbacks: dict[str, int] = {}
-        #: ULI probe runs planned by :mod:`repro.rnic.closed_loop`; its
-        #: declines count in ``batch_fallbacks`` too.
+        #: ULI probe runs and lockstep channel sessions planned by
+        #: :mod:`repro.rnic.closed_loop` (counted on the probe's, or the
+        #: session receiver's, NIC); its declines count in
+        #: ``batch_fallbacks`` too.
         self.closed_loop_runs = 0
+        self.lockstep_runs = 0
 
     def _check_tc(self, tc: int) -> int:
         if not 0 <= tc < self.num_traffic_classes:
@@ -124,6 +127,8 @@ class NICCounters:
             snap["batch_fast_cohorts"] = self.batch_fast_cohorts
         if self.closed_loop_runs:
             snap["closed_loop_runs"] = self.closed_loop_runs
+        if self.lockstep_runs:
+            snap["lockstep_runs"] = self.lockstep_runs
         for reason, count in self.batch_fallbacks.items():
             snap[f"batch_fallback_{reason}"] = count
         return snap

@@ -87,18 +87,15 @@ def _die(seed=0):
 
 
 def _slow(seed=0):
-    # still asleep when its neighbour's worker dies, so the broken pool
-    # takes it down although it would have succeeded
-    time.sleep(60)
+    # still running when its neighbour's process dies
+    time.sleep(2)
     return ok_result("slow")
 
 
 class TestDeadWorker:
     def test_dead_worker_is_reported_not_fatal(self, registry, tmp_path,
                                                capsys):
-        # module-level runners, so the spawn pool can pickle them; the
-        # good one is submitted first, so it has finished before the
-        # dying one starts (one fresh worker per task, FIFO queue)
+        # module-level runners, so the spawn processes can unpickle them
         registry({"good": _succeed, "boom": _raise, "dead": _die})
         assert main(["--all", "--jobs", "2",
                      "--out", str(tmp_path)]) == 1
@@ -106,26 +103,33 @@ class TestDeadWorker:
         assert "raised in a worker" in \
             (tmp_path / "boom.error.txt").read_text()
         dead_error = (tmp_path / "dead.error.txt").read_text()
-        assert "BrokenProcessPool" in dead_error
-        assert dead_error.splitlines()[0] == _broken_pool_line("dead")
+        assert dead_error == ("the process running dead exited with code 1 "
+                              "without reporting an outcome\n")
         assert f"[dead: FAILED -> {tmp_path / 'dead.error.txt'}]" in err
         assert "2 of 3 experiments failed (1 completed): boom, dead" in err
         assert (tmp_path / "good.txt").exists()
 
-        # a good experiment running beside the dying one goes down with
-        # it; both error files name both, as either may be the culprit
+        # a good experiment running beside the dying one completes: each
+        # experiment has a process of its own, and only its own death
+        # fails it
         registry({"dead": _die, "good": _slow})
         both = tmp_path / "both"
         assert main(["--all", "--jobs", "2", "--out", str(both)]) == 1
-        assert "2 of 2 experiments failed (0 completed): dead, good" in \
+        assert "1 of 2 experiments failed (1 completed): dead" in \
             capsys.readouterr().err
-        for name in ("dead", "good"):
-            text = (both / f"{name}.error.txt").read_text()
-            assert text.splitlines()[0] == _broken_pool_line("dead, good")
-            assert "BrokenProcessPool" in text
+        assert (both / "slow.txt").exists()
+        assert not (both / "good.error.txt").exists()
 
-
-def _broken_pool_line(down: str) -> str:
-    return (f"a worker died and broke the pool, taking down {down}; any "
-            "one of them may be the one whose worker died: rerun them "
-            "with --jobs 1 to find it")
+    def test_dying_last_submission_fails_alone(self, registry, tmp_path,
+                                               capsys):
+        # the dying experiment is submitted after slower ones, so it
+        # runs on a process started while the others are still running
+        registry({"slow": _slow, "good": _succeed, "dead": _die})
+        assert main(["--all", "--jobs", "2",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "1 of 3 experiments failed (2 completed): dead" in err
+        assert "exited with code 1" in \
+            (tmp_path / "dead.error.txt").read_text()
+        for name in ("slow", "good"):
+            assert (tmp_path / f"{name}.txt").exists()

@@ -112,17 +112,23 @@ elif [ -n "$asan_rt" ] && [ -e "$asan_rt" ] \
         && tools/build_speedups.sh --check >/dev/null 2>&1; then
     echo "== sanitizer smoke: ASan+UBSan engine equivalence (blocking) =="
     tools/build_speedups.sh --sanitize || fail=1
-    # the batch-equivalence suite and the cohort-planner oracle drive
-    # the C EventCore with planned cohorts (the oracle with random
-    # ones), the closed-loop oracle
-    # has the C EventCore fire the reads a planned probe run resumes,
-    # and the flight-lifetime test has it dispatch every scalar stage
-    # (retries, RNR NAKs, flushes), so all four run sanitized here
+    # each suite drives the C EventCore where a planner hands it work:
+    # - test_engines: both cores side by side, event for event;
+    # - the batch-equivalence suite and the cohort-planner oracle:
+    #   planned cohorts (the oracle random ones) and their drainer;
+    # - the closed-loop oracle: the reads a planned probe run resumes;
+    # - the lockstep oracle: the reads a planned two-reader session
+    #   leaves in flight, sessions that decline after warm-up and
+    #   replay on the scalar pipeline, and probes under fault plans
+    #   (retries, pause stalls, RNR NAKs);
+    # - the flight-lifetime test: every scalar stage (retries, RNR
+    #   NAKs, flushes)
     LD_PRELOAD="$asan_rt" ASAN_OPTIONS=detect_leaks=0 \
         python -m pytest -q tests/sim/test_engines.py \
         tests/rnic/test_batch_equivalence.py \
         tests/properties/test_cohort_planner.py \
         tests/properties/test_closed_loop.py \
+        tests/properties/test_lockstep.py \
         tests/rnic/test_flight_lifetime.py || fail=1
     # restore the optimized accelerator before anything times it
     tools/build_speedups.sh || fail=1
