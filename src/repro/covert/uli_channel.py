@@ -109,6 +109,10 @@ class ULIChannelConfig:
     def __post_init__(self) -> None:
         if self.samples_per_bit < 2:
             raise ValueError("need at least two samples per bit")
+        if self.warmup_completions < 4:
+            # warm_up estimates the period from the last half of the
+            # samples and needs two of them
+            raise ValueError("warm-up needs at least 4 completions")
         if self.max_send_queue < 1:
             raise ValueError("send queue must hold at least one WQE")
         if self.preamble_bits < 4:

@@ -43,7 +43,7 @@ class PartitionedTranslationUnit:
             )
         self.spec = spec
         self.num_partitions = num_partitions
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng if rng is not None else np.random.default_rng(0)  # ragnar-lint: disable=RAG101 — standalone construction only; every package caller passes a seed-derived stream
         self._units: dict[Hashable, TranslationUnit] = {}
 
     def _unit_for(self, tenant: Hashable) -> TranslationUnit:

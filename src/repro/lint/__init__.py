@@ -5,8 +5,9 @@ Three complementary parts:
 * a **static pass** (:mod:`repro.lint.engine` + :mod:`repro.lint.rules`):
   an AST rule engine with repo-specific per-file checks (RAG001,
   RAG003–RAG008), runnable as ``python -m repro.lint src/repro tests``;
-* a **whole-program pass** (:mod:`repro.lint.flow`): the RAG100–RAG106
-  dataflow rules over the call graph, ``python -m repro.lint --flow``;
+* a **whole-program pass** (:mod:`repro.lint.flow`): the RAG100,
+  RAG101 and RAG104–RAG106 dataflow rules over the call graph,
+  ``python -m repro.lint --flow``;
 * a **runtime auditor** (:mod:`repro.lint.determinism`): replays a
   workload from one seed and fails on any payload or event-trace
   divergence.

@@ -2,11 +2,8 @@
 
 Usage::
 
-    python -m repro.lint src/repro tests          # lint, text output
-    python -m repro.lint src/ --format json       # machine-readable
-    python -m repro.lint src/ --format sarif      # CI code scanning
+    python -m repro.lint src/repro tests          # per-file rules
     python -m repro.lint --flow src/repro         # whole-program pass
-    python -m repro.lint --flow --update-baseline # accept findings
     python -m repro.lint --list-rules             # per-file + flow rules
     python -m repro.lint --audit inter-mr         # runtime replay audit
 
@@ -22,65 +19,7 @@ import sys
 
 from repro.lint.determinism import AUDITS, run_audit
 from repro.lint.engine import run_lint
-from repro.lint.output import findings_to_json, findings_to_sarif
 from repro.lint.rules import default_rules, rule_index
-
-
-def _emit(findings, *, fmt: str, include_suppressed: bool,
-          files_scanned: int, summary: str, rule_titles,
-          extra=None) -> None:
-    shown = [f for f in findings if include_suppressed or not f.suppressed]
-    if fmt == "json":
-        print(findings_to_json(shown, files_scanned=files_scanned,
-                               extra=extra))
-    elif fmt == "sarif":
-        print(findings_to_sarif(shown, rule_titles=rule_titles))
-    else:
-        for finding in shown:
-            print(finding.format())
-        print(summary)
-
-
-def _run_flow(args, parser) -> int:
-    from repro.lint import flow
-    from repro.lint.flow.analyses import flow_rule_index
-    from repro.lint.flow.baseline import Baseline, load_baseline
-
-    paths = args.paths or ["src/repro"]
-    missing = [p for p in paths if not pathlib.Path(p).exists()]
-    if missing:
-        parser.error("no such file or directory: " + ", ".join(missing))
-
-    baseline_path = (pathlib.Path(args.baseline) if args.baseline
-                     else flow.default_baseline_path())
-    baseline = None
-    if baseline_path is not None and not args.update_baseline:
-        baseline = load_baseline(baseline_path)
-
-    report = flow.run_flow(paths, exclude=args.exclude, baseline=baseline)
-
-    if args.update_baseline:
-        if baseline_path is None:
-            parser.error("--update-baseline needs --baseline PATH "
-                         "(no tools/flow_baseline.json found)")
-        new_baseline = Baseline(
-            ff.fingerprint for ff in report.findings
-            if not ff.finding.suppressed)
-        new_baseline.save(baseline_path)
-        print(f"baseline updated: {len(new_baseline)} finding(s) "
-              f"written to {baseline_path}")
-        return 0
-
-    titles = {rule_id: rule.title
-              for rule_id, rule in flow_rule_index().items()}
-    titles["RAG000"] = "file could not be parsed"
-    _emit(sorted((ff.finding for ff in report.findings),
-                 key=lambda f: (f.path, f.line, f.col, f.rule_id)),
-          fmt=args.format, include_suppressed=args.include_suppressed,
-          files_scanned=report.files_scanned, summary=report.summary(),
-          rule_titles=titles,
-          extra={"baselined": report.baselined})
-    return 0 if report.clean else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,8 +32,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint "
                              "(default: src/repro)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text")
     parser.add_argument("--exclude", action="append", default=[],
                         metavar="PREFIX",
                         help="path prefix to skip while walking "
@@ -105,14 +42,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="list the rule pack and exit")
     parser.add_argument("--flow", action="store_true",
                         help="run the whole-program flow analyses "
-                             "(RAG100-RAG106) instead of the per-file "
-                             "rules")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help="flow baseline file (default: the "
-                             "committed tools/flow_baseline.json)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="write the current flow findings to the "
-                             "baseline instead of failing on them")
+                             "(RAG100, RAG101, RAG104-RAG106) instead "
+                             "of the per-file rules")
     parser.add_argument("--audit", choices=sorted(AUDITS), default=None,
                         help="run a canned runtime determinism audit "
                              "instead of the static pass")
@@ -137,22 +68,20 @@ def main(argv: list[str] | None = None) -> int:
         print(report.summary())
         return 0 if report.deterministic else 1
 
-    if args.flow:
-        return _run_flow(args, parser)
-    if args.update_baseline:
-        parser.error("--update-baseline only applies to --flow")
-
     paths = args.paths or ["src/repro"]
     missing = [p for p in paths if not pathlib.Path(p).exists()]
     if missing:
         parser.error("no such file or directory: " + ", ".join(missing))
-    report = run_lint(paths, rules=default_rules(), exclude=args.exclude)
+    if args.flow:
+        from repro.lint.flow import run_flow
+        report = run_flow(paths, exclude=args.exclude)
+    else:
+        report = run_lint(paths, rules=default_rules(), exclude=args.exclude)
 
-    titles = {rule_id: cls.title for rule_id, cls in rule_index().items()}
-    _emit(report.findings, fmt=args.format,
-          include_suppressed=args.include_suppressed,
-          files_scanned=report.files_scanned, summary=report.summary(),
-          rule_titles=titles)
+    for finding in report.findings:
+        if args.include_suppressed or not finding.suppressed:
+            print(finding.format())
+    print(report.summary())
     return 0 if report.clean else 1
 
 

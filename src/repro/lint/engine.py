@@ -49,9 +49,6 @@ class Finding:
         return (f"{self.path}:{self.line}:{self.col}: "
                 f"{self.rule_id} [{self.severity}] {self.message}{mark}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class FileContext:

@@ -1,17 +1,14 @@
-"""The RAG100–RAG106 whole-program dataflow rules.
+"""The RAG100, RAG101 and RAG104–RAG106 whole-program dataflow rules.
 
 Each rule walks the linked :class:`ProjectIndex` rather than a single
 AST, so a finding can say *how* a site is reachable ("via run_task ->
-table1.run -> PythiaChannel.cache_telemetry"), and a sanctioned reset
-two modules away can clear a shard-safety flag here.
+table1.run -> PythiaChannel.cache_telemetry").
 
 Rule catalogue (see docs/LINT.md for the narrative version):
 
 RAG100  process-global randomness anywhere in the package, or raw
         entropy on a reachable path
 RAG101  RNG constructed outside the named-stream discipline
-RAG102  module-level mutable container mutated after import time
-RAG103  module-level name rebound after import time without a reset
 RAG104  schedule handle escapes its creator without a cancel path
 RAG105  order-sensitive float reduction on an output path
 RAG106  per-element stream() draw inside a vectorized sweep
@@ -20,7 +17,7 @@ RAG106  per-element stream() draw inside a vectorized sweep
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.lint.engine import Finding
 from repro.lint.flow.facts import FileFacts, FunctionFacts
@@ -34,25 +31,14 @@ _TAINT_MODULE_RE = re.compile(
 #: The named-stream module: the one file allowed to touch the global RNG.
 _RNG_HOME = "repro/sim/random.py"
 
-#: Function names that sanction a module-global reset wherever they
-#: appear (teardown paths are often only called from tests/atexit).
-_RESET_NAME_RE = re.compile(
-    r"(reset|clear|uninstall|teardown|stop|close|restore|shutdown)", re.I)
-
-
-def shard_roots(index: ProjectIndex) -> list[str]:
-    """Task-execution roots: every ``run_task`` dispatcher.
-
-    Registry entries hang off these via the synthetic registry edges,
-    so the BFS reaches every registered experiment body.
-    """
-    return sorted(q for q in index.functions if q.endswith(".run_task"))
-
 
 def taint_roots(index: ProjectIndex) -> list[str]:
-    """Randomness-taint roots: run_task plus the public surface of the
-    experiment/channel/fault/side-channel subsystems."""
-    roots = set(shard_roots(index))
+    """Randomness-taint roots: every ``run_task`` dispatcher plus the
+    public surface of the experiment/channel/fault/side-channel
+    subsystems.  Registry entries hang off ``run_task`` via the
+    synthetic registry edges, so the BFS reaches every registered
+    experiment body."""
+    roots = {q for q in index.functions if q.endswith(".run_task")}
     for qualname, (fn, facts) in index.functions.items():
         if not _TAINT_MODULE_RE.search(facts.module):
             continue
@@ -79,32 +65,17 @@ class FlowRule:
     title = ""
     severity = "error"
 
-    def run(self, index: ProjectIndex) -> Iterator["RawFinding"]:
+    def run(self, index: ProjectIndex) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def raw(self, facts: FileFacts, fn: Optional[FunctionFacts],
-            line: int, col: int, key: str, message: str,
-            severity: Optional[str] = None) -> "RawFinding":
-        return RawFinding(
-            rule_id=self.rule_id, severity=severity or self.severity,
-            facts=facts, qualname=fn.qualname if fn else "",
-            line=line, col=col, key=key, message=message)
-
-
-class RawFinding:
-    """A rule hit before suppression/fingerprint post-processing."""
-
-    def __init__(self, *, rule_id: str, severity: str, facts: FileFacts,
-                 qualname: str, line: int, col: int, key: str,
-                 message: str) -> None:
-        self.rule_id = rule_id
-        self.severity = severity
-        self.facts = facts
-        self.qualname = qualname
-        self.line = line
-        self.col = col
-        self.key = key
-        self.message = message
+    def finding(self, facts: FileFacts, line: int, col: int,
+                message: str, severity: Optional[str] = None) -> Finding:
+        """A finding at ``line``, suppressed when that line carries a
+        ``# ragnar-lint: disable=`` for this rule."""
+        return Finding(
+            path=facts.path, line=line, col=col, rule_id=self.rule_id,
+            severity=severity or self.severity, message=message,
+            suppressed=self.rule_id in facts.suppressions.get(str(line), ()))
 
 
 # ----------------------------------------------------------------------
@@ -133,16 +104,15 @@ class GlobalRandomnessTaintRule(FlowRule):
     title = "global RNG in the package, or entropy on a reachable path"
     severity = "error"
 
-    def run(self, index: ProjectIndex) -> Iterator[RawFinding]:
+    def run(self, index: ProjectIndex) -> Iterator[Finding]:
         parents = index.reachable_from(taint_roots(index))
         for facts in index.files.values():
             if not _in_package(facts):
                 continue
             for site in facts.rng:
                 if site.kind == "global":
-                    yield self.raw(
-                        facts, None, site.line, site.col,
-                        key=f"global:{site.target}",
+                    yield self.finding(
+                        facts, site.line, site.col,
                         message=(f"{facts.module} uses process-global RNG "
                                  f"{site.target}() at import time; derive "
                                  f"randomness from a named "
@@ -159,9 +129,8 @@ class GlobalRandomnessTaintRule(FlowRule):
                     noun = "process entropy source"
                 else:
                     continue
-                yield self.raw(
-                    facts, fn, site.line, site.col,
-                    key=f"{site.kind}:{site.target}",
+                yield self.finding(
+                    facts, site.line, site.col,
                     message=(f"{fn.qualname} uses {noun} {site.target}(); "
                              f"derive randomness from a named "
                              f"sim.random.stream(...) instead"
@@ -179,24 +148,22 @@ class UnseededGeneratorRule(FlowRule):
     title = "RNG constructed outside the named-stream discipline"
     severity = "error"
 
-    def run(self, index: ProjectIndex) -> Iterator[RawFinding]:
+    def run(self, index: ProjectIndex) -> Iterator[Finding]:
         parents = index.reachable_from(taint_roots(index))
         for qualname in sorted(parents):
             fn, facts = index.functions[qualname]
             for site in fn.rng:
                 if site.kind == "seedless":
-                    yield self.raw(
-                        facts, fn, site.line, site.col,
-                        key=f"seedless:{site.target}",
+                    yield self.finding(
+                        facts, site.line, site.col,
                         message=(f"{fn.qualname} constructs a seedless "
                                  f"{site.target}(); derive from "
                                  f"sim.random.stream(...) so replays are "
                                  f"bit-identical"
                                  + _via(index, parents, qualname)))
                 elif site.kind == "literal_seed":
-                    yield self.raw(
-                        facts, fn, site.line, site.col,
-                        key=f"literal_seed:{site.target}",
+                    yield self.finding(
+                        facts, site.line, site.col,
                         message=(f"{fn.qualname} falls back to a "
                                  f"constant-seed {site.target}(<literal>), "
                                  f"decoupled from the experiment seed; "
@@ -204,91 +171,6 @@ class UnseededGeneratorRule(FlowRule):
                                  f"through instead"
                                  + _via(index, parents, qualname)),
                         severity="warning")
-
-
-# ----------------------------------------------------------------------
-# RAG102 / RAG103 — shard safety
-# ----------------------------------------------------------------------
-
-def _sanctioned_resets(index: ProjectIndex,
-                       parents: dict[str, Optional[str]]) -> set[str]:
-    """Global targets that have a reset site on a task path or in a
-    reset-like-named function anywhere in the project."""
-    sanctioned: set[str] = set()
-    for qualname, (fn, _facts) in index.functions.items():
-        for write in fn.writes:
-            if write.kind != "reset":
-                continue
-            if qualname in parents or _RESET_NAME_RE.search(fn.name):
-                sanctioned.add(write.target)
-    return sanctioned
-
-
-class SharedMutableWriteRule(FlowRule):
-    """A module-level mutable container (cache, registry, table) is
-    mutated on a path reachable from ``run_task`` and never reset per
-    task.  Under ``--jobs`` the mutation leaks across tasks in one
-    worker but not across workers, so serial-vs-parallel byte-identity
-    becomes a coincidence."""
-
-    rule_id = "RAG102"
-    title = "shared module-level mutable written on a task path"
-    severity = "error"
-
-    def run(self, index: ProjectIndex) -> Iterator[RawFinding]:
-        parents = index.reachable_from(shard_roots(index))
-        if not parents:
-            return
-        sanctioned = _sanctioned_resets(index, parents)
-        for qualname in sorted(parents):
-            fn, facts = index.functions[qualname]
-            for write in fn.writes:
-                if write.kind != "mutate":
-                    continue
-                if write.target in sanctioned:
-                    continue
-                if not index.global_is_mutable(write.target):
-                    continue
-                yield self.raw(
-                    facts, fn, write.line, write.col,
-                    key=f"mutate:{write.target}",
-                    message=(f"{fn.qualname} mutates module-level "
-                             f"{write.target} on a task path with no "
-                             f"per-task reset; this breaks --jobs "
-                             f"byte-identity"
-                             + _via(index, parents, qualname)))
-
-
-class SharedRebindRule(FlowRule):
-    """A module-level name is rebound (``global X; X = ...``) on a task
-    path without a matching reset.  Unlike RAG102 this also catches
-    scalars and handles; install/uninstall pairs whose uninstall is on
-    the task path are sanctioned."""
-
-    rule_id = "RAG103"
-    title = "module-level name rebound on a task path without reset"
-    severity = "warning"
-
-    def run(self, index: ProjectIndex) -> Iterator[RawFinding]:
-        parents = index.reachable_from(shard_roots(index))
-        if not parents:
-            return
-        sanctioned = _sanctioned_resets(index, parents)
-        for qualname in sorted(parents):
-            fn, facts = index.functions[qualname]
-            for write in fn.writes:
-                if write.kind != "rebind":
-                    continue
-                if write.target in sanctioned:
-                    continue
-                yield self.raw(
-                    facts, fn, write.line, write.col,
-                    key=f"rebind:{write.target}",
-                    message=(f"{fn.qualname} rebinds module-level "
-                             f"{write.target} on a task path and nothing "
-                             f"reachable resets it; state leaks into the "
-                             f"next task on the same worker"
-                             + _via(index, parents, qualname)))
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +194,7 @@ class HandleEscapeRule(FlowRule):
     title = "schedule handle escapes without a cancel path"
     severity = "warning"
 
-    def run(self, index: ProjectIndex) -> Iterator[RawFinding]:
+    def run(self, index: ProjectIndex) -> Iterator[Finding]:
         for qualname in sorted(index.functions):
             fn, facts = index.functions[qualname]
             yield from self._schedules(index, fn, facts)
@@ -336,25 +218,23 @@ class HandleEscapeRule(FlowRule):
         return bool(entry and any(s.self_chain for s in entry[0].schedules))
 
     def _schedules(self, index: ProjectIndex, fn: FunctionFacts,
-                   facts: FileFacts) -> Iterator[RawFinding]:
+                   facts: FileFacts) -> Iterator[Finding]:
         has_stop = self._has_stop(index, fn, facts)
         for site in fn.schedules:
             chain = site.self_chain or (
                 has_stop and self._starts_chain(index, fn, facts, site))
             if chain and site.fate in ("discarded", "local") \
                     and not site.cancelled_locally:
-                yield self.raw(
-                    facts, fn, site.line, site.col,
-                    key=f"chain:{site.callback or fn.name}",
+                yield self.finding(
+                    facts, site.line, site.col,
                     message=(f"{fn.qualname} starts a self-rescheduling "
                              f"{site.method}() chain and drops the "
                              f"handle; no cancel path can ever stop the "
                              f"chain once the enclosing run ends"))
             elif chain and has_stop and site.fate == "self_attr" \
                     and not index.class_cancels(facts.module, fn.cls):
-                yield self.raw(
-                    facts, fn, site.line, site.col,
-                    key=f"kept:{site.callback}",
+                yield self.finding(
+                    facts, site.line, site.col,
                     message=(f"{fn.qualname} keeps the handle of a "
                              f"self-rescheduling {site.method}() chain, "
                              f"but {fn.cls}.stop() never cancel()s it; a "
@@ -370,9 +250,8 @@ class HandleEscapeRule(FlowRule):
                 enclosing_ok = enclosing is not None and \
                     enclosing[0].cancels
                 if not fn.cancels and not class_ok and not enclosing_ok:
-                    yield self.raw(
-                        facts, fn, site.line, site.col,
-                        key=f"container:{site.callback or site.method}",
+                    yield self.finding(
+                        facts, site.line, site.col,
                         message=(f"{fn.qualname} stores a {site.method}() "
                                  f"handle in a container but has no "
                                  f"cancel path for it"))
@@ -380,7 +259,7 @@ class HandleEscapeRule(FlowRule):
                 yield from self._passed(index, fn, facts, site)
 
     def _passed(self, index: ProjectIndex, fn: FunctionFacts,
-                facts: FileFacts, site) -> Iterator[RawFinding]:
+                facts: FileFacts, site) -> Iterator[Finding]:
         targets = index.resolve(site.passed_to)
         if len(targets) != 1:
             return
@@ -394,16 +273,15 @@ class HandleEscapeRule(FlowRule):
         if param in fates.cancelled or param in fates.stored \
                 or param in fates.returned:
             return
-        yield self.raw(
-            facts, fn, site.line, site.col,
-            key=f"passed:{callee.qualname}:{param}",
+        yield self.finding(
+            facts, site.line, site.col,
             message=(f"{fn.qualname} hands its {site.method}() handle to "
                      f"{callee.qualname}(), which neither cancels, "
                      f"stores, nor returns it — the pending event "
                      f"outlives every reference to it"))
 
     def _dropped_at_caller(self, index: ProjectIndex, fn: FunctionFacts,
-                           facts: FileFacts) -> Iterator[RawFinding]:
+                           facts: FileFacts) -> Iterator[Finding]:
         for call in fn.calls:
             if call.form != "direct" or not call.discarded:
                 continue
@@ -413,9 +291,8 @@ class HandleEscapeRule(FlowRule):
             callee, _callee_facts = index.functions[next(iter(targets))]
             if not callee.returns_handle:
                 continue
-            yield self.raw(
-                facts, fn, call.line, call.col,
-                key=f"dropped:{callee.qualname}",
+            yield self.finding(
+                facts, call.line, call.col,
                 message=(f"{fn.qualname} drops the schedule handle "
                          f"returned by {callee.qualname}(); keep it so a "
                          f"stop path can cancel the pending event"))
@@ -436,7 +313,7 @@ class UnorderedReductionRule(FlowRule):
     title = "order-sensitive float reduction on an output path"
     severity = "warning"
 
-    def run(self, index: ProjectIndex) -> Iterator[RawFinding]:
+    def run(self, index: ProjectIndex) -> Iterator[Finding]:
         parents = index.reachable_from(taint_roots(index))
         for qualname in sorted(parents):
             fn, facts = index.functions[qualname]
@@ -445,9 +322,8 @@ class UnorderedReductionRule(FlowRule):
                         if site.kind == "sum_over_set"
                         else f"accumulates {site.detail} while iterating "
                              f"an unordered set")
-                yield self.raw(
-                    facts, fn, site.line, site.col,
-                    key=f"{site.kind}:{site.detail}",
+                yield self.finding(
+                    facts, site.line, site.col,
                     message=(f"{fn.qualname} {what}; float addition is "
                              f"order-sensitive, so sort the operands "
                              f"before reducing"
@@ -461,27 +337,26 @@ class UnorderedReductionRule(FlowRule):
 class LoopStreamDrawRule(FlowRule):
     """A named ``stream()`` constructed once per element inside a loop
     or comprehension.  Descriptor-array stage code (the batched fast
-    path, the TPU admission sweep) must pre-draw its randomness into a
-    buffer from ONE named stream before the sweep: a per-element
-    ``stream()`` re-derives the SHA-256 key per descriptor (quadratic
-    in cohort size), and, worse, makes the draw sequence depend on the
-    sweep's iteration shape — splitting one cohort into two then
-    consumes different streams, so scalar and batched replays diverge.
+    path) must pre-draw its randomness into a buffer from ONE named
+    stream before the sweep: a per-element ``stream()`` re-derives the
+    SHA-256 key per descriptor (quadratic in cohort size), and, worse,
+    makes the draw sequence depend on the sweep's iteration shape —
+    splitting one cohort into two then consumes different streams, so
+    scalar and batched replays diverge.
     """
 
     rule_id = "RAG106"
     title = "per-element stream() draw inside a vectorized sweep"
     severity = "error"
 
-    def run(self, index: ProjectIndex) -> Iterator[RawFinding]:
+    def run(self, index: ProjectIndex) -> Iterator[Finding]:
         for qualname in sorted(index.functions):
             fn, facts = index.functions[qualname]
             for site in fn.rng:
                 if site.kind != "loop_stream":
                     continue
-                yield self.raw(
-                    facts, fn, site.line, site.col,
-                    key=f"loop_stream:{site.target}",
+                yield self.finding(
+                    facts, site.line, site.col,
                     message=(f"{fn.qualname} draws a fresh "
                              f"{site.target}() per element of a sweep; "
                              f"pre-draw one named-stream buffer before "
@@ -493,8 +368,6 @@ class LoopStreamDrawRule(FlowRule):
 FLOW_RULES: tuple[FlowRule, ...] = (
     GlobalRandomnessTaintRule(),
     UnseededGeneratorRule(),
-    SharedMutableWriteRule(),
-    SharedRebindRule(),
     HandleEscapeRule(),
     UnorderedReductionRule(),
     LoopStreamDrawRule(),
@@ -507,41 +380,16 @@ def flow_rule_index() -> dict[str, FlowRule]:
 
 def run_analyses(index: ProjectIndex,
                  rules: Optional[Sequence[FlowRule]] = None
-                 ) -> Iterator["FlowFinding"]:
-    """Run the rules and post-process raw hits into
-    :class:`FlowFinding`s: inline-suppression marking, ordinal
-    disambiguation of duplicate fingerprint keys, parse-error
-    surfacing."""
-    from repro.lint.flow import FlowFinding  # circular at import time
-
+                 ) -> Iterator[Finding]:
+    """Run the rules over the linked index, after one ``RAG000``
+    finding per file that did not parse."""
     for facts in index.files.values():
         if facts.parse_error:
-            yield FlowFinding(
-                finding=Finding(path=facts.path, line=1, col=0,
-                                rule_id="RAG000", severity="error",
-                                message=f"syntax error: "
-                                        f"{facts.parse_error}"),
-                fingerprint=("RAG000", facts.module_path, "",
-                             "parse-error"))
-
-    seen_keys: dict[tuple[str, str, str, str], int] = {}
+            yield Finding(path=facts.path, line=1, col=0, rule_id="RAG000",
+                          severity="error",
+                          message=f"syntax error: {facts.parse_error}")
     for rule in (rules if rules is not None else FLOW_RULES):
-        for raw in rule.run(index):
-            base = (raw.rule_id, raw.facts.module_path, raw.qualname,
-                    raw.key)
-            ordinal = seen_keys.get(base, 0)
-            seen_keys[base] = ordinal + 1
-            key = raw.key if ordinal == 0 else f"{raw.key}#{ordinal}"
-            disabled = raw.facts.suppressions.get(str(raw.line), ())
-            suppressed = raw.rule_id in disabled
-            yield FlowFinding(
-                finding=Finding(path=raw.facts.path, line=raw.line,
-                                col=raw.col, rule_id=raw.rule_id,
-                                severity=raw.severity,
-                                message=raw.message,
-                                suppressed=suppressed),
-                fingerprint=(raw.rule_id, raw.facts.module_path,
-                             raw.qualname, key))
+        yield from rule.run(index)
 
 
 __all__ = [
@@ -550,13 +398,9 @@ __all__ = [
     "GlobalRandomnessTaintRule",
     "HandleEscapeRule",
     "LoopStreamDrawRule",
-    "RawFinding",
-    "SharedMutableWriteRule",
-    "SharedRebindRule",
     "UnorderedReductionRule",
     "UnseededGeneratorRule",
     "flow_rule_index",
     "run_analyses",
-    "shard_roots",
     "taint_roots",
 ]

@@ -44,15 +44,8 @@ ENTROPY_TARGETS = frozenset({
     "secrets.randbelow", "secrets.choice", "secrets.randbits",
 })
 
-#: Constructors producing a mutable container when assigned at module
-#: scope (the shard-safety rules track writes to these).
-MUTABLE_FACTORIES = frozenset({
-    "dict", "list", "set", "bytearray",
-    "collections.defaultdict", "collections.OrderedDict",
-    "collections.Counter", "collections.deque",
-})
-
-#: Method names that mutate a container in place.
+#: Method names that mutate a container in place: a parameter handed
+#: to one counts as stored (a handle kept for a later cancel).
 MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "add", "update", "setdefault",
     "pop", "popitem", "remove", "discard", "clear", "appendleft",
@@ -115,20 +108,6 @@ class RngFact:
 
 
 @dataclasses.dataclass
-class GlobalWriteFact:
-    """One write to (or reset of) a module-level name."""
-
-    line: int
-    col: int
-    #: 'rebind' (``global X; X = <live value>``), 'mutate' (in-place
-    #: container write), 'reset' (rebind to None / a fresh empty
-    #: container, or ``.clear()``).
-    kind: str
-    #: Fully qualified global id, e.g. ``repro.obs.runtime._SESSION``.
-    target: str
-
-
-@dataclasses.dataclass
 class ScheduleFact:
     """One ``schedule()``/``schedule_at()`` call and its handle's fate."""
 
@@ -184,7 +163,6 @@ class FunctionFacts:
     params: list[str] = dataclasses.field(default_factory=list)
     calls: list[CallFact] = dataclasses.field(default_factory=list)
     rng: list[RngFact] = dataclasses.field(default_factory=list)
-    writes: list[GlobalWriteFact] = dataclasses.field(default_factory=list)
     schedules: list[ScheduleFact] = dataclasses.field(default_factory=list)
     reductions: list[ReductionFact] = dataclasses.field(default_factory=list)
     param_fates: ParamFates = dataclasses.field(default_factory=ParamFates)
@@ -211,8 +189,6 @@ class FileFacts:
     module_path: str          # repro/sim/kernel.py
     module: str               # repro.sim.kernel
     aliases: dict[str, str] = dataclasses.field(default_factory=dict)
-    #: Module-level names: name -> {'line': int, 'mutable': bool}.
-    globals: dict[str, dict] = dataclasses.field(default_factory=dict)
     functions: list[FunctionFacts] = dataclasses.field(default_factory=list)
     classes: list[ClassFacts] = dataclasses.field(default_factory=list)
     #: RNG sites outside every function body: module and class bodies,
@@ -355,21 +331,16 @@ class _FunctionExtractor:
     for callback resolution."""
 
     def __init__(self, node: ast.AST, facts: FunctionFacts,
-                 aliases: dict[str, str], module: str,
-                 module_globals: set[str],
+                 aliases: dict[str, str],
                  local_defs: dict[str, str],
                  method_names: set[str]) -> None:
         self.node = node
         self.facts = facts
         self.aliases = aliases
-        self.module = module
-        self.module_globals = module_globals
         #: visible definition name -> qualified target (module-level
         #: functions/classes plus this scope's nested defs)
         self.local_defs = local_defs
         self.method_names = method_names
-        self.declared_global: set[str] = set()
-        self.assigned_locals: set[str] = set()
         self.handle_locals: dict[str, ScheduleFact] = {}
         self.set_locals: set[str] = set()
         #: Loop-body nesting depth (a loop's else clause runs once, so
@@ -448,9 +419,6 @@ class _FunctionExtractor:
             for child in stmt.body:
                 self._stmt(child)
             return
-        if isinstance(stmt, ast.Global):
-            self.declared_global.update(stmt.names)
-            return
 
         discarded_call: Optional[ast.Call] = None
         if isinstance(stmt, ast.Expr):
@@ -461,10 +429,6 @@ class _FunctionExtractor:
             self._assign(stmt)
         elif isinstance(stmt, ast.Return):
             self._return(stmt)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Subscript):
-                    self._maybe_global_mutation(target.value, stmt)
 
         # expression roots of this statement (compound statements hand
         # their sub-statements back to _stmt, so only headers are
@@ -509,8 +473,6 @@ class _FunctionExtractor:
         if schedule is not None:
             schedule.fate = "discarded"
             self.facts.schedules.append(schedule)
-        else:
-            self._container_mutation(value)
 
     def _assign(self, stmt: ast.AST) -> None:
         value = getattr(stmt, "value", None)
@@ -540,20 +502,6 @@ class _FunctionExtractor:
                     self.set_locals.add(target.id)
                 else:
                     self.set_locals.discard(target.id)
-                if target.id in self.declared_global:
-                    kind = ("reset" if self._is_reset_value(value)
-                            else "rebind")
-                    self._record_write(stmt, kind,
-                                       f"{self.module}.{target.id}")
-                else:
-                    self.assigned_locals.add(target.id)
-            elif isinstance(target, ast.Subscript):
-                self._maybe_global_mutation(target.value, stmt)
-        if isinstance(stmt, ast.AugAssign) and \
-                isinstance(stmt.target, ast.Name) and \
-                stmt.target.id in self.declared_global:
-            self._record_write(stmt, "rebind",
-                               f"{self.module}.{stmt.target.id}")
         # param escape: self.x = param / container[k] = param
         if isinstance(value, ast.Name) and value.id in self.facts.params:
             for target in targets:
@@ -578,60 +526,6 @@ class _FunctionExtractor:
             if value.id in self.facts.params and \
                     value.id not in self.facts.param_fates.returned:
                 self.facts.param_fates.returned.append(value.id)
-
-    # -- module-global writes ----------------------------------------
-
-    def _is_reset_value(self, value: ast.AST) -> bool:
-        if isinstance(value, ast.Constant) and value.value is None:
-            return True
-        if isinstance(value, ast.Dict) and not value.keys:
-            return True
-        if isinstance(value, (ast.List, ast.Set)) and not value.elts:
-            return True
-        if isinstance(value, ast.Call) and not value.args and \
-                not value.keywords:
-            target = _resolve(value.func, self.aliases)
-            if target in MUTABLE_FACTORIES:
-                return True
-        return False
-
-    def _record_write(self, node: ast.AST, kind: str, target: str) -> None:
-        self.facts.writes.append(GlobalWriteFact(
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0), kind=kind, target=target))
-
-    def _global_container_id(self, base: ast.AST) -> Optional[str]:
-        if isinstance(base, ast.Name):
-            if base.id in self.declared_global:
-                return f"{self.module}.{base.id}"
-            if base.id in self.module_globals and \
-                    base.id not in self.assigned_locals and \
-                    base.id not in self.facts.params:
-                return f"{self.module}.{base.id}"
-            return None
-        if isinstance(base, ast.Attribute):
-            name = dotted_name(base)
-            if name is None:
-                return None
-            head = name.split(".", 1)[0]
-            if head in self.aliases:  # rooted at an import, not a local
-                return _resolve(base, self.aliases)
-        return None
-
-    def _maybe_global_mutation(self, base: ast.AST, stmt: ast.AST) -> None:
-        target = self._global_container_id(base)
-        if target is not None:
-            self._record_write(stmt, "mutate", target)
-
-    def _container_mutation(self, call: ast.Call) -> None:
-        func = call.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr in MUTATING_METHODS):
-            return
-        target = self._global_container_id(func.value)
-        if target is not None:
-            kind = "reset" if func.attr == "clear" else "mutate"
-            self._record_write(call, kind, target)
 
     # -- calls, rng, schedule handles --------------------------------
 
@@ -806,32 +700,6 @@ class _FunctionExtractor:
 # Module-level extraction
 # ----------------------------------------------------------------------
 
-def _module_globals(tree: ast.Module,
-                    aliases: dict[str, str]) -> dict[str, dict]:
-    table: dict[str, dict] = {}
-    for stmt in tree.body:
-        targets: list[ast.AST] = []
-        value: Optional[ast.AST] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        else:
-            continue
-        mutable = False
-        if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                              ast.ListComp, ast.SetComp)):
-            mutable = True
-        elif isinstance(value, ast.Call):
-            resolved = _resolve(value.func, aliases)
-            if resolved in MUTABLE_FACTORIES:
-                mutable = True
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id != "__all__":
-                table[target.id] = {"line": stmt.lineno, "mutable": mutable}
-    return table
-
-
 def _registries(tree: ast.Module, aliases: dict[str, str], module: str,
                 local_defs: dict[str, str]) -> dict[str, list[str]]:
     """Module-level ``NAME = { ...: func }`` dicts mapping to resolved
@@ -879,7 +747,6 @@ def extract_facts(source: str, *, path: str = "<string>") -> FileFacts:
         is_package=pathlib.Path(path).name == "__init__.py")
     facts = FileFacts(path=path, module_path=module_path, module=module,
                       aliases=aliases)
-    facts.globals = _module_globals(tree, aliases)
     facts.suppressions = {
         str(line): sorted(ids)
         for line, ids in parse_suppressions(lines).items()
@@ -891,7 +758,6 @@ def extract_facts(source: str, *, path: str = "<string>") -> FileFacts:
                              ast.ClassDef)):
             top_defs[stmt.name] = f"{module}.{stmt.name}"
     facts.registries = _registries(tree, aliases, module, top_defs)
-    module_global_names = set(facts.globals)
 
     def extract_function(node, qualname: str, cls: str,
                          local_defs: dict[str, str],
@@ -905,8 +771,8 @@ def extract_facts(source: str, *, path: str = "<string>") -> FileFacts:
         scope_defs = {**local_defs, **nested}
         fn = FunctionFacts(qualname=qualname, name=node.name, cls=cls,
                            line=node.lineno)
-        _FunctionExtractor(node, fn, aliases, module, module_global_names,
-                           scope_defs, method_names).walk()
+        _FunctionExtractor(node, fn, aliases, scope_defs,
+                           method_names).walk()
         facts.functions.append(fn)
         for child in node.body:
             descend(child, qualname, cls, scope_defs, method_names)
@@ -958,8 +824,6 @@ __all__ = [
     "ClassFacts",
     "FileFacts",
     "FunctionFacts",
-    "GlobalWriteFact",
-    "MUTABLE_FACTORIES",
     "MUTATING_METHODS",
     "NUMPY_LEGACY_RANDOM_FNS",
     "ParamFates",

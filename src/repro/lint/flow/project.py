@@ -6,7 +6,8 @@ Python's dynamism demands it (attribute calls on unknown objects fall
 back to a method-name index), and exact where the facts allow it
 (dotted imports, re-export aliases, ``self.method``, registry dicts).
 Over-approximation errs toward *more* reachability: a determinism rule
-that misses a path is worse than one that asks for a baseline entry.
+that misses a path is worse than one that asks for an inline
+suppression.
 """
 
 from __future__ import annotations
@@ -160,19 +161,6 @@ class ProjectIndex:
         return path
 
     # -- convenience --------------------------------------------------
-
-    def functions_in_module(self, module: str) -> list[FunctionFacts]:
-        facts = self.modules.get(module)
-        return list(facts.functions) if facts is not None else []
-
-    def global_is_mutable(self, target: str) -> bool:
-        """Is ``module.NAME`` a module-level mutable container?"""
-        module, _, name = target.rpartition(".")
-        facts = self.modules.get(module)
-        if facts is None:
-            return False
-        info = facts.globals.get(name)
-        return bool(info and info.get("mutable"))
 
     def class_cancels(self, module: str, cls: str) -> bool:
         entry = self.classes.get(f"{module}.{cls}")

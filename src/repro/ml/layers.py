@@ -119,7 +119,7 @@ class Conv1d(Layer):
         self.kernel = kernel
         self.stride = stride
         self.pad = pad if pad is not None else kernel // 2
-        rng = rng if rng is not None else np.random.default_rng(0)
+        rng = rng if rng is not None else np.random.default_rng(0)  # ragnar-lint: disable=RAG101 — standalone construction only; ResNet1d and its blocks pass the network's seeded rng
         scale = np.sqrt(2.0 / (in_channels * kernel))  # He init
         self.params["w"] = rng.normal(0.0, scale,
                                       (out_channels, in_channels * kernel))
@@ -239,7 +239,7 @@ class Dense(Layer):
     def __init__(self, in_features: int, out_features: int,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
+        rng = rng if rng is not None else np.random.default_rng(0)  # ragnar-lint: disable=RAG101 — standalone construction only; ResNet1d and its blocks pass the network's seeded rng
         scale = np.sqrt(2.0 / in_features)
         self.params["w"] = rng.normal(0.0, scale, (in_features, out_features))
         self.params["b"] = np.zeros(out_features)

@@ -24,7 +24,7 @@ class ResidualBlock1d(Layer):
     def __init__(self, in_channels: int, out_channels: int, stride: int = 1,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
+        rng = rng if rng is not None else np.random.default_rng(0)  # ragnar-lint: disable=RAG101 — standalone construction only; ResNet1d passes its seeded rng
         self.body = Sequential(
             Conv1d(in_channels, out_channels, kernel=3, stride=stride, rng=rng),
             BatchNorm1d(out_channels),

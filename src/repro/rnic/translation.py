@@ -187,7 +187,7 @@ class TranslationUnit:
 
     def __init__(self, spec: RNICSpec, rng: Optional[np.random.Generator] = None) -> None:
         self.spec = spec
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng if rng is not None else np.random.default_rng(0)  # ragnar-lint: disable=RAG101 — standalone construction only; the RNIC, snoop, partition and mitigation callers pass seed-derived generators
         self.mpt_cache = SetAssocCache(spec.mpt_cache_entries, spec.mpt_cache_ways)
         self.mtt_cache = SetAssocCache(spec.mtt_cache_entries, spec.mtt_cache_ways)
         self._bank_busy = [0.0] * spec.tpu_banks

@@ -52,6 +52,20 @@ class TestInterMRChannel:
         with pytest.raises(KeyError):
             InterMRConfig.best_for("CX-9")
 
+    @pytest.mark.parametrize("warmup", [0, 2, 3])
+    def test_short_warmup_rejected(self, warmup):
+        """The warm-up period estimate needs two samples from the last
+        half of the completions; fewer than 4 used to crash transmit."""
+        with pytest.raises(ValueError, match="warm-up"):
+            dataclasses.replace(InterMRConfig.best_for("CX-5"),
+                                warmup_completions=warmup)
+
+    def test_minimal_warmup_transmits(self):
+        config = dataclasses.replace(InterMRConfig.best_for("CX-5"),
+                                     warmup_completions=4)
+        result = InterMRChannel(cx5(), config).transmit([1, 0, 1, 1])
+        assert len(result.decoded) == 4
+
     def test_low_error_on_each_device(self):
         bits = random_bits(64, seed=2)
         for name, factory in SPECS.items():

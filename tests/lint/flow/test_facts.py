@@ -156,33 +156,6 @@ def test_schedule_handle_fates():
     assert not outer.self_chain
 
 
-def test_global_write_kinds():
-    source = (
-        "_CACHE = {}\n"
-        "_SESSION = None\n"
-        "def put(k, v):\n"
-        "    _CACHE[k] = v\n"
-        "def install(s):\n"
-        "    global _SESSION\n"
-        "    _SESSION = s\n"
-        "def uninstall():\n"
-        "    global _SESSION\n"
-        "    _SESSION = None\n"
-        "def reset():\n"
-        "    _CACHE.clear()\n"
-        "def local_shadow(k):\n"
-        "    _CACHE = {}\n"
-        "    _CACHE[k] = 1\n"
-    )
-    facts = extract_facts(source, path="src/repro/x.py")
-    assert facts.globals["_CACHE"]["mutable"]
-    assert [w.kind for w in fn(facts, "put").writes] == ["mutate"]
-    assert [w.kind for w in fn(facts, "install").writes] == ["rebind"]
-    assert [w.kind for w in fn(facts, "uninstall").writes] == ["reset"]
-    assert [w.kind for w in fn(facts, "x.reset").writes] == ["reset"]
-    assert fn(facts, "local_shadow").writes == []
-
-
 def test_registry_dicts_resolve_their_values():
     source = (
         "from repro.experiments import table1\n"

@@ -9,13 +9,11 @@ from repro.lint.flow import run_flow
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "flow"
 
-RULES = ("rag100", "rag101", "rag102", "rag103", "rag104", "rag105",
-         "rag106")
+RULES = ("rag100", "rag101", "rag104", "rag105", "rag106")
 
 
 def rule_ids(report):
-    return sorted({ff.finding.rule_id for ff in report.findings
-                   if not ff.finding.suppressed})
+    return sorted({f.rule_id for f in report.active})
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -29,14 +27,14 @@ def test_dirty_fixture_is_flagged(rule):
 @pytest.mark.parametrize("rule", RULES)
 def test_clean_twin_is_not_flagged(rule):
     report = run_flow([str(FIXTURES / rule / "clean")])
-    details = "\n".join(ff.finding.format() for ff in report.findings)
+    details = "\n".join(f.format() for f in report.findings)
     assert report.clean, f"{rule} clean twin tripped:\n{details}"
 
 
 def test_rag100_message_names_the_cross_file_chain():
     """The finding explains HOW the tainted site is reachable."""
     report = run_flow([str(FIXTURES / "rag100" / "dirty")])
-    (finding,) = [ff.finding for ff in report.findings]
+    (finding,) = report.findings
     assert "random.random" in finding.message
     assert "reachable via" in finding.message
     assert "repro.util.jitter" in finding.message
@@ -46,7 +44,7 @@ def test_rag104_dirty_has_both_escape_shapes():
     """The fixture encodes a dropped returned handle AND an
     unstoppable self-rescheduling chain."""
     report = run_flow([str(FIXTURES / "rag104" / "dirty")])
-    messages = [ff.finding.message for ff in report.findings]
+    messages = [f.message for f in report.findings]
     assert len(messages) == 2
     assert any("drops the schedule handle returned by" in m
                for m in messages)
@@ -66,8 +64,7 @@ STOP = FIXTURES / "rag104" / "stop"
 def hits(path):
     """``(line, rule_id)`` of every active finding in one fixture file."""
     report = run_flow([str(path)])
-    return [(ff.finding.line, ff.finding.rule_id) for ff in report.findings
-            if not ff.finding.suppressed]
+    return [(f.line, f.rule_id) for f in report.active]
 
 
 @pytest.mark.parametrize("tree,rule_id", [(UNREACHABLE, "RAG100"),
@@ -78,7 +75,7 @@ def hits(path):
 def test_case_trees_trip_only_their_rule(tree, rule_id):
     assert rule_ids(run_flow([str(tree / "dirty")])) == [rule_id]
     clean = run_flow([str(tree / "clean")])
-    details = "\n".join(ff.finding.format() for ff in clean.findings)
+    details = "\n".join(f.format() for f in clean.findings)
     assert clean.clean, f"{tree.name} clean twin tripped:\n{details}"
 
 
@@ -108,8 +105,8 @@ def test_rag100_flags_an_unreachable_helper():
     """Entry points exist, and the helper is not on any of their
     paths: the site is reported all the same, without a chain."""
     report = run_flow([str(UNREACHABLE / "dirty")])
-    (finding,) = [ff.finding for ff in report.findings
-                  if ff.finding.path.endswith("runner.py")]
+    (finding,) = [f for f in report.findings
+                  if f.path.endswith("runner.py")]
     assert finding.line == 11
     assert "_unused_jitter uses process-global RNG random.random()" \
         in finding.message
@@ -155,25 +152,6 @@ def test_rag104_without_stop_flags_only_the_chain():
 
 def test_rag104_ignores_schedules_of_foreign_callbacks():
     assert hits(STOP / "clean" / "repro" / "driver.py") == []
-
-
-def test_fingerprints_are_line_number_free():
-    """Inserting a comment above a finding must not invalidate its
-    baseline fingerprint."""
-    dirty = FIXTURES / "rag105" / "dirty"
-    report = run_flow([str(dirty)])
-    (before,) = [ff.fingerprint for ff in report.findings]
-
-    runner = dirty / "repro" / "experiments" / "runner.py"
-    original = runner.read_text(encoding="utf-8")
-    try:
-        runner.write_text("# an unrelated leading comment\n" + original,
-                          encoding="utf-8")
-        report = run_flow([str(dirty)])
-        (after,) = [ff.fingerprint for ff in report.findings]
-    finally:
-        runner.write_text(original, encoding="utf-8")
-    assert before == after
 
 
 def test_inline_suppression_downgrades_the_finding(tmp_path):

@@ -1,6 +1,5 @@
-"""CLI behaviour: exit codes, formats, fixture detection, excludes."""
+"""CLI behaviour: exit codes, fixture detection, excludes."""
 
-import json
 import pathlib
 
 import pytest
@@ -51,17 +50,6 @@ def test_include_suppressed_prints_them(capsys):
     _, out = run_cli([str(FIXTURES / "suppressed_module.py"),
                       "--include-suppressed"], capsys)
     assert "(suppressed)" in out
-
-
-def test_json_format_is_machine_readable(capsys):
-    code, out = run_cli([str(FIXTURES / "rag007_unit_literal.py"),
-                         "--format", "json"], capsys)
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["clean"] is False
-    assert {f["rule_id"] for f in payload["findings"]} == {"RAG007"}
-    finding = payload["findings"][0]
-    assert {"path", "line", "col", "severity", "message"} <= set(finding)
 
 
 def test_exclude_prunes_directory_walks(capsys):

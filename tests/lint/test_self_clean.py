@@ -4,8 +4,7 @@ findings over src/repro, forever.  Any new violation fails CI here."""
 import pathlib
 
 from repro.lint import run_lint
-from repro.lint.flow import default_baseline_path, run_flow
-from repro.lint.flow.baseline import load_baseline
+from repro.lint.flow import run_flow
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -25,30 +24,37 @@ def test_suppressions_stay_rare_and_accounted_for():
         "\n".join(f.format() for f in report.suppressed)
 
 
-def test_src_repro_is_flow_clean_against_the_committed_baseline():
-    """The whole-program pass (RAG100-RAG105) over src/repro must be
-    clean modulo the committed tools/flow_baseline.json.  A new
-    finding means: fix it, or consciously accept it via
-    ``python -m repro.lint --flow --update-baseline``."""
-    baseline_path = default_baseline_path()
-    assert baseline_path is not None, "tools/flow_baseline.json missing"
-    baseline = load_baseline(baseline_path)
-    assert baseline is not None, "committed baseline unreadable"
-    report = run_flow([str(REPO / "src" / "repro")], baseline=baseline)
+#: The flow findings accepted inline in src/repro: literal-seed
+#: fallbacks for standalone construction, each caller in the package
+#: passing a seed-derived generator instead.
+FLOW_SUPPRESSIONS = sorted([
+    ("RAG101", "defense/partition.py"),
+    ("RAG101", "ml/layers.py"),
+    ("RAG101", "ml/layers.py"),
+    ("RAG101", "ml/resnet.py"),
+    ("RAG101", "rnic/translation.py"),
+])
+
+
+def test_src_repro_is_flow_clean():
+    """The whole-program pass (RAG100, RAG101, RAG104-RAG106) over
+    src/repro must be clean.  A new finding means: fix it, or accept
+    it with an inline ``# ragnar-lint: disable=RAGxxx — <why>``."""
+    report = run_flow([str(REPO / "src" / "repro")])
     assert report.files_scanned > 100, "package walk looks truncated"
     details = "\n".join(f.format() for f in report.active)
-    assert report.clean, f"unbaselined flow findings:\n{details}"
+    assert report.clean, f"unsuppressed flow findings:\n{details}"
 
 
-def test_flow_baseline_has_no_dead_entries():
-    """Every baseline entry must still match a real finding —
-    stale entries hide future regressions at the same fingerprint."""
-    baseline_path = default_baseline_path()
-    baseline = load_baseline(baseline_path)
-    report = run_flow([str(REPO / "src" / "repro")])
-    live = {ff.fingerprint for ff in report.findings}
-    dead = [fp for fp in baseline if fp not in live]
-    assert not dead, f"baseline entries no longer firing: {dead}"
+def test_flow_suppressions_are_the_literal_seed_fallbacks():
+    """Every inline flow suppression is pinned here: a new one, or one
+    whose finding stopped firing, fails until this list is reviewed."""
+    src = REPO / "src" / "repro"
+    report = run_flow([str(src)])
+    suppressed = sorted(
+        (f.rule_id, pathlib.Path(f.path).relative_to(src).as_posix())
+        for f in report.suppressed)
+    assert suppressed == FLOW_SUPPRESSIONS
 
 
 def test_tests_tree_is_clean_for_global_rules():

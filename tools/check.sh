@@ -10,9 +10,9 @@
 #   2. repro.lint    — BLOCKING: the repo's own determinism/invariant rules
 #                      (docs/LINT.md); fixture corpus is intentionally dirty
 #                      and excluded
-#   3. lint-flow     — BLOCKING: the whole-program pass (RAG100-RAG106)
-#                      over src/repro; any finding not in the committed
-#                      tools/flow_baseline.json fails it
+#   3. lint-flow     — BLOCKING: the whole-program pass (RAG100, RAG101,
+#                      RAG104-RAG106) over src/repro; any finding not
+#                      suppressed inline fails it
 #   4. replay audit  — BLOCKING: one Grain-III experiment, two identical
 #                      seeds, bit-identical or bust
 #   5. faults smoke  — BLOCKING: the fault-injection experiment end to
